@@ -26,8 +26,6 @@ __all__ = [
     "JumpRecord",
     "HybridArc",
     "HybridSystemInterface",
-    "append_flow_sample",
-    "append_jump",
 ]
 
 
@@ -391,14 +389,3 @@ class HybridArc:
             json.dump([ev.to_dict() for ev in self.events], fh, indent=2)
             fh.write("\n")
 
-
-def append_flow_sample(arc: HybridArc, t: float, q: HybridState,
-                       monitors: Optional[MonitorValues] = None) -> HybridArc:
-    """Functional wrapper around :meth:`HybridArc.append_flow_sample`."""
-    return arc.append_flow_sample(t, q, monitors)
-
-
-def append_jump(arc: HybridArc, q_pre: HybridState, q_post: HybridState,
-                reason: str, monitors: Optional[MonitorValues] = None) -> HybridArc:
-    """Functional wrapper around :meth:`HybridArc.append_jump`."""
-    return arc.append_jump(q_pre, q_post, reason, monitors)

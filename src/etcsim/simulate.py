@@ -16,7 +16,7 @@ so it is carried exactly as time since the last transmission.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +38,12 @@ from .plant import (
     closed_loop_flow,
     closed_loop_flow_vector,
 )
-from .triggers import PolicyKind, TriggerPolicy
+from .triggers import (
+    PolicyKind,
+    TriggerPolicy,
+    policy_margin,
+    threshold_margin,
+)
 
 __all__ = [
     "SolverConfig",
@@ -95,6 +100,7 @@ _SAFETY = 0.9
 class SolverConfig:
     """Integrator and run configuration.
 
+    The same fields drive the one reference integrator for every plant.
     max_step_factor caps the step at factor * epsilon so the fast layer is
     resolved; scenarios with extremely small certified epsilon may relax it
     and rely on the embedded error control instead. fast_floor, when
@@ -117,7 +123,6 @@ class SolverConfig:
     store_stride: int = 1
     fast_floor: float = 0.0
     initial_step: Optional[float] = None
-    force_python: bool = False
 
     def __post_init__(self):
         if min(self.rel_tol, self.abs_tol, self.event_tol) <= 0.0:
@@ -135,6 +140,9 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "SolverConfig":
+        unknown = set(cfg) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigurationError(f"unknown solver fields: {sorted(unknown)}")
         return cls(**cfg)
 
 
@@ -160,12 +168,12 @@ def monitor_r(q: HybridState, cert: LyapunovCertificate,
 
 
 # ---------------------------------------------------------------------------
-# Policy margins on raw state vectors (shared by the reference integrator)
+# Policy margins on raw state vectors (arithmetic lives in triggers.py)
 # ---------------------------------------------------------------------------
 
 
 class _PolicyEval:
-    """Margins and set membership for one (policy, certificate) pair."""
+    """One (policy, certificate, dimensions) binding of the trigger margin."""
 
     def __init__(self, policy: TriggerPolicy, cert: Optional[LyapunovCertificate],
                  n_x: int, n_y: int):
@@ -181,29 +189,10 @@ class _PolicyEval:
                 and not cert.gamma1.is_quadratic):
             raise ConfigurationError("time_regularized needs a quadratic gamma1")
 
-    def threshold_margin(self, s: np.ndarray) -> float:
-        """gamma1(|e|) minus the policy's Lyapunov threshold."""
-        x = s[: self.n_x]
-        e = s[self.n_x + self.n_y:]
-        e_norm = float(np.linalg.norm(e))
-        value = self.cert.gamma1(e_norm)
-        thresh = self.policy.sigma * self.cert.alpha1 * self.cert.v_x(x)
-        if self.policy.kind is PolicyKind.DEADZONE:
-            thresh = max(thresh, self.policy.rho)
-        return value - thresh
-
     def margin(self, s: np.ndarray, tau: float) -> float:
         """Signed event function; >= 0 on the jump set."""
-        kind = self.policy.kind
-        if kind is PolicyKind.PERIODIC:
-            return tau - self.policy.period
-        if kind is PolicyKind.TIME_REGULARIZED:
-            m = self.threshold_margin(s)
-            t_star = self.policy.t_star
-            branch_threshold = m if tau >= t_star else -math.inf
-            branch_clock = (tau - t_star) if m >= 0.0 else -math.inf
-            return max(branch_threshold, branch_clock)
-        return self.threshold_margin(s)
+        return policy_margin(self.policy, self.cert, s[: self.n_x],
+                             s[self.n_x + self.n_y:], tau)
 
     def in_jump_set(self, s: np.ndarray, tau: float) -> bool:
         return self.margin(s, tau) >= 0.0
@@ -213,7 +202,9 @@ class _PolicyEval:
         if kind is PolicyKind.PERIODIC:
             return "periodic"
         if kind is PolicyKind.TIME_REGULARIZED:
-            if self.threshold_margin(s) > 0.0 and tau <= self.policy.t_star:
+            m = threshold_margin(s[: self.n_x], s[self.n_x + self.n_y:],
+                                 self.cert, self.policy.sigma)
+            if m > 0.0 and tau <= self.policy.t_star:
                 return "dwell-clock"
             return "threshold"
         return "threshold"
@@ -275,7 +266,7 @@ def build_hybrid_system(spec: PlantSpec, policy: TriggerPolicy,
 
 
 # ---------------------------------------------------------------------------
-# Reference integrator (generic plants, pure python)
+# Reference integrator (every plant, pure python)
 # ---------------------------------------------------------------------------
 
 
@@ -486,31 +477,21 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
                   params: Optional[AnalysisParameters] = None) -> HybridArc:
     """Integrate the hybrid closed loop from q0 under the given policy.
 
-    plant is a PlantSpec or a LinearPlantSpec. A linear plant runs on the
-    compiled numba kernel only when numba imports; otherwise it runs the
-    pure-python reference integrator with the plant's closed-form jump
-    y+ = y + (Hu K) e (apply_linear_jump), the same arithmetic the kernel
-    uses. cfg.force_python=True always takes the reference integrator with
-    the generic jump map apply_jump. Each path is bitwise reproducible. If
-    q0 lies in the jump set, the first action is a jump.
+    Every plant runs the reference integrator below. A LinearPlantSpec
+    jumps with its closed-form map y+ = y + (Hu K) e (apply_linear_jump); a
+    PlantSpec jumps with the generic map apply_jump, so passing
+    plant.as_plant_spec() runs a linear plant with the generic jump. Each
+    path is bitwise reproducible. If q0 lies in the jump set, the first
+    action is a jump.
     """
     if policy.requires_clock != q0.has_clock:
         raise ConfigurationError(
             "time_regularized needs the clock in the initial state; "
             "other policies forbid it"
         )
-    jump_gain = None
     if isinstance(plant, LinearPlantSpec):
-        if not cfg.force_python:
-            from . import _fastpath
-
-            if _fastpath.AVAILABLE:
-                return _fastpath.integrate_linear(plant, policy, q0, cfg,
-                                                  cert, params)
-            jump_gain = plant.jump_gain()
-        spec = plant.as_plant_spec()
-    elif isinstance(plant, PlantSpec):
-        spec = plant
-    else:
+        return _integrate_python(plant.as_plant_spec(), policy, q0, cfg, cert,
+                                 params, jump_gain=plant.jump_gain())
+    if not isinstance(plant, PlantSpec):
         raise ConfigurationError(f"unsupported plant type {type(plant)!r}")
-    return _integrate_python(spec, policy, q0, cfg, cert, params, jump_gain)
+    return _integrate_python(plant, policy, q0, cfg, cert, params)

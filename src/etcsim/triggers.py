@@ -32,6 +32,8 @@ __all__ = [
     "GammaForm",
     "PolicyKind",
     "TriggerPolicy",
+    "threshold_margin",
+    "policy_margin",
     "naive_event",
     "deadzone_event",
     "time_regularized_event",
@@ -133,22 +135,53 @@ class TriggerPolicy:
         return cls(kind=PolicyKind(kind), **cfg)
 
 
-def _threshold(q: HybridState, cert, sigma: float) -> float:
-    return sigma * cert.alpha1 * cert.v_x(q.x)
+def threshold_margin(x: np.ndarray, e: np.ndarray, cert, sigma: float,
+                     rho: Optional[float] = None) -> float:
+    """gamma1(|e|) - max{sigma * alpha1 * Vx(x), rho}; no floor when rho is None.
+
+    The one threshold margin behind every state-dependent policy.
+    """
+    thresh = sigma * cert.alpha1 * cert.v_x(x)
+    if rho is not None:
+        thresh = max(thresh, rho)
+    return cert.gamma1(float(np.linalg.norm(e))) - thresh
+
+
+def _dwell_margin(margin: float, tau: float, t_star: float) -> float:
+    """Max of the dwell-clock policy's two jump-branch margins."""
+    branch_threshold = margin if tau >= t_star else -math.inf
+    branch_clock = (tau - t_star) if margin >= 0.0 else -math.inf
+    return max(branch_threshold, branch_clock)
+
+
+def policy_margin(policy: TriggerPolicy, cert, x: np.ndarray, e: np.ndarray,
+                  tau: float) -> float:
+    """Signed event margin of any policy on raw vectors; >= 0 on the jump set.
+
+    tau is the time since the last transmission (the dwell clock for the
+    time-regularized policy). Parameters are taken as validated by
+    TriggerPolicy; the public *_event functions give the same values.
+    """
+    kind = policy.kind
+    if kind is PolicyKind.PERIODIC:
+        return periodic_event(tau, policy.period)
+    rho = policy.rho if kind is PolicyKind.DEADZONE else None
+    margin = threshold_margin(x, e, cert, policy.sigma, rho)
+    if kind is PolicyKind.TIME_REGULARIZED:
+        return _dwell_margin(margin, tau, policy.t_star)
+    return margin
 
 
 def naive_event(q: HybridState, cert, sigma: float) -> float:
     """Signed margin gamma1(|e|) - sigma * alpha1 * Vx(x); >= 0 on the jump set."""
-    e_norm = float(np.linalg.norm(q.e))
-    return cert.gamma1(e_norm) - _threshold(q, cert, sigma)
+    return threshold_margin(q.x, q.e, cert, sigma)
 
 
 def deadzone_event(q: HybridState, cert, sigma: float, rho: float) -> float:
     """Signed margin gamma1(|e|) - max{sigma * alpha1 * Vx(x), rho}."""
     if rho <= 0.0:
         raise ConfigurationError(f"rho must be > 0, got {rho}")
-    e_norm = float(np.linalg.norm(q.e))
-    return cert.gamma1(e_norm) - max(_threshold(q, cert, sigma), rho)
+    return threshold_margin(q.x, q.e, cert, sigma, rho)
 
 
 def time_regularized_event(q: HybridState, cert, sigma: float,
@@ -181,11 +214,7 @@ def time_regularized_margin(q: HybridState, cert, sigma: float,
     """
     if q.tau is None:
         raise ConfigurationError("time_regularized policy needs the clock component")
-    margin = naive_event(q, cert, sigma)
-    tau = q.tau
-    branch_threshold = margin if tau >= t_star else -math.inf
-    branch_clock = (tau - t_star) if margin >= 0.0 else -math.inf
-    return max(branch_threshold, branch_clock)
+    return _dwell_margin(naive_event(q, cert, sigma), q.tau, t_star)
 
 
 def periodic_event(t_since_jump: float, period: float) -> float:

@@ -262,7 +262,7 @@ def test_criterion_8_transmission_economy(certn):
 
 
 def _kernel_jump_y(jump_gain, pre):
-    """The compiled kernel's jump arithmetic, reproduced operation for
+    """The closed-form linear jump's arithmetic, reproduced operation for
     operation (accumulation in state order)."""
     y = pre.y.copy()
     for i in range(jump_gain.shape[0]):
@@ -279,18 +279,18 @@ def test_criterion_9_jump_map_exactness(certn, gas_run, deadzone_runs):
         sc_dz, dz_arcs = deadzone_runs
         sc_gas, gas_arc = gas_run
         # reference-path arc: bitwise against the generic jump map
-        cfg = replace(sc_dz.solver, horizon=8.0, force_python=True)
-        py_arc = integrate_arc(sc_dz.plant, sc_dz.policy, sc_dz.q0, cfg,
-                               cert=certn.cert)
+        cfg = replace(sc_dz.solver, horizon=8.0)
         spec = sc_dz.plant.as_plant_spec()
+        py_arc = integrate_arc(spec, sc_dz.policy, sc_dz.q0, cfg,
+                               cert=certn.cert)
         assert py_arc.jump_count >= 1
         for ev in py_arc.events:
             expected = apply_jump(ev.pre_state, spec)
             assert np.array_equal(ev.post_state.x, expected.x)
             assert np.array_equal(ev.post_state.y, expected.y)
             assert np.array_equal(ev.post_state.e, expected.e)
-        # kernel arcs: bitwise against the kernel's own jump arithmetic,
-        # which realizes the same closed-form linear jump map
+        # default-path linear arcs: bitwise against the closed-form linear
+        # jump, recomputed operation for operation
         for plant, arc in ((sc_dz.plant, dz_arcs[0]), (sc_gas.plant, gas_arc)):
             gain = plant.jump_gain()
             assert arc.jump_count >= 1

@@ -144,3 +144,14 @@ class TestCli:
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ConfigurationError"
+
+    def test_error_json_on_unknown_solver_field(self, tmp_path, capsys):
+        cfg = scenario_dict()
+        cfg["solver"]["force_python"] = True
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["simulate", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ConfigurationError"
+        assert "force_python" in payload["message"]

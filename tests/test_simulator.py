@@ -60,11 +60,11 @@ class TestLocateEvent:
 
 
 class TestZeno:
-    @pytest.mark.parametrize("force_python", [True, False])
-    def test_naive_from_origin_trips_guard(self, certn, force_python):
+    @pytest.mark.parametrize("generic_jump", [True, False])
+    def test_naive_from_origin_trips_guard(self, certn, generic_jump):
         sc = demo_scenario("zeno")
-        cfg = replace(sc.solver, force_python=force_python)
-        arc = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert)
+        plant = sc.plant.as_plant_spec() if generic_jump else sc.plant
+        arc = integrate_arc(plant, sc.policy, sc.q0, sc.solver, cert=certn.cert)
         assert arc.termination is Termination.ZENO_GUARD
         assert arc.jump_count >= 1000
         assert arc.elapsed_time() == 0.0
@@ -134,8 +134,8 @@ class TestDeadzone:
         sc = demo_scenario("deadzone")
         cfg = replace(sc.solver, horizon=5.0)
         a = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert)
-        b = integrate_arc(sc.plant, sc.policy, sc.q0,
-                          replace(cfg, force_python=True), cert=certn.cert)
+        b = integrate_arc(sc.plant.as_plant_spec(), sc.policy, sc.q0, cfg,
+                          cert=certn.cert)
         assert a.jump_count == b.jump_count
         assert a.jump_times() == pytest.approx(b.jump_times(), abs=1e-7)
         assert a.final_state().x == pytest.approx(b.final_state().x, abs=1e-7)
@@ -145,9 +145,8 @@ class TestDeadzone:
         cfg = replace(sc.solver, horizon=4.0)
         a = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert,
                           params=certn.dwell)
-        b = integrate_arc(sc.plant, sc.policy, sc.q0,
-                          replace(cfg, force_python=True), cert=certn.cert,
-                          params=certn.dwell)
+        b = integrate_arc(sc.plant.as_plant_spec(), sc.policy, sc.q0, cfg,
+                          cert=certn.cert, params=certn.dwell)
         assert a.jump_count == b.jump_count
         assert a.jump_times() == pytest.approx(b.jump_times(), abs=1e-9)
         ra = a.r[np.isfinite(a.r)]
@@ -163,9 +162,8 @@ class TestDeadzone:
         cfg = replace(sc.solver, horizon=30.0)
         a = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert,
                           params=certn.dwell)
-        b = integrate_arc(sc.plant, sc.policy, sc.q0,
-                          replace(cfg, force_python=True), cert=certn.cert,
-                          params=certn.dwell)
+        b = integrate_arc(sc.plant.as_plant_spec(), sc.policy, sc.q0, cfg,
+                          cert=certn.cert, params=certn.dwell)
         assert a.jump_count == b.jump_count >= 30
         assert a.jump_times() == pytest.approx(b.jump_times(), abs=1e-9)
         assert [ev.reason for ev in a.events] == [ev.reason for ev in b.events]
@@ -263,19 +261,20 @@ class TestMonitors:
 
 
 class TestJumpExactness:
-    @pytest.mark.parametrize("force_python", [True, False])
-    def test_post_state_is_jump_map_of_pre_state(self, certn, force_python):
+    @pytest.mark.parametrize("generic_jump", [True, False])
+    def test_post_state_is_jump_map_of_pre_state(self, certn, generic_jump):
         sc = demo_scenario("deadzone")
-        cfg = replace(sc.solver, horizon=8.0, force_python=force_python)
-        arc = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert)
+        cfg = replace(sc.solver, horizon=8.0)
         spec = sc.plant.as_plant_spec()
+        plant = spec if generic_jump else sc.plant
+        arc = integrate_arc(plant, sc.policy, sc.q0, cfg, cert=certn.cert)
         assert arc.jump_count >= 1
         for ev in arc.events:
             expected = apply_jump(ev.pre_state, spec)
             assert np.array_equal(ev.post_state.x, expected.x)
             assert np.array_equal(ev.post_state.e, expected.e)
             assert ev.post_state.y == pytest.approx(expected.y, abs=1e-12)
-            if force_python:
+            if generic_jump:
                 assert np.array_equal(ev.post_state.y, expected.y)
 
     def test_z_continuity_through_integrator(self, certn):

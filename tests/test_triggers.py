@@ -1,10 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from etcsim.demo import demo_scenario
 from etcsim.errors import ConfigurationError
 from etcsim.hybrid import HybridState
+from etcsim.simulate import integrate_arc
 from etcsim.triggers import (
     GammaForm,
     PolicyKind,
@@ -211,3 +214,40 @@ class TestPurity:
             n1 = naive_event(q, cert, 0.37)
             n2 = naive_event(q, cert, 0.37)
             assert n1 == n2
+
+
+def test_integrator_margins_equal_public_functions(certification):
+    # The integrator's stored margins come from the same arithmetic as the
+    # public event functions, so they agree bitwise on every stored sample.
+    cert = certification.cert
+    short = {"deadzone": 5.0, "dwell": 4.0}
+    for name in ("zeno", "deadzone", "dwell", "compare_periodic"):
+        sc = demo_scenario(name)
+        policy = sc.policy
+        if policy.kind is PolicyKind.PERIODIC:
+            horizon = 5.0 * policy.period
+        else:
+            horizon = short.get(name, sc.solver.horizon)
+        cfg = replace(sc.solver, horizon=horizon)
+        arc = integrate_arc(sc.plant, policy, sc.q0, cfg, cert=cert)
+        assert arc.jump_count >= 1
+        before_jump = np.append(arc.is_jump[1:], 0) == 1
+        for i, stored in enumerate(arc.trigger_margin.tolist()):
+            q = arc.state_at(i)
+            if policy.kind is PolicyKind.NAIVE:
+                expected = naive_event(q, cert, policy.sigma)
+            elif policy.kind is PolicyKind.DEADZONE:
+                expected = deadzone_event(q, cert, policy.sigma, policy.rho)
+            elif policy.kind is PolicyKind.TIME_REGULARIZED:
+                expected = time_regularized_margin(q, cert, policy.sigma,
+                                                   policy.t_star)
+            elif before_jump[i]:
+                # Clockless arcs store no tau. It is known exactly before a
+                # jump (the clamped clock boundary) and at the start and
+                # after each jump (zero); elsewhere it cannot be recomputed.
+                expected = periodic_event(policy.period, policy.period)
+            elif i == 0 or arc.is_jump[i]:
+                expected = periodic_event(0.0, policy.period)
+            else:
+                continue
+            assert stored == expected, (name, i)
