@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -664,6 +664,23 @@ def _dwell_feasible(eps: float, consts: AssumptionConstants, sigma: float,
     return (slow - mu) * fast >= cross
 
 
+def _log_eps_bisect(feasible: Callable[[float], bool], eps_floor: float,
+                    iterations: int) -> Optional[float]:
+    """Largest feasible eps in [eps_floor, 1] by log-eps bisection, or None."""
+    if feasible(1.0):
+        return 1.0
+    if not feasible(eps_floor):
+        return None
+    lo, hi = math.log(eps_floor), 0.0
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if feasible(math.exp(mid)):
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(lo)
+
+
 def _dwell_eps_estimate(consts: AssumptionConstants, sigma: float, mu: float,
                        d: float, vartheta: float) -> float:
     """Cheap eps bound for candidate ranking inside parameter selection.
@@ -674,21 +691,10 @@ def _dwell_eps_estimate(consts: AssumptionConstants, sigma: float, mu: float,
     """
     w_grid = np.array([vartheta, 1.0 / vartheta])
 
-    def feasible(eps: float) -> bool:
-        return _dwell_feasible(eps, consts, sigma, mu, d, w_grid)
-
-    if feasible(1.0):
-        return 1.0
-    if not feasible(1e-12):
-        return 0.0
-    lo, hi = math.log(1e-12), 0.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if feasible(math.exp(mid)):
-            lo = mid
-        else:
-            hi = mid
-    return math.exp(lo)
+    estimate = _log_eps_bisect(
+        lambda eps: _dwell_feasible(eps, consts, sigma, mu, d, w_grid),
+        1e-12, 40)
+    return 0.0 if estimate is None else estimate
 
 
 def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
@@ -733,21 +739,11 @@ def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
     else:
         raise CertificateError(f"unknown analysis mode {mode!r}")
 
-    if feasible(1.0):
-        eps_star = 1.0
-    else:
-        if not feasible(eps_floor):
-            raise CertificateInfeasibleError(
-                f"no eps above {eps_floor:.1e} passes the certificate inequalities"
-            )
-        lo, hi = math.log(eps_floor), 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if feasible(math.exp(mid)):
-                lo = mid
-            else:
-                hi = mid
-        eps_star = math.exp(lo)
+    eps_star = _log_eps_bisect(feasible, eps_floor, 80)
+    if eps_star is None:
+        raise CertificateInfeasibleError(
+            f"no eps above {eps_floor:.1e} passes the certificate inequalities"
+        )
     if not feasible(eps_star):
         raise CertificateError("postcondition failed: eps_star does not re-pass")
     return eps_star

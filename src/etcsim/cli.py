@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import demo as demo_mod
-from .analysis import summarize_arc, sweep
+from .analysis import summarize_arc, sweep, transmission_comparison
 from .certificates import (
     LyapunovCertificate,
     QuadraticLyapunovData,
@@ -111,20 +111,19 @@ def _cmd_demo(args) -> int:
     if name == "compare":
         sc_a = demo_mod.demo_scenario("compare")
         sc_b = demo_mod.demo_scenario("compare_periodic")
-        result = None
-        arcs = {}
-        for sc, tag in ((sc_a, "time_regularized"), (sc_b, "periodic")):
-            arc = integrate_arc(sc.plant, sc.policy, sc.q0, sc.solver,
-                                cert=cert)
-            arcs[tag] = arc
-            _write_arc(arc, sc.policy, sc.solver.event_tol, outdir, tag)
+        result, arc_a, arc_b = transmission_comparison(
+            sc_a.plant, sc_a.q0.x, sc_a.q0.y, sc_a.solver.horizon,
+            sc_a.policy, sc_b.policy, sc_a.solver, cert=cert)
+        _write_arc(arc_a, sc_a.policy, sc_a.solver.event_tol, outdir,
+                   "time_regularized")
+        _write_arc(arc_b, sc_b.policy, sc_b.solver.event_tol, outdir,
+                   "periodic")
         comparison = {
             "t_star": sc_a.policy.t_star,
-            "jumps_time_regularized": arcs["time_regularized"].jump_count,
-            "jumps_periodic": arcs["periodic"].jump_count,
-            "final_norm_time_regularized":
-                arcs["time_regularized"].final_state().xy_norm(),
-            "final_norm_periodic": arcs["periodic"].final_state().xy_norm(),
+            "jumps_time_regularized": result.jumps_a,
+            "jumps_periodic": result.jumps_b,
+            "final_norm_time_regularized": result.final_norm_a,
+            "final_norm_periodic": result.final_norm_b,
         }
         with open(outdir / "comparison.json", "w") as fh:
             json.dump(comparison, fh, indent=2)

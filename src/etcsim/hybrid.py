@@ -35,7 +35,6 @@ class Termination(str, Enum):
     HORIZON = "horizon-reached"
     ZENO_GUARD = "zeno-guard"
     DIVERGENCE = "divergence"
-    FLOW_SET_EXIT = "flow-set-exit"
 
 
 @dataclass(frozen=True, order=True)

@@ -109,7 +109,8 @@ class SolverConfig:
     tolerance, where the error controller would otherwise keep the step
     size pinned to the fast scale forever (the committed error is below
     abs_tol by construction). store_stride thins stored flow samples; both
-    sides of every jump and the final state are always stored.
+    sides of every jump and the final state are always stored. The first
+    step is min(max_step, epsilon, horizon).
     """
 
     rel_tol: float = 1e-8
@@ -122,7 +123,6 @@ class SolverConfig:
     seed: int = 0
     store_stride: int = 1
     fast_floor: float = 0.0
-    initial_step: Optional[float] = None
 
     def __post_init__(self):
         if min(self.rel_tol, self.abs_tol, self.event_tol) <= 0.0:
@@ -193,9 +193,6 @@ class _PolicyEval:
         """Signed event function; >= 0 on the jump set."""
         return policy_margin(self.policy, self.cert, s[: self.n_x],
                              s[self.n_x + self.n_y:], tau)
-
-    def in_jump_set(self, s: np.ndarray, tau: float) -> bool:
-        return self.margin(s, tau) >= 0.0
 
     def jump_reason(self, s: np.ndarray, tau: float) -> str:
         kind = self.policy.kind
@@ -296,7 +293,12 @@ def _integrate_python(spec: PlantSpec, policy: TriggerPolicy, q0: HybridState,
                       params: Optional[AnalysisParameters],
                       jump_gain: Optional[np.ndarray] = None) -> HybridArc:
     """Reference integration of spec; jumps use apply_jump, or the closed
-    form apply_linear_jump when the linear jump_gain is given."""
+    form apply_linear_jump when the linear jump_gain is given.
+
+    m is the trigger margin of the current point (initial, post-jump, event
+    or accepted step), evaluated once: it decides the eager jump, starts the
+    event bracket and is stored.
+    """
     n_x, n_y = spec.n_x, spec.n_z
     has_clock = policy.requires_clock
     ev = _PolicyEval(policy, cert, n_x, n_y)
@@ -308,50 +310,53 @@ def _integrate_python(spec: PlantSpec, policy: TriggerPolicy, q0: HybridState,
         return closed_loop_flow_vector(s[:n_x], s[n_x:n_x + n_y],
                                        s[n_x + n_y:], spec)
 
-    def as_state(s: np.ndarray, tau: float) -> HybridState:
-        return HybridState.from_vector(s, n_x, n_y,
-                                       tau=tau if has_clock else None)
-
-    def monitors(s: np.ndarray, tau: float) -> MonitorValues:
-        q = as_state(s, tau)
+    def monitors(q: HybridState, m: float) -> MonitorValues:
         v = monitor_v(q, cert, eps) if cert is not None else math.nan
         r = (monitor_r(q, cert, params)
              if (cert is not None and params is not None) else math.nan)
-        return MonitorValues(v=v, r=r, trigger_margin=ev.margin(s, tau))
+        return MonitorValues(v=v, r=r, trigger_margin=m)
+
+    def store(t_now: float, s_now: np.ndarray, tau_now: float, m: float) -> None:
+        q = HybridState.from_vector(s_now, n_x, n_y,
+                                    tau=tau_now if has_clock else None)
+        arc.append_flow_sample(t_now, q, monitors(q, m))
+
+    def record_jump(s_pre: np.ndarray, tau_pre: float) -> tuple[np.ndarray, float]:
+        q_pre = HybridState.from_vector(s_pre, n_x, n_y,
+                                        tau=tau_pre if has_clock else None)
+        q_post = (apply_jump(q_pre, spec) if jump_gain is None
+                  else apply_linear_jump(q_pre, jump_gain))
+        s_post = q_post.as_vector()
+        m_post = ev.margin(s_post, 0.0)
+        arc.append_jump(q_pre, q_post, ev.jump_reason(s_pre, tau_pre),
+                        monitors(q_post, m_post))
+        return s_post, m_post
 
     s = q0.as_vector()
     tau = q0.tau if q0.tau is not None else 0.0
     t = 0.0
+    m = ev.margin(s, tau)
     steps_since_store = 0
     jump_ring: list[float] = []
-
-    arc.append_flow_sample(t, as_state(s, tau), monitors(s, tau))
-
-    def record_jump(t_now: float, s_pre: np.ndarray, tau_pre: float) -> np.ndarray:
-        q_pre = as_state(s_pre, tau_pre)
-        q_post = (apply_jump(q_pre, spec) if jump_gain is None
-                  else apply_linear_jump(q_pre, jump_gain))
-        arc.append_jump(q_pre, q_post, ev.jump_reason(s_pre, tau_pre),
-                        monitors(q_post.as_vector(), 0.0))
-        return q_post.as_vector()
+    store(t, s, tau, m)
 
     termination: Optional[Termination] = None
-    h = cfg.initial_step or min(max_step, eps, cfg.horizon)
-    h = min(h, max_step, cfg.horizon)
+    h = min(max_step, eps, cfg.horizon)
     k1 = rhs(s)
+    ceiling = ev.clock_ceiling()
 
     while termination is None:
         # Eager jumps: fire while the state sits in the jump set.
         jumped = False
-        while ev.in_jump_set(s, tau):
+        while m >= 0.0:
             jump_ring.append(t)
             if len(jump_ring) > cfg.zeno_max_jumps:
                 if t - jump_ring[0] <= cfg.zeno_window:
-                    s = record_jump(t, s, tau)
+                    s, m = record_jump(s, tau)
                     termination = Termination.ZENO_GUARD
                     break
                 jump_ring.pop(0)
-            s = record_jump(t, s, tau)
+            s, m = record_jump(s, tau)
             tau = 0.0
             jumped = True
         if termination is not None:
@@ -366,13 +371,8 @@ def _integrate_python(spec: PlantSpec, policy: TriggerPolicy, q0: HybridState,
         if not math.isfinite(sq_norm) or sq_norm > DIVERGENCE_NORM**2:
             termination = Termination.DIVERGENCE
             break
-        # Defensive: outside the flow set with no admissible jump.
-        if ev.margin(s, tau) > 0.0:
-            termination = Termination.FLOW_SET_EXIT
-            break
 
         # One accepted step, clamped to the horizon and clock boundaries.
-        ceiling = ev.clock_ceiling()
         while True:
             h = min(h, max_step, cfg.horizon - t)
             clamped_clock = False
@@ -416,8 +416,7 @@ def _integrate_python(spec: PlantSpec, policy: TriggerPolicy, q0: HybridState,
             return ev.margin(dense(tq), tau + (tq - t))
 
         t_event = None
-        m0 = ev.margin(s, tau)
-        if m0 < 0.0:
+        if m < 0.0:
             for t_probe in (t + 0.5 * h, t1):
                 if margin_at(t_probe) >= 0.0:
                     t_event = locate_event(margin_at, t, t_probe, cfg.event_tol)
@@ -436,7 +435,8 @@ def _integrate_python(spec: PlantSpec, policy: TriggerPolicy, q0: HybridState,
             if cfg.fast_floor > 0.0:
                 y_part = s[n_x:n_x + n_y]
                 y_part[np.abs(y_part) < cfg.fast_floor] = 0.0
-            arc.append_flow_sample(t, as_state(s, tau), monitors(s, tau))
+            m = ev.margin(s, tau)
+            store(t, s, tau, m)
             k1 = rhs(s)
             steps_since_store = 0
             continue
@@ -455,18 +455,18 @@ def _integrate_python(spec: PlantSpec, policy: TriggerPolicy, q0: HybridState,
         sq_norm = float(np.dot(s, s))
         diverged = not math.isfinite(sq_norm) or sq_norm > DIVERGENCE_NORM**2
         steps_since_store += 1
-        at_boundary = (diverged or t >= cfg.horizon or clamped_clock
-                       or ev.in_jump_set(s, tau))
+        m = ev.margin(s, tau)  # finite: s1 passed the check in the step loop
+        at_boundary = diverged or t >= cfg.horizon or clamped_clock or m >= 0.0
         if steps_since_store >= cfg.store_stride or at_boundary:
             if np.all(np.isfinite(s)):
-                arc.append_flow_sample(t, as_state(s, tau), monitors(s, tau))
+                store(t, s, tau, m)
             steps_since_store = 0
         if diverged:
             termination = Termination.DIVERGENCE
             break
 
     if t > arc.t[-1] and np.all(np.isfinite(s)):
-        arc.append_flow_sample(t, as_state(s, tau), monitors(s, tau))
+        store(t, s, tau, m)
     arc.set_termination(termination)
     return arc
 

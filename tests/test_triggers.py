@@ -6,7 +6,7 @@ import pytest
 
 from etcsim.demo import demo_scenario
 from etcsim.errors import ConfigurationError
-from etcsim.hybrid import HybridState
+from etcsim.hybrid import HybridState, Termination
 from etcsim.simulate import integrate_arc
 from etcsim.triggers import (
     GammaForm,
@@ -219,6 +219,9 @@ class TestPurity:
 def test_integrator_margins_equal_public_functions(certification):
     # The integrator's stored margins come from the same arithmetic as the
     # public event functions, so they agree bitwise on every stored sample.
+    # Each stored margin is also the value that decided the jump: a sample
+    # is followed by a jump row exactly when its margin is >= 0, and the
+    # arc ends off the jump set unless the Zeno guard stopped it.
     cert = certification.cert
     short = {"deadzone": 5.0, "dwell": 4.0}
     for name in ("zeno", "deadzone", "dwell", "compare_periodic"):
@@ -232,6 +235,10 @@ def test_integrator_margins_equal_public_functions(certification):
         arc = integrate_arc(sc.plant, policy, sc.q0, cfg, cert=cert)
         assert arc.jump_count >= 1
         before_jump = np.append(arc.is_jump[1:], 0) == 1
+        margins = arc.trigger_margin
+        assert np.array_equal(margins[:-1] >= 0.0, before_jump[:-1]), name
+        if arc.termination is not Termination.ZENO_GUARD:
+            assert margins[-1] < 0.0, name
         for i, stored in enumerate(arc.trigger_margin.tolist()):
             q = arc.state_at(i)
             if policy.kind is PolicyKind.NAIVE:
