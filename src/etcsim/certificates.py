@@ -44,9 +44,20 @@ __all__ = [
     "epsilon_star_search",
     "validate_assumptions",
     "trigger_slope_bound",
+    "sample_in_ball",
 ]
 
 SLACK_TOL = -1e-9
+
+
+def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
+    """Uniform sample from the closed ball of the given radius."""
+    v = rng.standard_normal(dim)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return np.zeros(dim)
+    r = radius * rng.uniform() ** (1.0 / dim)
+    return v * (r / norm)
 
 
 def _spectral_norm(p: np.ndarray) -> float:
@@ -901,19 +912,11 @@ def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
     y_max = math.sqrt(level / lmin2)
     e_max = 2.0 * x_max
 
-    def ball(n: int, radius: float) -> np.ndarray:
-        v = rng.standard_normal(n)
-        norm = float(np.linalg.norm(v))
-        if norm == 0.0:
-            return np.zeros(n)
-        r = radius * rng.uniform() ** (1.0 / n)
-        return v * (r / norm)
-
     sup = 0.0
     for _ in range(n_samples):
-        x = ball(spec.n_x, x_max)
-        y = ball(spec.n_y, y_max)
-        e = ball(spec.n_x, e_max)
+        x = sample_in_ball(rng, spec.n_x, x_max)
+        y = sample_in_ball(rng, spec.n_y, y_max)
+        e = sample_in_ball(rng, spec.n_x, e_max)
         if float(x @ p1 @ x) > level or float(y @ p2 @ y) > level:
             continue
         u = np.asarray(spec.k(x + e), dtype=float).reshape(-1)

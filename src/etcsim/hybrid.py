@@ -3,7 +3,8 @@
 A solution record ("arc") lives on a hybrid time domain: samples are indexed
 by pairs (t, j) of continuous time and jump count, ordered lexicographically.
 Flow samples advance t at fixed j; jumps freeze t and increment j by one.
-Arcs are built by a single writer and treated as immutable afterwards.
+Arcs are built by a single writer and treated as immutable afterwards;
+each keeps its samples as one float table with the columns of its CSV.
 """
 
 from __future__ import annotations
@@ -187,20 +188,18 @@ class HybridArc:
 
     Samples are appended per accepted integrator step plus both sides of
     every jump; lexicographic (t, j) ordering is asserted on every append.
+    The samples are one float table whose columns are csv_header(): the
+    table doubles when full, and the first len(arc) rows are in use.
+    Views return copies of their columns.
     """
 
     def __init__(self, n_x: int, n_y: int, has_clock: bool = False):
         self.n_x = int(n_x)
         self.n_y = int(n_y)
         self.has_clock = bool(has_clock)
-        self._t: list[float] = []
-        self._j: list[int] = []
-        self._rows: list[np.ndarray] = []       # stacked (x, y, e)
-        self._tau: list[float] = []             # NaN when clock absent
-        self._v: list[float] = []
-        self._r: list[float] = []
-        self._margin: list[float] = []
-        self._is_jump: list[int] = []
+        self._n_state = 2 * self.n_x + self.n_y
+        self._table = np.empty((16, len(self.csv_header())))  # tau NaN if no clock
+        self._n = 0
         self.events: list[JumpRecord] = []
         self.termination: Optional[Termination] = None
 
@@ -216,15 +215,13 @@ class HybridArc:
 
     def _append_row(self, t: float, j: int, q: HybridState,
                     monitors: Optional[MonitorValues], is_jump: bool) -> None:
-        self._t.append(float(t))
-        self._j.append(int(j))
-        self._rows.append(q.as_vector())
-        self._tau.append(q.tau if q.tau is not None else math.nan)
+        if self._n == len(self._table):
+            self._table = np.concatenate([self._table, np.empty_like(self._table)])
         m = monitors or MonitorValues()
-        self._v.append(m.v)
-        self._r.append(m.r)
-        self._margin.append(m.trigger_margin)
-        self._is_jump.append(1 if is_jump else 0)
+        self._table[self._n] = [t, j, *q.x.tolist(), *q.y.tolist(), *q.e.tolist(),
+                                q.tau if q.tau is not None else math.nan,
+                                m.v, m.r, m.trigger_margin, is_jump]
+        self._n += 1
 
     def append_flow_sample(self, t: float, q: HybridState,
                            monitors: Optional[MonitorValues] = None) -> "HybridArc":
@@ -232,16 +229,16 @@ class HybridArc:
         self._check_state(q)
         if not math.isfinite(t):
             raise OrderingError(f"sample time must be finite, got {t}")
-        if self._t:
-            if t < self._t[-1]:
+        if self._n:
+            t_last, j, *_, is_jump = self._table[self._n - 1].tolist()
+            if t < t_last:
                 raise OrderingError(
-                    f"flow sample at t={t} precedes current arc time {self._t[-1]}"
+                    f"flow sample at t={t} precedes current arc time {t_last}"
                 )
-            if t == self._t[-1] and self._is_jump[-1] == 0:
+            if t == t_last and is_jump == 0:
                 raise OrderingError(
                     f"flow must advance t strictly between jumps (t={t})"
                 )
-            j = self._j[-1]
         else:
             j = 0
         self._append_row(t, j, q, monitors, is_jump=False)
@@ -252,12 +249,12 @@ class HybridArc:
         """Record a jump: last sample must equal (t, j, q_pre); appends (t, j+1, q_post)."""
         self._check_state(q_pre)
         self._check_state(q_post)
-        if not self._t:
+        if not self._n:
             raise OrderingError("cannot jump on an empty arc; append the pre-state first")
-        last = self._rows[-1]
-        if not np.array_equal(last, q_pre.as_vector()):
+        last = self._table[self._n - 1]
+        if not np.array_equal(last[2:2 + self._n_state], q_pre.as_vector()):
             raise OrderingError("jump pre-state does not equal the last arc sample")
-        t, j = self._t[-1], self._j[-1]
+        t, j = float(last[0]), int(last[1])
         self.events.append(
             JumpRecord(t=t, j_pre=j, j_post=j + 1, reason=reason,
                        pre_state=q_pre, post_state=q_post)
@@ -271,47 +268,50 @@ class HybridArc:
     # -- views -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._t)
+        return self._n
+
+    @property
+    def _t(self) -> np.ndarray:
+        """Writable view of the in-use time column, read by the checks below."""
+        return self._table[: self._n, 0]
 
     @property
     def t(self) -> np.ndarray:
-        return np.asarray(self._t, dtype=float)
+        return self._t.copy()
 
     @property
     def j(self) -> np.ndarray:
-        return np.asarray(self._j, dtype=int)
+        return self._table[: self._n, 1].astype(int)
 
     @property
     def hybrid_total_time(self) -> np.ndarray:
         """t + j per sample (the envelope abscissa)."""
-        return self.t + self.j.astype(float)
+        return self._t + self._table[: self._n, 1]
 
     @property
     def states(self) -> np.ndarray:
         """Sample matrix with rows (x, y, e)."""
-        if not self._rows:
-            return np.zeros((0, 2 * self.n_x + self.n_y))
-        return np.vstack(self._rows)
+        return self._table[: self._n, 2:2 + self._n_state].copy()
 
     @property
     def tau(self) -> np.ndarray:
-        return np.asarray(self._tau, dtype=float)
+        return self._table[: self._n, -5].copy()
 
     @property
     def v(self) -> np.ndarray:
-        return np.asarray(self._v, dtype=float)
+        return self._table[: self._n, -4].copy()
 
     @property
     def r(self) -> np.ndarray:
-        return np.asarray(self._r, dtype=float)
+        return self._table[: self._n, -3].copy()
 
     @property
     def trigger_margin(self) -> np.ndarray:
-        return np.asarray(self._margin, dtype=float)
+        return self._table[: self._n, -2].copy()
 
     @property
     def is_jump(self) -> np.ndarray:
-        return np.asarray(self._is_jump, dtype=int)
+        return self._table[: self._n, -1].astype(int)
 
     @property
     def x(self) -> np.ndarray:
@@ -326,17 +326,17 @@ class HybridArc:
         return self.states[:, self.n_x + self.n_y :]
 
     def state_at(self, i: int) -> HybridState:
-        row = self._rows[i]
-        tau = self._tau[i]
+        row = self._table[: self._n][i]
+        tau = float(row[2 + self._n_state])
         return HybridState.from_vector(
-            row, self.n_x, self.n_y,
+            row[2:2 + self._n_state], self.n_x, self.n_y,
             tau=None if math.isnan(tau) else tau,
         )
 
     def final_state(self) -> HybridState:
-        if not self._rows:
+        if not self._n:
             raise OrderingError("empty arc")
-        return self.state_at(len(self._rows) - 1)
+        return self.state_at(self._n - 1)
 
     @property
     def jump_count(self) -> int:
@@ -346,13 +346,13 @@ class HybridArc:
         return np.asarray([ev.t for ev in self.events], dtype=float)
 
     def elapsed_time(self) -> float:
-        if not self._t:
+        if not self._n:
             return 0.0
-        return self._t[-1] - self._t[0]
+        return float(self._t[-1] - self._t[0])
 
     def check_ordering(self) -> None:
         """Assert lexicographic (t, j) ordering over the whole arc."""
-        pairs = list(zip(self._t, self._j))
+        pairs = list(zip(self._t.tolist(), self.j.tolist()))
         for a, b in zip(pairs, pairs[1:]):
             if not (a[0] < b[0] or (a[0] == b[0] and a[1] < b[1])):
                 raise OrderingError(f"samples out of order: {a} then {b}")
@@ -369,19 +369,10 @@ class HybridArc:
 
     def to_csv(self, path) -> None:
         """Write the sample table; floats use %.17g so values round-trip."""
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(self.csv_header()) + "\n")
-            for i in range(len(self._t)):
-                row = [f"{self._t[i]:.17g}", str(self._j[i])]
-                row += [f"{v:.17g}" for v in self._rows[i]]
-                row += [
-                    f"{self._tau[i]:.17g}",
-                    f"{self._v[i]:.17g}",
-                    f"{self._r[i]:.17g}",
-                    f"{self._margin[i]:.17g}",
-                    str(self._is_jump[i]),
-                ]
-                fh.write(",".join(row) + "\n")
+        fmt = ["%.17g"] * self._table.shape[1]
+        fmt[1] = fmt[-1] = "%d"
+        np.savetxt(path, self._table[: self._n], fmt=fmt, delimiter=",",
+                   header=",".join(self.csv_header()), comments="")
 
     def events_to_json(self, path) -> None:
         with open(path, "w") as fh:

@@ -33,7 +33,6 @@ __all__ = [
     "closed_loop_flow_vector",
     "jump_map_hy",
     "apply_jump",
-    "apply_linear_jump",
     "reduced_slow_flow",
     "reduced_fast_flow",
     "check_root_consistency",
@@ -161,37 +160,31 @@ def jump_map_hy(x, y, e, spec: PlantSpec) -> np.ndarray:
     return y + h_held - h_fresh
 
 
-def apply_jump(q: HybridState, spec: PlantSpec) -> HybridState:
-    """Full jump map: x unchanged, y -> h_y(x, y, e), e -> 0, tau -> 0."""
-    y_plus = jump_map_hy(q.x, q.y, q.e, spec)
+def apply_jump(q: HybridState, spec: PlantSpec | LinearPlantSpec) -> HybridState:
+    """Full jump map: x unchanged, y -> h_y(x, y, e), e -> 0, tau -> 0.
+
+    The one jump entry point. A PlantSpec jumps with the generic map
+    jump_map_hy. A LinearPlantSpec jumps with its closed form y + G e,
+    G = Hu K: each increment (G e)_i is summed from 0.0 in state order in
+    plain float arithmetic (no BLAS, which may reorder or fuse), so the
+    result is bitwise fixed on every host. It equals jump_map_hy in exact
+    arithmetic but may round differently.
+    """
+    if isinstance(spec, LinearPlantSpec):
+        e = q.e.tolist()
+        y = q.y.tolist()
+        y_plus = np.empty(len(y))
+        for i, row in enumerate(spec.jump_gain().tolist()):
+            acc = 0.0
+            for g_im, e_m in zip(row, e, strict=True):
+                acc += g_im * e_m
+            y_plus[i] = y[i] + acc
+    else:
+        y_plus = jump_map_hy(q.x, q.y, q.e, spec)
     return HybridState(
         x=q.x,
         y=y_plus,
         e=np.zeros(spec.n_x),
-        tau=0.0 if q.has_clock else None,
-    )
-
-
-def apply_linear_jump(q: HybridState, gain: np.ndarray) -> HybridState:
-    """Closed-form linear jump map: y -> y + G e with G = Hu K, else as apply_jump.
-
-    gain is LinearPlantSpec.jump_gain(). Each increment (G e)_i is summed
-    from 0.0 in state order in plain float arithmetic (no BLAS, which may
-    reorder or fuse), so the result is bitwise fixed on every host. It
-    equals jump_map_hy in exact arithmetic but may round differently.
-    """
-    e = q.e.tolist()
-    y = q.y.tolist()
-    y_plus = np.empty(len(y))
-    for i, row in enumerate(gain.tolist()):
-        acc = 0.0
-        for g_im, e_m in zip(row, e, strict=True):
-            acc += g_im * e_m
-        y_plus[i] = y[i] + acc
-    return HybridState(
-        x=q.x,
-        y=y_plus,
-        e=np.zeros(q.n_x),
         tau=0.0 if q.has_clock else None,
     )
 

@@ -32,6 +32,7 @@ from .certificates import (
     LyapunovCertificate,
     QuadraticLyapunovData,
     epsilon_star_search,
+    sample_in_ball,
     select_analysis_parameters,
 )
 from .errors import ConfigurationError
@@ -58,16 +59,6 @@ class Scenario:
             self.initial, self.plant, self.policy,
             self.solver.seed if seed is None else seed,
         )
-
-
-def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
-    """Uniform sample from the closed ball of the given radius."""
-    v = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.zeros(dim)
-    r = radius * rng.uniform() ** (1.0 / dim)
-    return v * (r / norm)
 
 
 def build_initial_state(initial: dict, plant: LinearPlantSpec,

@@ -34,7 +34,6 @@ from .plant import (
     LinearPlantSpec,
     PlantSpec,
     apply_jump,
-    apply_linear_jump,
     closed_loop_flow,
     closed_loop_flow_vector,
 )
@@ -288,17 +287,17 @@ class _DenseSegment:
         return self.y0 + self.h * (self.q @ p)
 
 
-def _integrate_python(spec: PlantSpec, policy: TriggerPolicy, q0: HybridState,
+def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                       cfg: SolverConfig, cert: Optional[LyapunovCertificate],
-                      params: Optional[AnalysisParameters],
-                      jump_gain: Optional[np.ndarray] = None) -> HybridArc:
-    """Reference integration of spec; jumps use apply_jump, or the closed
-    form apply_linear_jump when the linear jump_gain is given.
+                      params: Optional[AnalysisParameters]) -> HybridArc:
+    """Reference integration of plant; a LinearPlantSpec flows through
+    as_plant_spec(), and every jump is apply_jump(q_pre, plant).
 
     m is the trigger margin of the current point (initial, post-jump, event
     or accepted step), evaluated once: it decides the eager jump, starts the
     event bracket and is stored.
     """
+    spec = plant.as_plant_spec() if isinstance(plant, LinearPlantSpec) else plant
     n_x, n_y = spec.n_x, spec.n_z
     has_clock = policy.requires_clock
     ev = _PolicyEval(policy, cert, n_x, n_y)
@@ -324,8 +323,7 @@ def _integrate_python(spec: PlantSpec, policy: TriggerPolicy, q0: HybridState,
     def record_jump(s_pre: np.ndarray, tau_pre: float) -> tuple[np.ndarray, float]:
         q_pre = HybridState.from_vector(s_pre, n_x, n_y,
                                         tau=tau_pre if has_clock else None)
-        q_post = (apply_jump(q_pre, spec) if jump_gain is None
-                  else apply_linear_jump(q_pre, jump_gain))
+        q_post = apply_jump(q_pre, plant)
         s_post = q_post.as_vector()
         m_post = ev.margin(s_post, 0.0)
         arc.append_jump(q_pre, q_post, ev.jump_reason(s_pre, tau_pre),
@@ -465,8 +463,6 @@ def _integrate_python(spec: PlantSpec, policy: TriggerPolicy, q0: HybridState,
             termination = Termination.DIVERGENCE
             break
 
-    if t > arc.t[-1] and np.all(np.isfinite(s)):
-        store(t, s, tau, m)
     arc.set_termination(termination)
     return arc
 
@@ -477,9 +473,9 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
                   params: Optional[AnalysisParameters] = None) -> HybridArc:
     """Integrate the hybrid closed loop from q0 under the given policy.
 
-    Every plant runs the reference integrator below. A LinearPlantSpec
-    jumps with its closed-form map y+ = y + (Hu K) e (apply_linear_jump); a
-    PlantSpec jumps with the generic map apply_jump, so passing
+    Every plant runs the reference integrator below, and every jump goes
+    through apply_jump: a LinearPlantSpec jumps with its closed-form map
+    y+ = y + (Hu K) e, a PlantSpec with the generic map, so passing
     plant.as_plant_spec() runs a linear plant with the generic jump. Each
     path is bitwise reproducible. If q0 lies in the jump set, the first
     action is a jump.
@@ -489,9 +485,6 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
             "time_regularized needs the clock in the initial state; "
             "other policies forbid it"
         )
-    if isinstance(plant, LinearPlantSpec):
-        return _integrate_python(plant.as_plant_spec(), policy, q0, cfg, cert,
-                                 params, jump_gain=plant.jump_gain())
-    if not isinstance(plant, PlantSpec):
+    if not isinstance(plant, (LinearPlantSpec, PlantSpec)):
         raise ConfigurationError(f"unsupported plant type {type(plant)!r}")
     return _integrate_python(plant, policy, q0, cfg, cert, params)

@@ -174,3 +174,69 @@ class TestHybridArc:
         payload = json.loads(path.read_text())
         assert payload == [{"time": 1.0, "j": 1, "reason": "threshold",
                             "error_norm": 0.5}]
+
+
+# Cell values that stress the CSV formatting: a non-terminating binary
+# fraction, negative zero, the smallest subnormal and near-overflow values;
+# monitors add NaN and both infinities, which states may not hold.
+AWKWARD = (1.0 / 3.0, -0.0, 5e-324, 1e300, -1e300, 0.1)
+AWKWARD_MONITORS = (math.nan, math.inf, -math.inf, 1.0 / 3.0, -0.0, 5e-324)
+
+
+def awkward_arc(has_clock):
+    """42 rows (beyond two doublings of the table), two jumps so j reaches 2."""
+    def q(k):
+        a = [AWKWARD[(k + i) % len(AWKWARD)] for i in range(5)]
+        return state(x=a[:2], y=a[2:3], e=a[3:],
+                     tau=abs(a[1]) if has_clock else None)
+
+    def mon(k):
+        a = [AWKWARD_MONITORS[(k + i) % len(AWKWARD_MONITORS)] for i in range(3)]
+        return MonitorValues(v=a[0], r=a[1], trigger_margin=a[2])
+
+    arc = HybridArc(2, 1, has_clock=has_clock)
+    for k in range(40):
+        arc.append_flow_sample(k / 3.0, q(k), mon(k))
+        if k in (10, 25):
+            arc.append_jump(q(k), q(k + 100), "threshold", mon(k + 1))
+    return arc
+
+
+def reference_csv(arc):
+    """The CSV text formatted cell by cell from the public views."""
+    assert arc.j.dtype.kind == "i" and arc.is_jump.dtype.kind == "i"
+    cols = [arc.t, arc.j, *arc.states.T, arc.tau, arc.v, arc.r,
+            arc.trigger_margin, arc.is_jump]
+    lines = [",".join(arc.csv_header())]
+    for row in zip(*(c.tolist() for c in cols)):
+        lines.append(",".join(str(c) if isinstance(c, int) else f"{c:.17g}"
+                              for c in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestSampleTable:
+    @pytest.mark.parametrize("has_clock", [True, False])
+    def test_csv_bytes_equal_cell_by_cell_writer(self, tmp_path, has_clock):
+        arc = awkward_arc(has_clock)
+        assert len(arc) == 42 and arc.j.max() == 2
+        path = tmp_path / "arc.csv"
+        arc.to_csv(path)
+        reference = reference_csv(arc)
+        assert path.read_bytes() == reference.encode()
+        for cell in ("0.33333333333333331", "-0", "4.9406564584124654e-324",
+                     "1.0000000000000001e+300", "nan", "inf", "-inf"):
+            assert f",{cell}," in reference
+        assert bool(np.isnan(arc.tau).all()) is not has_clock
+
+    def test_views_are_copies(self):
+        arc = awkward_arc(True)
+        t, states, q_last = arc.t, arc.states, arc.final_state()
+        for view in (arc.t, arc.j, arc.states, arc.x, arc.y, arc.e, arc.tau,
+                     arc.v, arc.r, arc.trigger_margin, arc.is_jump,
+                     arc.hybrid_total_time):
+            view[...] = 7
+        assert np.array_equal(arc.t, t)
+        assert np.array_equal(arc.states, states)
+        assert np.array_equal(arc.final_state().as_vector(), q_last.as_vector())
+        assert arc.final_state().tau == q_last.tau
+        arc.check_ordering()

@@ -171,6 +171,24 @@ class TestJumpMap:
         assert np.array_equal(q_plus.e, np.zeros(2))
         assert q_plus.tau == 0.0
 
+    @pytest.mark.parametrize("tau", [0.8, None])
+    def test_apply_jump_linear_is_state_order_sum(self, lin, rng, tau):
+        gain = lin.jump_gain()
+        for _ in range(20):
+            q = HybridState(x=rng.uniform(-2, 2, 2), y=rng.uniform(-2, 2, 1),
+                            e=rng.uniform(-2, 2, 2), tau=tau)
+            expected = []
+            for i in range(gain.shape[0]):
+                acc = 0.0
+                for m in range(gain.shape[1]):
+                    acc += float(gain[i, m]) * float(q.e[m])
+                expected.append(float(q.y[i]) + acc)
+            q_plus = apply_jump(q, lin)
+            assert q_plus.y.tolist() == expected
+            assert np.array_equal(q_plus.x, q.x)
+            assert np.array_equal(q_plus.e, np.zeros(2))
+            assert q_plus.tau == (None if tau is None else 0.0)
+
 
 class TestReducedModels:
     def test_fast_flow_vanishes_at_root(self, spec, rng):
