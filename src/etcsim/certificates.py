@@ -323,10 +323,6 @@ class DwellComparison:
             return float(self.values[-1])
         return float(np.interp(tau, self.tau_grid, self.values))
 
-    @property
-    def floor_value(self) -> float:
-        return float(self.values[-1])
-
 
 def _transit_time_quadrature(mu: float, vartheta: float, m_err: float,
                              n_err: float, gamma1_bar: float,

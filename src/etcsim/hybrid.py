@@ -3,7 +3,7 @@
 A solution record ("arc") lives on a hybrid time domain: samples are indexed
 by pairs (t, j) of continuous time and jump count, ordered lexicographically.
 Flow samples advance t at fixed j; jumps freeze t and increment j by one.
-Arcs are built by a single writer and treated as immutable afterwards;
+Arcs are built by one row writer and treated as immutable afterwards;
 each keeps its samples as one float table with the columns of its CSV.
 """
 
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -121,9 +121,6 @@ class HybridState:
             raise DimensionError(f"vector of size {v.size} != 2*{n_x} + {n_y}")
         return cls(x=v[:n_x], y=v[n_x:n_x + n_y], e=v[n_x + n_y:], tau=tau)
 
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.x**2) + np.sum(self.y**2) + np.sum(self.e**2)))
-
     def xy_norm(self) -> float:
         return float(np.sqrt(np.sum(self.x**2) + np.sum(self.y**2)))
 
@@ -187,10 +184,12 @@ class HybridArc:
     """Sampled solution over a hybrid time domain, with monitors and events.
 
     Samples are appended per accepted integrator step plus both sides of
-    every jump; lexicographic (t, j) ordering is asserted on every append.
-    The samples are one float table whose columns are csv_header(): the
-    table doubles when full, and the first len(arc) rows are in use.
-    Views return copies of their columns.
+    every jump; (t, j) ordering is asserted on every public append, and once
+    per arc on the integrator's direct flow rows. The samples are one float
+    table whose columns are csv_header(): the table doubles when full, and
+    the first len(arc) rows are in use. Views return copies of their columns.
+    Clockless arcs store tau as NaN, so a periodic arc's margin can be
+    recomputed only at its start and on both sides of each jump.
     """
 
     def __init__(self, n_x: int, n_y: int, has_clock: bool = False):
@@ -213,14 +212,13 @@ class HybridArc:
         if q.has_clock != self.has_clock:
             raise DimensionError("clock presence does not match the arc")
 
-    def _append_row(self, t: float, j: int, q: HybridState,
-                    monitors: Optional[MonitorValues], is_jump: bool) -> None:
+    def _append_row(self, t: float, j: int, s: np.ndarray, tau: Optional[float],
+                    monitors: tuple[float, float, float], is_jump: bool) -> None:
+        """The one row writer; it checks nothing. tau None is stored as NaN."""
         if self._n == len(self._table):
             self._table = np.concatenate([self._table, np.empty_like(self._table)])
-        m = monitors or MonitorValues()
-        self._table[self._n] = [t, j, *q.x.tolist(), *q.y.tolist(), *q.e.tolist(),
-                                q.tau if q.tau is not None else math.nan,
-                                m.v, m.r, m.trigger_margin, is_jump]
+        self._table[self._n] = [t, j, *s.tolist(), math.nan if tau is None else tau,
+                                *monitors, is_jump]
         self._n += 1
 
     def append_flow_sample(self, t: float, q: HybridState,
@@ -230,7 +228,7 @@ class HybridArc:
         if not math.isfinite(t):
             raise OrderingError(f"sample time must be finite, got {t}")
         if self._n:
-            t_last, j, *_, is_jump = self._table[self._n - 1].tolist()
+            t_last, *_, is_jump = self._table[self._n - 1].tolist()
             if t < t_last:
                 raise OrderingError(
                     f"flow sample at t={t} precedes current arc time {t_last}"
@@ -239,9 +237,8 @@ class HybridArc:
                 raise OrderingError(
                     f"flow must advance t strictly between jumps (t={t})"
                 )
-        else:
-            j = 0
-        self._append_row(t, j, q, monitors, is_jump=False)
+        self._append_row(t, self.jump_count, q.as_vector(), q.tau,
+                         astuple(monitors or MonitorValues()), is_jump=False)
         return self
 
     def append_jump(self, q_pre: HybridState, q_post: HybridState, reason: str,
@@ -259,7 +256,8 @@ class HybridArc:
             JumpRecord(t=t, j_pre=j, j_post=j + 1, reason=reason,
                        pre_state=q_pre, post_state=q_post)
         )
-        self._append_row(t, j + 1, q_post, monitors, is_jump=True)
+        self._append_row(t, j + 1, q_post.as_vector(), q_post.tau,
+                         astuple(monitors or MonitorValues()), is_jump=True)
         return self
 
     def set_termination(self, termination: Termination) -> None:

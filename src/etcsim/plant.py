@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -117,9 +118,8 @@ def shift_coordinates(z, x, u, spec: PlantSpec) -> np.ndarray:
     return z - np.asarray(spec.h(x, u), dtype=float).reshape(-1)
 
 
-def closed_loop_flow_vector(x, y, e, spec: PlantSpec,
-                            with_clock: bool = False) -> np.ndarray:
-    """Closed-loop derivative of the stacked (x, y, e[, tau]) vector."""
+def closed_loop_flow_vector(x, y, e, spec: PlantSpec) -> np.ndarray:
+    """Closed-loop derivative of the stacked (x, y, e) vector."""
     x = _vec(x, spec.n_x, "x")
     y = _vec(y, spec.n_y, "y")
     e = _vec(e, spec.n_x, "e")
@@ -130,10 +130,7 @@ def closed_loop_flow_vector(x, y, e, spec: PlantSpec,
     g_val = np.asarray(spec.g(x, z, u), dtype=float).reshape(-1)
     jac = np.asarray(spec.dh_dx(x, u), dtype=float).reshape(spec.n_z, spec.n_x)
     y_dot = g_val / spec.epsilon - jac @ fx
-    parts = [fx, y_dot, -fx]
-    if with_clock:
-        parts.append(np.ones(1))
-    out = np.concatenate(parts)
+    out = np.concatenate([fx, y_dot, -fx])
     if not np.all(np.isfinite(out)):
         raise DivergenceError("closed-loop flow produced non-finite derivative")
     return out
@@ -141,7 +138,8 @@ def closed_loop_flow_vector(x, y, e, spec: PlantSpec,
 
 def closed_loop_flow(q: HybridState, spec: PlantSpec) -> np.ndarray:
     """Flow map applied to a hybrid state; clock rate is 1 when present."""
-    return closed_loop_flow_vector(q.x, q.y, q.e, spec, with_clock=q.has_clock)
+    flow = closed_loop_flow_vector(q.x, q.y, q.e, spec)
+    return np.append(flow, 1.0) if q.has_clock else flow
 
 
 def jump_map_hy(x, y, e, spec: PlantSpec) -> np.ndarray:
@@ -292,14 +290,14 @@ class LinearPlantSpec:
         """Diagnostic: all eigenvalues of A22 in the open left half plane."""
         return bool(np.all(np.linalg.eigvals(self.a22).real < 0.0))
 
-    # Root h(x, u) = Hx x + Hu u.
-    @property
+    # Root h(x, u) = Hx x + Hu u, solved once per instance and read-only.
+    @cached_property
     def h_x(self) -> np.ndarray:
-        return -np.linalg.solve(self.a22, self.a21)
+        return _matrix(-np.linalg.solve(self.a22, self.a21), self.a21.shape, "h_x")
 
-    @property
+    @cached_property
     def h_u(self) -> np.ndarray:
-        return -np.linalg.solve(self.a22, self.b2)
+        return _matrix(-np.linalg.solve(self.a22, self.b2), self.b2.shape, "h_u")
 
     @property
     def b_slow(self) -> np.ndarray:
@@ -316,7 +314,7 @@ class LinearPlantSpec:
         """Slow model closed with the fresh feedback: A_slow + B_slow K."""
         return self.a_slow + self.b_slow @ self.k_gain
 
-    def flow_matrix(self, with_clock: bool = False) -> np.ndarray:
+    def flow_matrix(self) -> np.ndarray:
         """Closed-loop flow as a single matrix acting on stacked (x, y, e).
 
         Assembled from the defining maps: x' = A_cl x + A12 y + B_s K e,

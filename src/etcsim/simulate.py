@@ -41,7 +41,6 @@ from .triggers import (
     PolicyKind,
     TriggerPolicy,
     policy_margin,
-    threshold_margin,
 )
 
 __all__ = [
@@ -147,7 +146,11 @@ class SolverConfig:
 
 def monitor_v(q: HybridState, cert: LyapunovCertificate, epsilon: float) -> float:
     """Practical-stability composite: Vx(x) + sqrt(eps) * Vy(y)."""
-    return cert.v_x(q.x) + math.sqrt(epsilon) * cert.v_y(q.y)
+    return _monitor_v(q.x, q.y, cert, epsilon)
+
+
+def _monitor_v(x, y, cert: LyapunovCertificate, epsilon: float) -> float:
+    return cert.v_x(x) + math.sqrt(epsilon) * cert.v_y(y)
 
 
 def monitor_r(q: HybridState, cert: LyapunovCertificate,
@@ -158,11 +161,15 @@ def monitor_r(q: HybridState, cert: LyapunovCertificate,
     comparison value w(tau) comes from the stored trajectory, frozen at
     its floor beyond the stored range.
     """
-    if q.tau is None or params.dwell_ode is None or params.d_weight is None:
+    return _monitor_r(q.x, q.y, q.e, q.tau, cert, params)
+
+
+def _monitor_r(x, y, e, tau, cert: LyapunovCertificate, params) -> float:
+    if tau is None or params.dwell_ode is None or params.d_weight is None:
         return math.nan
-    w = params.dwell_ode.evaluate(q.tau)
-    e_sq = float(np.dot(q.e, q.e))
-    return (cert.v_x(q.x) + params.d_weight * cert.v_y(q.y)
+    w = params.dwell_ode.evaluate(tau)
+    e_sq = float(np.dot(e, e))
+    return (cert.v_x(x) + params.d_weight * cert.v_y(y)
             + max(0.0, cert.gamma1.coeff * w * e_sq))
 
 
@@ -193,16 +200,14 @@ class _PolicyEval:
         return policy_margin(self.policy, self.cert, s[: self.n_x],
                              s[self.n_x + self.n_y:], tau)
 
-    def jump_reason(self, s: np.ndarray, tau: float) -> str:
+    def jump_reason(self, m: float, tau: float) -> str:
+        """Reason for a jump at margin m >= 0 (then tau >= t_star if dwell)."""
         kind = self.policy.kind
         if kind is PolicyKind.PERIODIC:
             return "periodic"
-        if kind is PolicyKind.TIME_REGULARIZED:
-            m = threshold_margin(s[: self.n_x], s[self.n_x + self.n_y:],
-                                 self.cert, self.policy.sigma)
-            if m > 0.0 and tau <= self.policy.t_star:
-                return "dwell-clock"
-            return "threshold"
+        if (kind is PolicyKind.TIME_REGULARIZED and m > 0.0
+                and tau <= self.policy.t_star):
+            return "dwell-clock"
         return "threshold"
 
     def clock_ceiling(self) -> Optional[float]:
@@ -295,7 +300,8 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
 
     m is the trigger margin of the current point (initial, post-jump, event
     or accepted step), evaluated once: it decides the eager jump, starts the
-    event bracket and is stored.
+    event bracket and is stored. Flow rows go straight to arc._append_row
+    (no HybridState); the arc's (t, j) ordering is checked once, at the end.
     """
     spec = plant.as_plant_spec() if isinstance(plant, LinearPlantSpec) else plant
     n_x, n_y = spec.n_x, spec.n_z
@@ -309,25 +315,26 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         return closed_loop_flow_vector(s[:n_x], s[n_x:n_x + n_y],
                                        s[n_x + n_y:], spec)
 
-    def monitors(q: HybridState, m: float) -> MonitorValues:
-        v = monitor_v(q, cert, eps) if cert is not None else math.nan
-        r = (monitor_r(q, cert, params)
+    def monitors(s_now: np.ndarray, tau_now: Optional[float], m: float) -> tuple:
+        x, y, e = s_now[:n_x], s_now[n_x:n_x + n_y], s_now[n_x + n_y:]
+        v = _monitor_v(x, y, cert, eps) if cert is not None else math.nan
+        r = (_monitor_r(x, y, e, tau_now, cert, params)
              if (cert is not None and params is not None) else math.nan)
-        return MonitorValues(v=v, r=r, trigger_margin=m)
+        return v, r, m
 
     def store(t_now: float, s_now: np.ndarray, tau_now: float, m: float) -> None:
-        q = HybridState.from_vector(s_now, n_x, n_y,
-                                    tau=tau_now if has_clock else None)
-        arc.append_flow_sample(t_now, q, monitors(q, m))
+        tau_row = tau_now if has_clock else None
+        arc._append_row(t_now, arc.jump_count, s_now, tau_row,
+                        monitors(s_now, tau_row, m), is_jump=False)
 
-    def record_jump(s_pre: np.ndarray, tau_pre: float) -> tuple[np.ndarray, float]:
+    def record_jump(s_pre: np.ndarray, tau_pre: float, m_pre: float) -> tuple:
         q_pre = HybridState.from_vector(s_pre, n_x, n_y,
                                         tau=tau_pre if has_clock else None)
         q_post = apply_jump(q_pre, plant)
         s_post = q_post.as_vector()
         m_post = ev.margin(s_post, 0.0)
-        arc.append_jump(q_pre, q_post, ev.jump_reason(s_pre, tau_pre),
-                        monitors(q_post, m_post))
+        arc.append_jump(q_pre, q_post, ev.jump_reason(m_pre, tau_pre),
+                        MonitorValues(*monitors(s_post, q_post.tau, m_post)))
         return s_post, m_post
 
     s = q0.as_vector()
@@ -350,11 +357,11 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             jump_ring.append(t)
             if len(jump_ring) > cfg.zeno_max_jumps:
                 if t - jump_ring[0] <= cfg.zeno_window:
-                    s, m = record_jump(s, tau)
+                    s, m = record_jump(s, tau, m)
                     termination = Termination.ZENO_GUARD
                     break
                 jump_ring.pop(0)
-            s, m = record_jump(s, tau)
+            s, m = record_jump(s, tau, m)
             tau = 0.0
             jumped = True
         if termination is not None:
@@ -463,6 +470,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             termination = Termination.DIVERGENCE
             break
 
+    arc.check_ordering()
     arc.set_termination(termination)
     return arc
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,33 @@ class TestJumpMap:
             assert np.array_equal(q_plus.x, q.x)
             assert np.array_equal(q_plus.e, np.zeros(2))
             assert q_plus.tau == (None if tau is None else 0.0)
+
+
+class TestRootMatrices:
+    def test_solved_once_read_only_and_per_instance(self, monkeypatch):
+        lin = demo_plant(0.05)
+        h_x, h_u = lin.h_x, lin.h_u
+        assert h_x.tolist() == (-np.linalg.solve(lin.a22, lin.a21)).tolist()
+        assert h_u.tolist() == (-np.linalg.solve(lin.a22, lin.b2)).tolist()
+        for arr in (h_x, h_u):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        assert lin.h_x is h_x and lin.h_u is h_u
+
+        def no_solve(*args):
+            raise AssertionError("root matrices solved again")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "solve", no_solve)
+            gain = lin.jump_gain()
+            lin.flow_matrix()
+        assert np.array_equal(gain, h_u @ lin.k_gain)
+
+        other = replace(lin, b2=2.0 * lin.b2)
+        fresh = -np.linalg.solve(other.a22, other.b2)
+        assert other.h_u.tolist() == fresh.tolist()
+        assert not np.array_equal(other.h_u, h_u)
+        assert np.array_equal(lin.h_u, h_u)
 
 
 class TestReducedModels:

@@ -6,8 +6,8 @@ import pytest
 
 from etcsim.certificates import DwellComparison
 from etcsim.demo import demo_certification, demo_plant, demo_scenario
-from etcsim.errors import ConfigurationError
-from etcsim.hybrid import HybridState, Termination
+from etcsim.errors import ConfigurationError, OrderingError
+from etcsim.hybrid import HybridArc, HybridState, Termination
 from etcsim.plant import apply_jump
 from etcsim.simulate import (
     SolverConfig,
@@ -175,6 +175,20 @@ class TestDeadzone:
                              cert=certn.cert)
         zeno.check_ordering()
 
+    def test_out_of_order_flow_row_raises(self, certn, monkeypatch):
+        # flow rows skip the public append checks; integrate_arc checks the
+        # arc's (t, j) ordering once before it returns
+        write = HybridArc._append_row
+
+        def misplaced(arc, t, *args, **kwargs):
+            write(arc, 0.0 if len(arc) == 5 else t, *args, **kwargs)
+
+        monkeypatch.setattr(HybridArc, "_append_row", misplaced)
+        sc = demo_scenario("deadzone")
+        cfg = replace(sc.solver, horizon=1.0)
+        with pytest.raises(OrderingError):
+            integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert)
+
 
 class TestPeriodic:
     def test_period_beyond_horizon_flows_only(self, certn):
@@ -258,6 +272,38 @@ class TestMonitors:
     def test_r_undefined_without_clock(self, certn):
         q = HybridState(x=np.ones(2), y=np.ones(1), e=np.zeros(2))
         assert math.isnan(monitor_r(q, certn.cert, certn.dwell))
+
+    def test_stored_monitors_equal_public_functions(self, certn):
+        # The integrator writes flow rows from raw slices of its state
+        # vector; the stored V and R must still equal the public monitors on
+        # the row's state bitwise (NaN where R is undefined).
+        def same(a, b):
+            return a == b or (math.isnan(a) and math.isnan(b))
+
+        legs = [
+            ("deadzone", 5.0, None),
+            ("dwell", 4.0, None),
+            ("dwell", 4.0, certn.dwell),
+            ("compare_periodic", None, certn.dwell),
+        ]
+        for name, horizon, params in legs:
+            sc = demo_scenario(name)
+            if horizon is None:
+                horizon = 5.0 * sc.policy.period
+            cfg = replace(sc.solver, horizon=horizon)
+            arc = integrate_arc(sc.plant, sc.policy, sc.q0, cfg,
+                                cert=certn.cert, params=params)
+            assert arc.jump_count >= 1 and len(arc) > 10
+            eps = sc.plant.epsilon
+            v, r = arc.v.tolist(), arc.r.tolist()
+            for i in range(len(arc)):
+                q = arc.state_at(i)
+                assert v[i] == monitor_v(q, certn.cert, eps), (name, i)
+                expected_r = (monitor_r(q, certn.cert, params)
+                              if params is not None else math.nan)
+                assert same(r[i], expected_r), (name, i)
+            if params is not None and sc.policy.requires_clock:
+                assert np.all(np.isfinite(arc.r)), name
 
 
 class TestJumpExactness:
