@@ -9,14 +9,14 @@ residual ball reached under a dead-zone trigger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .certificates import AnalysisParameters, LyapunovCertificate
 from .errors import ConfigurationError, EtcsimError, InsufficientDataError
-from .hybrid import HybridArc, HybridState, Termination
+from .hybrid import HybridArc, HybridState, Termination, record_dict
 from .simulate import SolverConfig, integrate_arc
 from .triggers import PolicyKind, TriggerPolicy
 
@@ -89,14 +89,7 @@ class EnvelopeFit:
     degenerate: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "beta_hat": _json_float(self.beta_hat),
-            "psi_hat": _json_float(self.psi_hat),
-            "kappa_hat": _json_float(self.kappa_hat),
-            "violation_fraction": _json_float(self.violation_fraction),
-            "n_used": self.n_used,
-            "degenerate": self.degenerate,
-        }
+        return record_dict(self)
 
 
 def fit_envelope(arc: HybridArc, mode: str = "practical") -> EnvelopeFit:
@@ -119,10 +112,6 @@ def fit_envelope(arc: HybridArc, mode: str = "practical") -> EnvelopeFit:
     norms = np.linalg.norm(arc.states, axis=1)
     tj = arc.hybrid_total_time
     mask = norms > kappa
-    if not np.any(mask):
-        return EnvelopeFit(beta_hat=math.nan, psi_hat=math.nan,
-                           kappa_hat=kappa, violation_fraction=0.0,
-                           n_used=0, degenerate=True)
     if int(mask.sum()) < 2 or np.ptp(tj[mask]) == 0.0:
         return EnvelopeFit(beta_hat=math.nan, psi_hat=math.nan,
                            kappa_hat=kappa, violation_fraction=0.0,
@@ -168,14 +157,6 @@ class ComparisonResult:
     final_norm_a: float
     final_norm_b: float
 
-    def to_dict(self) -> dict:
-        return {
-            "policy_a": self.policy_a, "policy_b": self.policy_b,
-            "jumps_a": self.jumps_a, "jumps_b": self.jumps_b,
-            "final_norm_a": _json_float(self.final_norm_a),
-            "final_norm_b": _json_float(self.final_norm_b),
-        }
-
 
 def transmission_comparison(plant, x0, y0, horizon: float,
                             policy_a: TriggerPolicy, policy_b: TriggerPolicy,
@@ -215,21 +196,7 @@ class ArcSummary:
     envelope: Optional[EnvelopeFit] = None
 
     def to_dict(self) -> dict:
-        out = {
-            "jump_count": self.jump_count,
-            "min_iet": _json_float(self.min_iet),
-            "mean_iet": _json_float(self.mean_iet),
-            "final_xy_norm": _json_float(self.final_xy_norm),
-            "ball_radius_estimate": _json_float(self.ball_radius_estimate),
-            "termination": self.termination,
-        }
-        if self.envelope is not None:
-            out["envelope"] = self.envelope.to_dict()
-        return out
-
-
-def _json_float(v: float):
-    return v if (isinstance(v, (int, float)) and math.isfinite(v)) else None
+        return record_dict(self)
 
 
 def summarize_arc(arc: HybridArc, policy: Optional[TriggerPolicy] = None,
@@ -274,12 +241,7 @@ class SweepCell:
     error: Optional[str] = None
 
     def to_dict(self) -> dict:
-        out = {"point": self.point}
-        if self.summary is not None:
-            out["summary"] = self.summary.to_dict()
-        if self.error is not None:
-            out["error"] = self.error
-        return out
+        return record_dict(self)
 
 
 @dataclass(frozen=True)

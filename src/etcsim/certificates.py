@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     CertificateInfeasibleError,
     InfeasibleDwellError,
 )
+from .hybrid import record_dict
 from .plant import PlantSpec
 from .triggers import GammaForm
 
@@ -119,22 +120,10 @@ class QuadraticLyapunovData:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "QuadraticLyapunovData":
-        return cls(
-            p1=np.array(cfg["p1"], dtype=float),
-            p2=np.array(cfg["p2"], dtype=float),
-            alpha1_bar=float(cfg["alpha1_bar"]),
-            alpha2=float(cfg["alpha2"]),
-            l_bar=float(cfg["l_bar"]),
-        )
+        return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
     def to_dict(self) -> dict:
-        return {
-            "p1": self.p1.tolist(),
-            "p2": self.p2.tolist(),
-            "alpha1_bar": self.alpha1_bar,
-            "alpha2": self.alpha2,
-            "l_bar": self.l_bar,
-        }
+        return record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -428,26 +417,10 @@ class AnalysisParameters:
     dwell_ode: Optional[DwellComparison] = None
 
     def with_epsilon_star(self, epsilon_star: float) -> "AnalysisParameters":
-        from dataclasses import replace
         return replace(self, epsilon_star=float(epsilon_star))
 
     def to_dict(self) -> dict:
-        out = {
-            "mode": self.mode,
-            "sigma": self.sigma,
-            "mu": self.mu,
-            "dwell_bound": self.dwell_bound,
-            "lambda_jump": self.lambda_jump,
-            "lambda_practical": self.lambda_practical,
-            "epsilon_star": self.epsilon_star,
-            "vartheta": self.vartheta,
-            "t_star": self.t_star,
-            "dwell_bound_ode": self.dwell_bound_ode,
-            "d_weight": self.d_weight,
-            "psi": self.psi,
-            "theta": self.theta,
-        }
-        return {k: v for k, v in out.items() if v is not None}
+        return record_dict(self, skip=("dwell_ode",))
 
 
 def _d_weight_bounds(consts: AssumptionConstants, sigma: float, mu: float,
@@ -519,16 +492,8 @@ def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
         vartheta = float(vartheta)
         if transit(mu_floor, vartheta) < t_star:
             continue
-        lo, hi = mu_floor, consts.alpha1 * (1.0 - 1e-9)
-        if transit(hi, vartheta) >= t_star:
-            lo = hi
-        else:
-            for _ in range(mu_bisect_iters):
-                mid = 0.5 * (lo + hi)
-                if transit(mid, vartheta) >= t_star:
-                    lo = mid
-                else:
-                    hi = mid
+        lo = _bisect_largest(lambda mu: transit(mu, vartheta) >= t_star,
+                             mu_floor, consts.alpha1 * (1.0 - 1e-9), mu_bisect_iters)
         mu = 0.98 * lo  # back off so the transit covers t_star with margin
         if mu <= 0.0:
             continue
@@ -671,21 +636,30 @@ def _dwell_feasible(eps: float, consts: AssumptionConstants, sigma: float,
     return (slow - mu) * fast >= cross
 
 
-def _log_eps_bisect(feasible: Callable[[float], bool], eps_floor: float,
-                    iterations: int) -> Optional[float]:
-    """Largest feasible eps in [eps_floor, 1] by log-eps bisection, or None."""
-    if feasible(1.0):
-        return 1.0
-    if not feasible(eps_floor):
-        return None
-    lo, hi = math.log(eps_floor), 0.0
+def _bisect_largest(ok: Callable[[float], bool], lo: float, hi: float,
+                    iterations: int) -> float:
+    """Largest x in [lo, hi] with ok(x), for ok monotone and ok(lo) true.
+
+    Returns hi if ok(hi); otherwise bisects, always keeping ok(lo).
+    """
+    if ok(hi):
+        return hi
     for _ in range(iterations):
         mid = 0.5 * (lo + hi)
-        if feasible(math.exp(mid)):
+        if ok(mid):
             lo = mid
         else:
             hi = mid
-    return math.exp(lo)
+    return lo
+
+
+def _log_eps_bisect(feasible: Callable[[float], bool], eps_floor: float,
+                    iterations: int) -> Optional[float]:
+    """Largest feasible eps in [eps_floor, 1] by log-eps bisection, or None."""
+    if not feasible(eps_floor):  # eps_floor itself: exp(log(eps_floor)) rounds
+        return 1.0 if feasible(1.0) else None
+    return math.exp(_bisect_largest(lambda s: feasible(math.exp(s)),
+                                    math.log(eps_floor), 0.0, iterations))
 
 
 def _dwell_eps_estimate(consts: AssumptionConstants, sigma: float, mu: float,
@@ -781,14 +755,6 @@ class FamilyResult:
     def passed(self) -> bool:
         return self.worst_slack >= SLACK_TOL
 
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "worst_slack": self.worst_slack,
-               "passed": self.passed}
-        if self.witness is not None:
-            x, y, e = self.witness
-            out["witness"] = {"x": list(x), "y": list(y), "e": list(e)}
-        return out
-
 
 @dataclass(frozen=True)
 class AssumptionReport:
@@ -805,14 +771,6 @@ class AssumptionReport:
             if f.name == name:
                 return f
         raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "n_samples": self.n_samples,
-            "box": self.box,
-            "families": [f.to_dict() for f in self.families],
-        }
 
 
 def validate_assumptions(spec: PlantSpec, data: QuadraticLyapunovData,

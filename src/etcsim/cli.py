@@ -19,7 +19,6 @@ from .certificates import (
     LyapunovCertificate,
     QuadraticLyapunovData,
     epsilon_star_search,
-    max_dwell_time,
     select_analysis_parameters,
 )
 from .errors import EtcsimError
@@ -59,8 +58,6 @@ def _cmd_certify(args) -> int:
     consts = cert.constants
     sigma = float(cfg.get("sigma", 0.5))
     mode = cfg.get("mode", "practical")
-    dwell_bound = max_dwell_time(consts.m_err, consts.n_err,
-                                 consts.gamma1_bar, consts.alpha1)
     t_star = cfg.get("t_star")
     params = select_analysis_parameters(
         consts, sigma, t_star=float(t_star) if t_star is not None else None,
@@ -73,8 +70,8 @@ def _cmd_certify(args) -> int:
         epsilon_star_search(consts, sigma, params.mu, mode, **eps_kwargs))
     report = {
         "constants": consts.to_dict(),
-        "dwell_bound": dwell_bound,
-        "feasible_t_star_range": [0.0, dwell_bound],
+        "dwell_bound": params.dwell_bound,
+        "feasible_t_star_range": [0.0, params.dwell_bound],
         "parameters": params.to_dict(),
     }
     text = json.dumps(report, indent=2)

@@ -100,16 +100,6 @@ class DemoCertification:
     cert: LyapunovCertificate
     practical: AnalysisParameters   # dead-zone analysis, sigma below
     dwell: AnalysisParameters       # dwell-clock analysis
-    sigma_practical: float
-    sigma_dwell: float
-
-    @property
-    def dwell_bound(self) -> float:
-        return self.dwell.dwell_bound
-
-    @property
-    def t_star(self) -> float:
-        return self.dwell.t_star
 
 
 SIGMA_PRACTICAL = 0.3
@@ -133,10 +123,7 @@ def demo_certification() -> DemoCertification:
     eps2 = epsilon_star_search(consts, SIGMA_DWELL, dwell.mu, "dwell",
                                d=dwell.d_weight, dwell_ode=dwell.dwell_ode)
     dwell = dwell.with_epsilon_star(eps2)
-    return DemoCertification(
-        cert=cert, practical=practical, dwell=dwell,
-        sigma_practical=SIGMA_PRACTICAL, sigma_dwell=SIGMA_DWELL,
-    )
+    return DemoCertification(cert=cert, practical=practical, dwell=dwell)
 
 
 # Canned scenario parameters.

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields, is_dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -59,6 +59,29 @@ class HybridTime:
     def total(self) -> float:
         """The hybrid-time abscissa t + j used by decay envelopes."""
         return self.t + self.j
+
+
+def record_dict(record, skip: tuple[str, ...] = ()) -> dict:
+    """The package's JSON convention: a frozen record's fields as a dict.
+
+    Fields keep their declaration order; arrays become nested lists and
+    nested records their own dicts. A non-finite float becomes None (JSON
+    null) with its key kept. A field that is None or named in skip is
+    left out.
+    """
+    out = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if value is None or f.name in skip:
+            continue
+        if is_dataclass(value):
+            value = record_dict(value)
+        elif isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, float) and not math.isfinite(value):
+            value = None
+        out[f.name] = value
+    return out
 
 
 def _as_readonly_vector(a, name: str) -> np.ndarray:

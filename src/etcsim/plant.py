@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .hybrid import HybridState
+from .hybrid import HybridState, record_dict
 
 __all__ = [
     "PlantSpec",
@@ -229,7 +229,10 @@ def check_root_consistency(spec: PlantSpec, box: float = 1.0,
 
 
 def _matrix(a, shape: tuple[int, int], name: str) -> np.ndarray:
+    """Read-only float matrix of the given shape; a 1-D input of its size is reshaped."""
     arr = np.array(a, dtype=float)
+    if arr.size != shape[0] * shape[1] or (arr.ndim == 2 and arr.shape != shape):
+        raise DimensionError(f"{name} has shape {arr.shape}, expected {shape}")
     arr = arr.reshape(shape)
     arr.flags.writeable = False
     return arr
@@ -268,8 +271,10 @@ class LinearPlantSpec:
         object.__setattr__(self, "b1", _matrix(self.b1, (n_x, n_u), "b1"))
         object.__setattr__(self, "b2", _matrix(self.b2, (n_z, n_u), "b2"))
         object.__setattr__(self, "k_gain", _matrix(k, (n_u, n_x), "k_gain"))
-        if self.epsilon <= 0.0:
-            raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
+        epsilon = float(self.epsilon)
+        if epsilon <= 0.0 or not math.isfinite(epsilon):
+            raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+        object.__setattr__(self, "epsilon", epsilon)
         if abs(np.linalg.det(self.a22)) < 1e-12:
             raise ConfigurationError("A22 must be invertible for a unique root")
 
@@ -363,20 +368,11 @@ class LinearPlantSpec:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "LinearPlantSpec":
-        required = ["a11", "a12", "a21", "a22", "b1", "b2", "k_gain", "epsilon"]
-        missing = [key for key in required if key not in cfg]
+        names = [f.name for f in fields(cls)]
+        missing = [name for name in names if name not in cfg]
         if missing:
             raise ConfigurationError(f"linear plant config missing fields: {missing}")
-        return cls(
-            a11=np.array(cfg["a11"], dtype=float),
-            a12=np.array(cfg["a12"], dtype=float),
-            a21=np.array(cfg["a21"], dtype=float),
-            a22=np.array(cfg["a22"], dtype=float),
-            b1=np.array(cfg["b1"], dtype=float),
-            b2=np.array(cfg["b2"], dtype=float),
-            k_gain=np.array(cfg["k_gain"], dtype=float),
-            epsilon=float(cfg["epsilon"]),
-        )
+        return cls(**{name: cfg[name] for name in names})
 
     @classmethod
     def from_json(cls, path) -> "LinearPlantSpec":
@@ -384,13 +380,4 @@ class LinearPlantSpec:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
-        return {
-            "a11": self.a11.tolist(),
-            "a12": self.a12.tolist(),
-            "a21": self.a21.tolist(),
-            "a22": self.a22.tolist(),
-            "b1": self.b1.tolist(),
-            "b2": self.b2.tolist(),
-            "k_gain": self.k_gain.tolist(),
-            "epsilon": self.epsilon,
-        }
+        return record_dict(self)

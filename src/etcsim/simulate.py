@@ -56,7 +56,6 @@ __all__ = [
 DIVERGENCE_NORM = 1e12
 
 # Dormand-Prince 5(4) tableau with its quartic dense-output matrix.
-RK_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 RK_A = np.array([
     [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
     [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
@@ -83,7 +82,6 @@ RK_P = np.array([
      -1453857185 / 822651844],
     [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
 ])
-RK_C.flags.writeable = False
 RK_A.flags.writeable = False
 RK_B.flags.writeable = False
 RK_E.flags.writeable = False

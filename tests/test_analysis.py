@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -145,6 +146,22 @@ class TestEnvelopeFit:
                             params=certn.dwell)
         fit = fit_envelope(arc, mode="gas")
         assert fit.psi_hat >= certn.dwell.psi * (1.0 - 0.25)
+
+
+class TestSummaryJson:
+    def test_non_finite_kept_as_null_and_absent_envelope_left_out(self):
+        plant = demo_plant(0.02)
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=1.5)
+        arc = integrate_arc(plant, policy, _q0(), SolverConfig(horizon=2.0))
+        assert arc.jump_count == 1
+        summary = summarize_arc(arc, policy, with_envelope=False)
+        assert summary.min_iet == math.inf and summary.envelope is None
+        out = summary.to_dict()
+        assert out["min_iet"] is None and out["mean_iet"] is None
+        assert "envelope" not in out
+        text = json.dumps(out)
+        assert "Infinity" not in text and "NaN" not in text
+        json.dumps(out, allow_nan=False)
 
 
 class TestCertifiedRadius:

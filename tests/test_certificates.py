@@ -192,6 +192,39 @@ class TestSelectParameters:
         assert params.lambda_practical == pytest.approx(lam)
 
 
+class TestJsonRecords:
+    def test_practical_parameters_keys_in_field_order(self):
+        c = derive_constants(demo_lyapunov_data())
+        params = select_analysis_parameters(c, 0.3, mode="practical")
+        assert list(params.to_dict()) == [
+            "mode", "sigma", "mu", "dwell_bound", "lambda_jump",
+            "lambda_practical", "theta"]
+
+    def test_dwell_parameters_leave_out_the_stored_ode(self):
+        c = derive_constants(demo_lyapunov_data())
+        dwell = max_dwell_time(c.m_err, c.n_err, c.gamma1_bar, c.alpha1)
+        params = select_analysis_parameters(c, 0.15, t_star=0.9 * dwell,
+                                            mode="dwell")
+        assert params.dwell_ode is not None
+        out = params.to_dict()
+        assert "dwell_ode" not in out
+        assert out["t_star"] == params.t_star
+        assert out["dwell_bound_ode"] == params.dwell_bound_ode
+
+    def test_lyapunov_data_round_trip(self):
+        data = QuadraticLyapunovData(p1=np.diag([2.0, 0.5]), p2=[[0.8]],
+                                     alpha1_bar=1.5, alpha2=0.3, l_bar=2.0)
+        out = data.to_dict()
+        assert out["p1"] == [[2.0, 0.0], [0.0, 0.5]]
+        back = QuadraticLyapunovData.from_dict(out)
+        assert np.array_equal(back.p1, data.p1)
+        assert np.array_equal(back.p2, data.p2)
+        assert (back.alpha1_bar, back.alpha2, back.l_bar) == (1.5, 0.3, 2.0)
+        del out["l_bar"]
+        with pytest.raises(KeyError):
+            QuadraticLyapunovData.from_dict(out)
+
+
 def _practical_conditions_hold(c, sigma, mu, eps):
     # independent re-statement of the certified flow inequalities
     se = math.sqrt(eps)

@@ -1,9 +1,10 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from etcsim.errors import ConfigurationError
+from etcsim.errors import ConfigurationError, DimensionError
 from etcsim.hybrid import HybridState
 from etcsim.plant import (
     LinearPlantSpec,
@@ -278,6 +279,37 @@ class TestInvariants:
     def test_epsilon_positive(self, lin):
         with pytest.raises(ConfigurationError):
             lin.with_epsilon(0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_epsilon_rejected_at_construction(self, eps):
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            demo_plant(eps)
+
+    def test_wrong_size_block_named(self, lin):
+        with pytest.raises(DimensionError, match=r"a12 has shape \(3, 3\), expected \(2, 1\)"):
+            replace(lin, a12=np.ones((3, 3)))
+
+
+class TestMatrixShapes:
+    @staticmethod
+    def plant(a12, b1=np.zeros((2, 1))):
+        # n_x = 2, n_z = 3, n_u = 1
+        return LinearPlantSpec(
+            a11=-np.eye(2), a12=a12, a21=np.zeros((3, 2)), a22=-np.eye(3),
+            b1=b1, b2=np.zeros((3, 1)), k_gain=np.zeros((1, 2)), epsilon=0.1,
+        )
+
+    def test_transposed_block_rejected(self):
+        a12 = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(self.plant(a12).a12, a12)
+        with pytest.raises(DimensionError, match=r"a12 has shape \(3, 2\), expected \(2, 3\)"):
+            self.plant(a12.T)
+
+    def test_flat_input_of_right_size_reshaped(self):
+        lin = self.plant(np.zeros((2, 3)), b1=np.zeros(2))
+        assert lin.b1.shape == (2, 1)
+        with pytest.raises(DimensionError, match="b1"):
+            self.plant(np.zeros((2, 3)), b1=np.zeros(3))
 
 
 class TestFiniteDifferenceJacobian:
