@@ -250,7 +250,7 @@ class SweepResult:
     cells: tuple[SweepCell, ...]
 
     def to_dict(self) -> dict:
-        return {"axes": self.axes, "cells": [c.to_dict() for c in self.cells]}
+        return record_dict(self)
 
     def to_csv(self, path) -> None:
         axis_names = list(self.axes)

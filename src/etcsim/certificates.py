@@ -27,7 +27,7 @@ from .errors import (
     InfeasibleDwellError,
 )
 from .hybrid import record_dict
-from .plant import PlantSpec
+from .plant import PlantSpec, _batch_map
 from .triggers import GammaForm
 
 __all__ = [
@@ -59,6 +59,38 @@ def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndar
         return np.zeros(dim)
     r = radius * rng.uniform() ** (1.0 / dim)
     return v * (r / norm)
+
+
+def _draw_in_balls(rng: np.random.Generator, n_samples: int,
+                   balls: tuple[tuple[int, float], ...]) -> list[np.ndarray]:
+    """(n_samples, dim) rows per (dim, radius) ball, with the generator calls
+    and scalar arithmetic of sample_in_ball, sample by sample and ball by
+    ball; only the scaling of each row by r / norm is done per batch."""
+    raw = [np.zeros((n_samples, dim)) for dim, _ in balls]
+    scale = [np.zeros(n_samples) for _ in balls]
+    for i in range(n_samples):
+        for rows, factor, (dim, radius) in zip(raw, scale, balls):
+            v = rows[i] = rng.standard_normal(dim)
+            norm = math.sqrt(v.dot(v))
+            if norm != 0.0:
+                factor[i] = radius * rng.uniform() ** (1.0 / dim) / norm
+    return [np.multiply(rows, factor[:, None], out=rows) for rows, factor in zip(raw, scale)]
+
+
+# Per-row products of (N, dim) sample rows. Each row goes through a stacked
+# matmul of the 1-D expression's shapes, so it is rounded as x @ p @ x or
+# a @ b is; (a * b).sum(1) and np.linalg.norm(a, axis=1) differ in the last bit.
+def _quad_rows(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return (a[:, None, :] @ p @ a[:, :, None])[:, 0, 0]
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _gain_rows(gain: Callable[[float], float], s: np.ndarray) -> np.ndarray:
+    # per sample: numpy's power may round s ** power unlike the gain's libm pow
+    return np.fromiter(map(gain, s.tolist()), float, s.size)
 
 
 def _spectral_norm(p: np.ndarray) -> float:
@@ -783,63 +815,50 @@ def validate_assumptions(spec: PlantSpec, data: QuadraticLyapunovData,
     its worst slack above -1e-9. A violating family carries the witness
     point that achieved the worst slack.
     """
-    rng = np.random.default_rng(seed)
-    worst = {name: (math.inf, None) for name in FAMILY_NAMES}
+    n_x, n_y = spec.n_x, spec.n_y
+    draws = np.random.default_rng(seed).uniform(-box, box, (n_samples, 2 * n_x + n_y))
+    x, y, e = np.split(draws, [n_x, n_x + n_y], axis=1)
     p1, p2 = data.p1, data.p2
-    g1, g2 = consts.gamma1, consts.gamma2
+    u = _batch_map(spec, "k", x + e)
+    h_held = _batch_map(spec, "h", x, u)
+    h_fresh = _batch_map(spec, "h", x, _batch_map(spec, "k", x))
+    f_x = _batch_map(spec, "f", x, y + h_held, u)
+    f_s = _batch_map(spec, "f", x, h_held, u)
+    g_f = _batch_map(spec, "g", x, y + h_held, u)
+    jac_f_x = (_batch_map(spec, "dh_dx", x, u) @ f_x[:, :, None])[:, :, 0]
 
-    def track(name: str, slack: float, point) -> None:
-        if slack < worst[name][0]:
-            worst[name] = (slack, point)
-
-    for _ in range(n_samples):
-        x = rng.uniform(-box, box, spec.n_x)
-        y = rng.uniform(-box, box, spec.n_y)
-        e = rng.uniform(-box, box, spec.n_x)
-        point = (x.copy(), y.copy(), e.copy())
-
-        u = np.asarray(spec.k(x + e), dtype=float).reshape(-1)
-        u_fresh = np.asarray(spec.k(x), dtype=float).reshape(-1)
-        h_held = np.asarray(spec.h(x, u), dtype=float).reshape(-1)
-        h_fresh = np.asarray(spec.h(x, u_fresh), dtype=float).reshape(-1)
-        f_x = np.asarray(spec.f(x, y + h_held, u), dtype=float).reshape(-1)
-        f_s = np.asarray(spec.f(x, h_held, u), dtype=float).reshape(-1)
-        g_f = np.asarray(spec.g(x, y + h_held, u), dtype=float).reshape(-1)
-        jac = np.asarray(spec.dh_dx(x, u), dtype=float).reshape(spec.n_z, spec.n_x)
-        h_y = y + h_held - h_fresh
-
-        v_x = float(x @ p1 @ x)
-        v_y = float(y @ p2 @ y)
-        e_norm = float(np.linalg.norm(e))
-        grad_vx = 2.0 * (p1 @ x)
-        grad_vy = 2.0 * (p2 @ y)
-
-        track("slow_iss",
-              -consts.alpha1 * v_x + g1(e_norm) - float(grad_vx @ f_s), point)
-        track("fast_decay",
-              -consts.alpha2 * v_y - float(grad_vy @ g_f), point)
-        sqrt_vxy = math.sqrt(max(v_x * v_y, 0.0))
-        track("coupling_slow",
-              consts.beta1 * sqrt_vxy - float(grad_vx @ (f_x - f_s)), point)
-        track("coupling_fast",
-              consts.beta2 * sqrt_vxy + consts.beta3 * v_y + g2(e_norm)
-              + float(grad_vy @ (jac @ f_x)), point)
-        v_y_post = float(h_y @ p2 @ h_y)
-        track("jump_growth",
-              v_y + consts.lambda1 * g1(e_norm)
-              + consts.lambda2 * math.sqrt(max(g1(e_norm) * v_y, 0.0))
-              - v_y_post, point)
-        if e_norm > 0.0:
-            track("error_growth",
-                  consts.m_err * e_norm
-                  + consts.n_err * (math.sqrt(v_x) + math.sqrt(v_y))
-                  + float(e @ f_x) / e_norm, point)
-
+    v_x = _quad_rows(x, p1)
+    v_y = _quad_rows(y, p2)
+    e_norm = np.sqrt(_dot_rows(e, e))
+    g1_e, g2_e = _gain_rows(consts.gamma1, e_norm), _gain_rows(consts.gamma2, e_norm)
+    grad_vx = 2.0 * (p1 @ x[:, :, None])[:, :, 0]
+    grad_vy = 2.0 * (p2 @ y[:, :, None])[:, :, 0]
+    sqrt_vxy = np.sqrt(np.maximum(v_x * v_y, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        error_growth = (consts.m_err * e_norm
+                        + consts.n_err * (np.sqrt(v_x) + np.sqrt(v_y))
+                        + _dot_rows(e, f_x) / e_norm)
+    slacks = {
+        "slow_iss": -consts.alpha1 * v_x + g1_e - _dot_rows(grad_vx, f_s),
+        "fast_decay": -consts.alpha2 * v_y - _dot_rows(grad_vy, g_f),
+        "coupling_slow": consts.beta1 * sqrt_vxy - _dot_rows(grad_vx, f_x - f_s),
+        "coupling_fast": (consts.beta2 * sqrt_vxy + consts.beta3 * v_y + g2_e
+                          + _dot_rows(grad_vy, jac_f_x)),
+        "jump_growth": (v_y + consts.lambda1 * g1_e
+                        + consts.lambda2 * np.sqrt(np.maximum(g1_e * v_y, 0.0))
+                        - _quad_rows(y + h_held - h_fresh, p2)),
+        "error_growth": np.where(e_norm > 0.0, error_growth, np.nan),
+    }
     families = []
     for name in FAMILY_NAMES:
-        slack, point = worst[name]
-        witness = point if slack < SLACK_TOL else None
-        families.append(FamilyResult(name=name, worst_slack=slack, witness=witness))
+        # the first smallest slack, a NaN skipped as `slack < worst` skips it;
+        # the appended inf stands when no sample counts
+        slack = np.append(np.where(np.isnan(slacks[name]), math.inf, slacks[name]),
+                          math.inf)
+        i = int(np.argmin(slack))
+        witness = (x[i].copy(), y[i].copy(), e[i].copy()) if slack[i] < SLACK_TOL else None
+        families.append(FamilyResult(name=name, worst_slack=float(slack[i]),
+                                     witness=witness))
     return AssumptionReport(families=tuple(families), n_samples=n_samples, box=box)
 
 
@@ -866,19 +885,15 @@ def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
     y_max = math.sqrt(level / lmin2)
     e_max = 2.0 * x_max
 
-    sup = 0.0
-    for _ in range(n_samples):
-        x = sample_in_ball(rng, spec.n_x, x_max)
-        y = sample_in_ball(rng, spec.n_y, y_max)
-        e = sample_in_ball(rng, spec.n_x, e_max)
-        if float(x @ p1 @ x) > level or float(y @ p2 @ y) > level:
-            continue
-        u = np.asarray(spec.k(x + e), dtype=float).reshape(-1)
-        h_val = np.asarray(spec.h(x, u), dtype=float).reshape(-1)
-        f_x = np.asarray(spec.f(x, y + h_val, u), dtype=float).reshape(-1)
-        val = consts.gamma1.slope(float(np.linalg.norm(e))) * float(np.linalg.norm(f_x))
-        if val > sup:
-            sup = val
+    x, y, e = _draw_in_balls(rng, n_samples, ((spec.n_x, x_max), (spec.n_y, y_max),
+                                              (spec.n_x, e_max)))
+    inside = ~((_quad_rows(x, p1) > level) | (_quad_rows(y, p2) > level))
+    x, y, e = x[inside], y[inside], e[inside]
+    u = _batch_map(spec, "k", x + e)
+    f_x = _batch_map(spec, "f", x, y + _batch_map(spec, "h", x, u), u)
+    val = (_gain_rows(consts.gamma1.slope, np.sqrt(_dot_rows(e, e)))
+           * np.sqrt(_dot_rows(f_x, f_x)))
+    sup = float(np.fmax.reduce(val, initial=0.0))  # a NaN never raises sup
     if sup <= 0.0:
         raise CertificateError("trigger slope supremum came out nonpositive")
     return inflation * sup

@@ -64,24 +64,25 @@ class HybridTime:
 def record_dict(record, skip: tuple[str, ...] = ()) -> dict:
     """The package's JSON convention: a frozen record's fields as a dict.
 
-    Fields keep their declaration order; arrays become nested lists and
-    nested records their own dicts. A non-finite float becomes None (JSON
-    null) with its key kept. A field that is None or named in skip is
-    left out.
+    Fields keep their declaration order; arrays become nested lists, tuples
+    lists, and nested records their own dicts. A non-finite float, also
+    inside a dict, list or tuple field, becomes None (JSON null) with its
+    key kept. A field that is None or named in skip is left out.
     """
-    out = {}
-    for f in fields(record):
-        value = getattr(record, f.name)
-        if value is None or f.name in skip:
-            continue
-        if is_dataclass(value):
-            value = record_dict(value)
-        elif isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, float) and not math.isfinite(value):
-            value = None
-        out[f.name] = value
-    return out
+    return {f.name: _json_value(getattr(record, f.name)) for f in fields(record)
+            if getattr(record, f.name) is not None and f.name not in skip}
+
+
+def _json_value(value):
+    if is_dataclass(value):
+        return record_dict(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _as_readonly_vector(a, name: str) -> np.ndarray:

@@ -75,6 +75,10 @@ class PlantSpec:
     (one root, chosen once; the toolkit never switches roots mid-run);
     k maps the held sample x + e to the input. dh_dx is the Jacobian of h
     in x and defaults to central finite differences.
+
+    batched declares that the maps take column stacks (dim, N) as well:
+    f, g, h and k then return (rows, N), and dh_dx (n_z, n_x) for every
+    column or (N, n_z, n_x). The sampled checks call such maps once per batch.
     """
 
     n_x: int
@@ -86,6 +90,7 @@ class PlantSpec:
     k: Callable[[np.ndarray], np.ndarray]
     epsilon: float
     dh_dx: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    batched: bool = False
 
     def __post_init__(self):
         if self.epsilon <= 0.0 or not math.isfinite(self.epsilon):
@@ -93,6 +98,9 @@ class PlantSpec:
         if min(self.n_x, self.n_z, self.n_u) < 1:
             raise DimensionError("n_x, n_z, n_u must all be >= 1")
         if self.dh_dx is None:
+            if self.batched:
+                raise ConfigurationError("a batched plant needs its own dh_dx: the "
+                                         "finite-difference default takes one sample")
             object.__setattr__(self, "dh_dx", finite_difference_dh_dx(self.h))
 
     @property
@@ -108,6 +116,24 @@ def _vec(a, n: int, name: str) -> np.ndarray:
     if arr.size != n:
         raise DimensionError(f"{name} has size {arr.size}, expected {n}")
     return arr
+
+
+def _batch_map(spec: PlantSpec, name: str, *rows: np.ndarray) -> np.ndarray:
+    """Map `name` of spec on N samples given and returned as (N, dim) rows:
+    one call on the column stacks if the plant is batched, else one call per
+    sample. dh_dx may come back as (n_z, n_x), one Jacobian for every sample."""
+    fn, n = getattr(spec, name), rows[0].shape[0]
+    shape = {"f": (spec.n_x,), "g": (spec.n_z,), "h": (spec.n_z,), "k": (spec.n_u,),
+             "dh_dx": (spec.n_z, spec.n_x)}[name]
+    if not spec.batched:
+        return np.array([np.asarray(fn(*sample), dtype=float).reshape(-1)
+                         for sample in zip(*rows)]).reshape(n, *shape)
+    out = np.asarray(fn(*(np.ascontiguousarray(r.T) for r in rows)), dtype=float)
+    if name == "dh_dx" and out.shape in (shape, (n, *shape)):
+        return out
+    if name != "dh_dx" and out.shape == (*shape, n):
+        return np.ascontiguousarray(out.T)
+    raise DimensionError(f"batched plant map {name} gave shape {out.shape} for {n} samples")
 
 
 def shift_coordinates(z, x, u, spec: PlantSpec) -> np.ndarray:
@@ -213,14 +239,11 @@ def check_root_consistency(spec: PlantSpec, box: float = 1.0,
 
     Returns the worst |g| found; raises ConfigurationError above tol.
     """
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        x = rng.uniform(-box, box, spec.n_x)
-        u = rng.uniform(-box, box, spec.n_u)
-        h_val = np.asarray(spec.h(x, u), dtype=float).reshape(-1)
-        resid = np.asarray(spec.g(x, h_val, u), dtype=float).reshape(-1)
-        worst = max(worst, float(np.max(np.abs(resid))) if resid.size else 0.0)
+    draws = np.random.default_rng(seed).uniform(-box, box, (n_samples, spec.n_x + spec.n_u))
+    x, u = draws[:, :spec.n_x], draws[:, spec.n_x:]
+    resid = _batch_map(spec, "g", x, _batch_map(spec, "h", x, u), u)
+    # fmax skips a sample whose residual has a NaN, as max(worst, nan) does
+    worst = float(np.fmax.reduce(np.abs(resid).max(axis=1), initial=0.0))
     if worst > tol:
         raise ConfigurationError(
             f"selected root is inconsistent: max |g(x, h(x,u), u)| = {worst:.3e} > {tol}"
@@ -362,6 +385,7 @@ class LinearPlantSpec:
             k=lambda xs: k @ xs,
             dh_dx=lambda x, u: h_x,
             epsilon=self.epsilon,
+            batched=True,
         )
 
     # -- JSON --------------------------------------------------------------

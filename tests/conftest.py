@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from etcsim.demo import demo_certification, demo_plant
+from etcsim.plant import PlantSpec
 
 # The eigenvalue cross-check of the 3x3 flow form is informational; keep
 # the suite output readable.
@@ -28,3 +29,18 @@ def rng():
 @pytest.fixture(scope="session")
 def plant_eps03():
     return demo_plant(0.03)
+
+
+@pytest.fixture(scope="session")
+def nonlinear_plant():
+    """A generic (callable-based, unbatched) plant: a cubic-damped slow
+    state driven through a first-order actuator."""
+    return PlantSpec(
+        n_x=1, n_z=1, n_u=1,
+        f=lambda x, z, u: np.array([-x[0] ** 3 - x[0] + z[0]]),
+        g=lambda x, z, u: u - z,
+        h=lambda x, u: np.array([u[0]]),
+        dh_dx=lambda x, u: np.zeros((1, 1)),
+        k=lambda xs: np.array([-0.5 * xs[0]]),
+        epsilon=0.02,
+    )

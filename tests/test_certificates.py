@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from etcsim.certificates import (
+    FAMILY_NAMES,
     QuadraticLyapunovData,
+    _dot_rows,
+    _draw_in_balls,
+    _quad_rows,
     derive_constants,
     dwell_time_ode,
     epsilon_star_search,
     max_dwell_time,
+    sample_in_ball,
     select_analysis_parameters,
     trigger_slope_bound,
     validate_assumptions,
@@ -18,6 +23,7 @@ from etcsim.demo import demo_lyapunov_data, demo_plant
 from etcsim.errors import (
     CertificateError,
     CertificateInfeasibleError,
+    DimensionError,
     InfeasibleDwellError,
 )
 from etcsim.triggers import GammaForm
@@ -355,3 +361,285 @@ class TestTriggerSlopeBound:
                                  delta=1.0, n_samples=2000, seed=1)
         assert hi == pytest.approx(1.1 * lo)
         assert lo > 0.0
+
+
+# -- Batched sampling against the one-sample-at-a-time loops -----------------
+#
+# scalar_validate and scalar_slope_bound are reference loops that draw and
+# evaluate one sample at a time, with sample_in_ball and 1-D arithmetic. They
+# live only here, as oracles: the batched samplers must equal them bitwise.
+
+def scalar_validate(spec, data, consts, n_samples, box, seed):
+    rng = np.random.default_rng(seed)
+    worst = {name: (math.inf, None) for name in FAMILY_NAMES}
+    p1, p2 = data.p1, data.p2
+    g1, g2 = consts.gamma1, consts.gamma2
+
+    def track(name, slack, point):
+        if slack < worst[name][0]:
+            worst[name] = (slack, point)
+
+    for _ in range(n_samples):
+        x = rng.uniform(-box, box, spec.n_x)
+        y = rng.uniform(-box, box, spec.n_y)
+        e = rng.uniform(-box, box, spec.n_x)
+        point = (x.copy(), y.copy(), e.copy())
+        u = np.asarray(spec.k(x + e), dtype=float).reshape(-1)
+        u_fresh = np.asarray(spec.k(x), dtype=float).reshape(-1)
+        h_held = np.asarray(spec.h(x, u), dtype=float).reshape(-1)
+        h_fresh = np.asarray(spec.h(x, u_fresh), dtype=float).reshape(-1)
+        f_x = np.asarray(spec.f(x, y + h_held, u), dtype=float).reshape(-1)
+        f_s = np.asarray(spec.f(x, h_held, u), dtype=float).reshape(-1)
+        g_f = np.asarray(spec.g(x, y + h_held, u), dtype=float).reshape(-1)
+        jac = np.asarray(spec.dh_dx(x, u), dtype=float).reshape(spec.n_z, spec.n_x)
+        h_y = y + h_held - h_fresh
+        v_x = float(x @ p1 @ x)
+        v_y = float(y @ p2 @ y)
+        e_norm = float(np.linalg.norm(e))
+        grad_vx = 2.0 * (p1 @ x)
+        grad_vy = 2.0 * (p2 @ y)
+        track("slow_iss",
+              -consts.alpha1 * v_x + g1(e_norm) - float(grad_vx @ f_s), point)
+        track("fast_decay",
+              -consts.alpha2 * v_y - float(grad_vy @ g_f), point)
+        sqrt_vxy = math.sqrt(max(v_x * v_y, 0.0))
+        track("coupling_slow",
+              consts.beta1 * sqrt_vxy - float(grad_vx @ (f_x - f_s)), point)
+        track("coupling_fast",
+              consts.beta2 * sqrt_vxy + consts.beta3 * v_y + g2(e_norm)
+              + float(grad_vy @ (jac @ f_x)), point)
+        v_y_post = float(h_y @ p2 @ h_y)
+        track("jump_growth",
+              v_y + consts.lambda1 * g1(e_norm)
+              + consts.lambda2 * math.sqrt(max(g1(e_norm) * v_y, 0.0))
+              - v_y_post, point)
+        if e_norm > 0.0:
+            track("error_growth",
+                  consts.m_err * e_norm
+                  + consts.n_err * (math.sqrt(v_x) + math.sqrt(v_y))
+                  + float(e @ f_x) / e_norm, point)
+    return worst
+
+
+def scalar_slope_bound(spec, data, consts, theta, rho, delta, n_samples, seed,
+                       inflation=1.1):
+    rng = np.random.default_rng(seed)
+    p1, p2 = data.p1, data.p2
+    lmax1 = float(np.max(np.linalg.eigvalsh(p1)))
+    lmax2 = float(np.max(np.linalg.eigvalsh(p2)))
+    lmin1 = float(np.min(np.linalg.eigvalsh(p1)))
+    lmin2 = float(np.min(np.linalg.eigvalsh(p2)))
+    level = max((lmax1 + lmax2) * delta**2, theta * rho)
+    x_max = math.sqrt(level / lmin1)
+    y_max = math.sqrt(level / lmin2)
+    e_max = 2.0 * x_max
+    sup = 0.0
+    for _ in range(n_samples):
+        x = sample_in_ball(rng, spec.n_x, x_max)
+        y = sample_in_ball(rng, spec.n_y, y_max)
+        e = sample_in_ball(rng, spec.n_x, e_max)
+        if float(x @ p1 @ x) > level or float(y @ p2 @ y) > level:
+            continue
+        u = np.asarray(spec.k(x + e), dtype=float).reshape(-1)
+        h_val = np.asarray(spec.h(x, u), dtype=float).reshape(-1)
+        f_x = np.asarray(spec.f(x, y + h_val, u), dtype=float).reshape(-1)
+        val = consts.gamma1.slope(float(np.linalg.norm(e))) * float(np.linalg.norm(f_x))
+        if val > sup:
+            sup = val
+    return inflation * sup
+
+
+DEMO_THETA = 76.0
+
+
+@pytest.fixture(scope="module")
+def demo_case():
+    data = demo_lyapunov_data()
+    return demo_plant(0.03).as_plant_spec(), data, derive_constants(data)
+
+
+@pytest.fixture(scope="module")
+def nonlinear_case(nonlinear_plant):
+    data = QuadraticLyapunovData(p1=np.eye(1), p2=np.eye(1),
+                                 alpha1_bar=1.0, alpha2=1.9, l_bar=1.5)
+    return nonlinear_plant, data, derive_constants(data)
+
+
+@pytest.fixture(scope="module")
+def demo_slope_oracle(demo_case):
+    spec, data, consts = demo_case
+    return {seed: scalar_slope_bound(spec, data, consts, DEMO_THETA, 0.02, 1.0,
+                                     12_500, seed)
+            for seed in range(100, 108)}
+
+
+def assert_report_equals_oracle(report, oracle):
+    assert [f.name for f in report.families] == list(FAMILY_NAMES)
+    for family in report.families:
+        slack, point = oracle[family.name]
+        assert family.worst_slack == slack, family.name  # bitwise
+        assert family.passed == (slack >= -1e-9)
+        if slack < -1e-9:
+            assert family.witness is not None
+            for got, want in zip(family.witness, point, strict=True):
+                assert np.array_equal(got, want), family.name
+        else:
+            assert family.witness is None
+
+
+class RecordingGenerator:
+    """Stub generator that logs its calls; its normal draws come from `normal`."""
+
+    def __init__(self, normal):
+        self.normal = normal
+        self.calls = []
+
+    def standard_normal(self, dim):
+        self.calls.append(("standard_normal", dim))
+        return self.normal(dim)
+
+    def uniform(self):
+        self.calls.append(("uniform",))
+        return 0.75
+
+
+class TestBatchedSampling:
+    def test_demo_flag_set_by_linear_plant(self, demo_case):
+        assert demo_case[0].batched
+        assert not replace(demo_case[0], batched=False).batched
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_slope_bound_equals_scalar_loop_on_demo(self, demo_case,
+                                                    demo_slope_oracle, batched):
+        # seed 104 is where norms rounded as (a * a).sum() lose the last bit
+        spec, data, consts = demo_case
+        spec = replace(spec, batched=batched)
+        for seed, oracle in demo_slope_oracle.items():
+            got = trigger_slope_bound(spec, data, consts, theta=DEMO_THETA,
+                                      rho=0.02, delta=1.0, n_samples=12_500,
+                                      seed=seed)
+            assert got == oracle, seed
+
+    def test_slope_bound_equals_scalar_loop_on_nonlinear_plant(self, nonlinear_case):
+        spec, data, consts = nonlinear_case
+        for seed in range(100, 108):
+            args = dict(theta=2.0, rho=0.02, delta=1.0, n_samples=3000, seed=seed)
+            assert (trigger_slope_bound(spec, data, consts, **args)
+                    == scalar_slope_bound(spec, data, consts, **args)), seed
+
+    def test_slope_bound_pinned(self, demo_case):
+        spec, data, consts = demo_case
+        assert trigger_slope_bound(spec, data, consts, theta=2, rho=0.02,
+                                   delta=1, n_samples=100_000,
+                                   seed=11) == 18.523360549710752
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_validate_equals_scalar_loop_on_demo(self, demo_case, batched):
+        spec, data, consts = demo_case
+        spec = replace(spec, batched=batched)
+        # at seed 559, gains rounded as numpy's s ** 2.0 instead of the
+        # scalar gain's libm pow move slow_iss's worst slack by 1 ulp
+        for seed, n in ((0, 10_000), (5, 10_000), (4242, 10_000), (559, 2000)):
+            report = validate_assumptions(spec, data, consts, n_samples=n,
+                                          box=10.0, seed=seed)
+            assert_report_equals_oracle(
+                report, scalar_validate(spec, data, consts, n, 10.0, seed))
+
+    def test_validate_witnesses_equal_scalar_loop(self, demo_case):
+        # halved constants fail several families: same decisions and the
+        # same first worst sample as the loop
+        spec, data, consts = demo_case
+        broken = replace(consts, beta1=consts.beta1 / 2.0,
+                         beta2=consts.beta2 / 2.0, alpha1=2.0 * consts.alpha1)
+        report = validate_assumptions(spec, data, broken, n_samples=4000,
+                                      box=10.0, seed=0)
+        assert not report.passed
+        assert_report_equals_oracle(
+            report, scalar_validate(spec, data, broken, 4000, 10.0, seed=0))
+
+    def test_validate_equals_scalar_loop_on_nonlinear_plant(self, nonlinear_case):
+        spec, data, consts = nonlinear_case
+        for box in (1.0, 3.0):
+            report = validate_assumptions(spec, data, consts, n_samples=3000,
+                                          box=box, seed=7)
+            assert_report_equals_oracle(
+                report, scalar_validate(spec, data, consts, 3000, box, 7))
+
+    def test_nan_slack_skipped_as_in_scalar_loop(self, nonlinear_case):
+        spec, data, consts = nonlinear_case
+        # NaN off the band |x| < 1: those samples never set a worst slack
+        nan_f = replace(spec, f=lambda x, z, u: (
+            spec.f(x, z, u) if abs(x[0]) < 1.0 else np.array([np.nan])))
+        report = validate_assumptions(nan_f, data, consts, n_samples=2000,
+                                      box=3.0, seed=1)
+        oracle = scalar_validate(nan_f, data, consts, 2000, 3.0, 1)
+        assert_report_equals_oracle(report, oracle)
+        assert math.isfinite(report.family("slow_iss").worst_slack)
+        args = dict(theta=2.0, rho=0.02, delta=1.0, n_samples=2000, seed=3)
+        assert (trigger_slope_bound(nan_f, data, consts, **args)
+                == scalar_slope_bound(nan_f, data, consts, **args))
+
+    def test_zero_samples(self, demo_case):
+        spec, data, consts = demo_case
+        with pytest.raises(CertificateError):
+            trigger_slope_bound(spec, data, consts, theta=DEMO_THETA, rho=0.02,
+                                delta=1.0, n_samples=0)
+        report = validate_assumptions(spec, data, consts, n_samples=0)
+        assert report.passed and report.n_samples == 0
+        for family in report.families:
+            assert family.worst_slack == math.inf and family.witness is None
+
+    def test_single_sample_at_tiny_box_equals_scalar_loop(self, demo_case):
+        spec, data, consts = demo_case
+        report = validate_assumptions(spec, data, consts, n_samples=1,
+                                      box=1e-30, seed=0)
+        assert report.passed
+        assert_report_equals_oracle(
+            report, scalar_validate(spec, data, consts, 1, 1e-30, 0))
+
+    def test_draws_equal_sample_in_ball(self):
+        balls = ((2, 1.3), (1, 2.7), (3, 0.4))
+        rows = _draw_in_balls(np.random.default_rng(5), 500, balls)
+        rng = np.random.default_rng(5)
+        for i in range(500):
+            for sample, (dim, radius) in zip(rows, balls):
+                assert np.array_equal(sample[i], sample_in_ball(rng, dim, radius))
+
+    def test_level_filter_and_norms_round_as_scalar_loop(self, demo_case):
+        # the level filter compares x @ p @ x with the level, and the slope
+        # takes two norms: per row, all three must round as the 1-D forms
+        p1, p2 = demo_case[1].p1, demo_case[1].p2
+        for seed in range(100, 108):
+            x, y, e = _draw_in_balls(np.random.default_rng(seed), 12_500,
+                                     ((2, 1.5), (1, 4.0), (2, 3.0)))
+            for rows, p in ((x, p1), (y, p2)):
+                assert np.array_equal(_quad_rows(rows, p),
+                                      [float(r @ p @ r) for r in rows])
+            assert np.array_equal(np.sqrt(_dot_rows(e, e)),
+                                  [float(np.linalg.norm(r)) for r in e])
+
+    @pytest.mark.parametrize("normal", [np.zeros, np.ones])
+    def test_draw_calls_equal_sample_in_ball(self, normal):
+        # a zero normal draw skips uniform(), as sample_in_ball does
+        balls = ((2, 1.0), (1, 3.0))
+        ours, theirs = RecordingGenerator(normal), RecordingGenerator(normal)
+        rows = _draw_in_balls(ours, 3, balls)
+        expected = [[sample_in_ball(theirs, dim, radius) for dim, radius in balls]
+                    for _ in range(3)]
+        assert ours.calls == theirs.calls
+        assert (("uniform",) in ours.calls) == (normal is np.ones)
+        for i in range(3):
+            for sample, want in zip(rows, expected[i]):
+                assert np.array_equal(sample[i], want)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("k", lambda spec: lambda xs: spec.k(xs).ravel()),
+        ("h", lambda spec: lambda x, u: spec.h(x, u).T),
+        ("f", lambda spec: lambda x, z, u: spec.f(x, z, u)[:, :1]),
+        ("dh_dx", lambda spec: lambda x, u: np.zeros((spec.n_x, spec.n_z))),
+    ])
+    def test_batched_map_of_wrong_shape_named(self, demo_case, name, bad):
+        spec, data, consts = demo_case
+        broken = replace(spec, **{name: bad(spec)})
+        with pytest.raises(DimensionError, match=f"batched plant map {name} gave"):
+            validate_assumptions(broken, data, consts, n_samples=50)

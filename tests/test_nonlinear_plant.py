@@ -8,22 +8,14 @@ import pytest
 
 from etcsim.certificates import LyapunovCertificate, QuadraticLyapunovData
 from etcsim.hybrid import HybridState, Termination
-from etcsim.plant import PlantSpec, apply_jump, check_root_consistency
+from etcsim.plant import apply_jump, check_root_consistency
 from etcsim.simulate import SolverConfig, integrate_arc
 from etcsim.triggers import PolicyKind, TriggerPolicy
 
 
 @pytest.fixture(scope="module")
-def plant():
-    return PlantSpec(
-        n_x=1, n_z=1, n_u=1,
-        f=lambda x, z, u: np.array([-x[0] ** 3 - x[0] + z[0]]),
-        g=lambda x, z, u: u - z,
-        h=lambda x, u: np.array([u[0]]),
-        dh_dx=lambda x, u: np.zeros((1, 1)),
-        k=lambda xs: np.array([-0.5 * xs[0]]),
-        epsilon=0.02,
-    )
+def plant(nonlinear_plant):
+    return nonlinear_plant
 
 
 @pytest.fixture(scope="module")

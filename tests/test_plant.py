@@ -249,10 +249,69 @@ class TestReducedModels:
                                atol=1e-13)
 
 
+def scalar_root_consistency(spec, box, n_samples, seed):
+    """Reference for check_root_consistency: one sample at a time, one
+    uniform call per vector (the same stream as one call for all)."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_samples):
+        x = rng.uniform(-box, box, spec.n_x)
+        u = rng.uniform(-box, box, spec.n_u)
+        h_val = np.asarray(spec.h(x, u), dtype=float).reshape(-1)
+        resid = np.asarray(spec.g(x, h_val, u), dtype=float).reshape(-1)
+        worst = max(worst, float(np.max(np.abs(resid))) if resid.size else 0.0)
+    return worst
+
+
 class TestInvariants:
     def test_root_consistency_sampled(self, spec):
         worst = check_root_consistency(spec, box=10.0, n_samples=10_000, seed=3)
         assert worst <= 1e-9
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_root_consistency_equals_scalar_loop(self, spec, batched):
+        # a two-state fast block, whose solved root leaves rounding residuals
+        two_fast = LinearPlantSpec(
+            a11=[[0.0, 1.0], [-1.0, -1.0]], a12=[[0.3, 0.1], [0.2, 0.5]],
+            a21=[[1.0, 0.3], [-0.7, 0.2]], a22=[[-3.0, 0.7], [0.4, -2.0]],
+            b1=[[0.0], [1.0]], b2=[[1.0], [0.3]], k_gain=[[-1.0, -0.5]],
+            epsilon=0.05)
+        for plant in (spec, two_fast.as_plant_spec()):
+            plant = replace(plant, batched=batched)
+            worst = check_root_consistency(plant, box=10.0, n_samples=10_000,
+                                           seed=3)
+            assert worst == scalar_root_consistency(plant, 10.0, 10_000, 3)
+            assert check_root_consistency(plant, n_samples=0) == 0.0
+        assert worst > 0.0
+
+    def test_root_consistency_skips_nan_samples_as_scalar_loop(self):
+        # residual 0.1 on x < 0, NaN on x > 0.5: the NaN samples never count
+        spec = PlantSpec(
+            n_x=1, n_z=1, n_u=1,
+            f=lambda x, z, u: -x + z,
+            g=lambda x, z, u: -z + u + (np.nan if x[0] > 0.5 else 0.0),
+            h=lambda x, u: u + (0.1 if x[0] < 0.0 else 0.0),
+            k=lambda xs: -xs,
+            epsilon=0.1,
+        )
+        assert scalar_root_consistency(spec, 1.0, 200, 0) == pytest.approx(0.1)
+        with pytest.raises(ConfigurationError, match="= 1.000e-01 > 1e-09"):
+            check_root_consistency(spec, box=1.0, n_samples=200, seed=0)
+        assert check_root_consistency(spec, box=1.0, n_samples=200, seed=0,
+                                      tol=1.0) == scalar_root_consistency(
+                                          spec, 1.0, 200, 0)
+
+    def test_batched_plant_without_jacobian_rejected(self):
+        # the finite-difference dh_dx default takes one sample, not a stack
+        with pytest.raises(ConfigurationError, match="batched plant needs"):
+            PlantSpec(n_x=1, n_z=1, n_u=1, f=lambda x, z, u: -x + z,
+                      g=lambda x, z, u: -z + u, h=lambda x, u: u,
+                      k=lambda xs: -xs, epsilon=0.1, batched=True)
+
+    def test_batched_root_map_of_wrong_shape_named(self, spec):
+        broken = replace(spec, g=lambda x, z, u: spec.g(x, z, u).ravel())
+        with pytest.raises(DimensionError, match="batched plant map g gave"):
+            check_root_consistency(broken, n_samples=10)
 
     def test_two_timescale_eigenvalue_scaling(self, lin):
         def fast_rate(eps):

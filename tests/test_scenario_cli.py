@@ -122,6 +122,27 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload == {"cells": 2, "errors": 0}
 
+    def test_sweep_json_writes_non_finite_grid_value_as_null(self, tmp_path,
+                                                             capsys):
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(scenario_dict()))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text('{"epsilon": [NaN, 0.02]}')
+        out = tmp_path / "out"
+        assert main(["sweep", str(scenario_path), "--grid", str(grid_path),
+                     "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"cells": 2, "errors": 1}
+
+        def reject(name):
+            raise ValueError(f"sweep.json holds the bare constant {name}")
+
+        result = json.loads((out / "sweep.json").read_text(),
+                            parse_constant=reject)
+        assert result["axes"] == {"epsilon": [None, 0.02]}
+        assert [c["point"] for c in result["cells"]] == [{"epsilon": None},
+                                                         {"epsilon": 0.02}]
+        assert "ConfigurationError" in result["cells"][0]["error"]
+
     def test_demo_zeno(self, tmp_path, capsys):
         out = tmp_path / "zeno"
         assert main(["demo", "zeno", "--out", str(out)]) == 0
