@@ -53,19 +53,15 @@ SLACK_TOL = -1e-9
 
 def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
     """Uniform sample from the closed ball of the given radius."""
-    v = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        return np.zeros(dim)
-    r = radius * rng.uniform() ** (1.0 / dim)
-    return v * (r / norm)
+    return _draw_in_balls(rng, 1, ((dim, radius),))[0][0]
 
 
 def _draw_in_balls(rng: np.random.Generator, n_samples: int,
                    balls: tuple[tuple[int, float], ...]) -> list[np.ndarray]:
-    """(n_samples, dim) rows per (dim, radius) ball, with the generator calls
-    and scalar arithmetic of sample_in_ball, sample by sample and ball by
-    ball; only the scaling of each row by r / norm is done per batch."""
+    """(n_samples, dim) uniform rows per (dim, radius) ball, drawn sample by
+    sample and ball by ball: a standard normal direction v, then, unless v
+    is zero, the scale radius * random() ** (1 / dim) / |v|. Only the
+    scaling of each row is done per batch; a zero v stays a zero row."""
     raw = [np.zeros((n_samples, dim)) for dim, _ in balls]
     scale = [np.zeros(n_samples) for _ in balls]
     for i in range(n_samples):
@@ -73,7 +69,7 @@ def _draw_in_balls(rng: np.random.Generator, n_samples: int,
             v = rows[i] = rng.standard_normal(dim)
             norm = math.sqrt(v.dot(v))
             if norm != 0.0:
-                factor[i] = radius * rng.uniform() ** (1.0 / dim) / norm
+                factor[i] = radius * rng.random() ** (1.0 / dim) / norm
     return [np.multiply(rows, factor[:, None], out=rows) for rows, factor in zip(raw, scale)]
 
 

@@ -22,6 +22,7 @@ from .certificates import (
     select_analysis_parameters,
 )
 from .errors import EtcsimError
+from .hybrid import write_json
 from .scenario import load_scenario_file
 from .simulate import integrate_arc
 
@@ -33,9 +34,7 @@ def _write_arc(arc, policy, event_tol, outdir: Path, prefix: str = "arc") -> dic
     arc.to_csv(outdir / f"{prefix}.csv")
     arc.events_to_json(outdir / f"{prefix}_events.json")
     summary = summarize_arc(arc, policy, event_tol).to_dict()
-    with open(outdir / f"{prefix}_summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    write_json(outdir / f"{prefix}_summary.json", summary)
     return summary
 
 
@@ -63,23 +62,20 @@ def _cmd_certify(args) -> int:
         consts, sigma, t_star=float(t_star) if t_star is not None else None,
         mode=mode,
     )
-    eps_kwargs = {}
-    if mode == "dwell":
-        eps_kwargs = {"d": params.d_weight, "dwell_ode": params.dwell_ode}
-    params = params.with_epsilon_star(
-        epsilon_star_search(consts, sigma, params.mu, mode, **eps_kwargs))
+    params = params.with_epsilon_star(epsilon_star_search(
+        consts, sigma, params.mu, mode, d=params.d_weight,
+        dwell_ode=params.dwell_ode))
     report = {
         "constants": consts.to_dict(),
         "dwell_bound": params.dwell_bound,
         "feasible_t_star_range": [0.0, params.dwell_bound],
         "parameters": params.to_dict(),
     }
-    text = json.dumps(report, indent=2)
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "certificate.json").write_text(text + "\n")
-    print(text)
+        write_json(outdir / "certificate.json", report)
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -91,9 +87,7 @@ def _cmd_sweep(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     result.to_csv(outdir / "sweep.csv")
-    with open(outdir / "sweep.json", "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2)
-        fh.write("\n")
+    write_json(outdir / "sweep.json", result.to_dict())
     errors = sum(1 for c in result.cells if c.error is not None)
     print(json.dumps({"cells": len(result.cells), "errors": errors}))
     return 0
@@ -122,9 +116,7 @@ def _cmd_demo(args) -> int:
             "final_norm_time_regularized": result.final_norm_a,
             "final_norm_periodic": result.final_norm_b,
         }
-        with open(outdir / "comparison.json", "w") as fh:
-            json.dump(comparison, fh, indent=2)
-            fh.write("\n")
+        write_json(outdir / "comparison.json", comparison)
         print(json.dumps(comparison))
         return 0
     sc = demo_mod.demo_scenario(name)

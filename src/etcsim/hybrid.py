@@ -73,6 +73,13 @@ def record_dict(record, skip: tuple[str, ...] = ()) -> dict:
             if getattr(record, f.name) is not None and f.name not in skip}
 
 
+def write_json(path, obj) -> None:
+    """Write obj as every JSON file of the package: indent 2, final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
+
+
 def _json_value(value):
     if is_dataclass(value):
         return record_dict(value)
@@ -247,20 +254,17 @@ class HybridArc:
 
     def append_flow_sample(self, t: float, q: HybridState,
                            monitors: Optional[MonitorValues] = None) -> "HybridArc":
-        """Append a flow sample at time t with the current jump count."""
+        """Append a flow sample at time t with the current jump count.
+
+        t must be later than the last sample's time, also right after a
+        jump: (t, j) pairs strictly increase, as check_ordering asserts.
+        """
         self._check_state(q)
         if not math.isfinite(t):
             raise OrderingError(f"sample time must be finite, got {t}")
-        if self._n:
-            t_last, *_, is_jump = self._table[self._n - 1].tolist()
-            if t < t_last:
-                raise OrderingError(
-                    f"flow sample at t={t} precedes current arc time {t_last}"
-                )
-            if t == t_last and is_jump == 0:
-                raise OrderingError(
-                    f"flow must advance t strictly between jumps (t={t})"
-                )
+        if self._n and t <= self._table[self._n - 1, 0]:
+            raise OrderingError(f"flow sample at t={t} does not advance past "
+                                f"arc time {self._table[self._n - 1, 0]}")
         self._append_row(t, self.jump_count, q.as_vector(), q.tau,
                          astuple(monitors or MonitorValues()), is_jump=False)
         return self
@@ -397,7 +401,5 @@ class HybridArc:
                    header=",".join(self.csv_header()), comments="")
 
     def events_to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump([ev.to_dict() for ev in self.events], fh, indent=2)
-            fh.write("\n")
+        write_json(path, [ev.to_dict() for ev in self.events])
 

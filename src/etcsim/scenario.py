@@ -109,11 +109,9 @@ def load_scenario(cfg: dict) -> Scenario:
             mode=mode,
         )
         if ana.get("epsilon_star", True):
-            eps_kwargs = {}
-            if mode == "dwell":
-                eps_kwargs = {"d": params.d_weight, "dwell_ode": params.dwell_ode}
             params = params.with_epsilon_star(epsilon_star_search(
-                cert.constants, sigma, params.mu, mode, **eps_kwargs))
+                cert.constants, sigma, params.mu, mode, d=params.d_weight,
+                dwell_ode=params.dwell_ode))
     return Scenario(plant=plant, policy=policy, solver=solver,
                     initial=dict(cfg["initial"]), cert=cert, params=params)
 

@@ -16,6 +16,7 @@ so it is carried exactly as time since the last transmission.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -100,13 +101,14 @@ class SolverConfig:
     max_step_factor caps the step at factor * epsilon so the fast layer is
     resolved; scenarios with extremely small certified epsilon may relax it
     and rely on the embedded error control instead. fast_floor, when
-    positive, snaps fast-state components below it to zero at accepted
-    steps: used when the boundary layer decays below the absolute
-    tolerance, where the error controller would otherwise keep the step
-    size pinned to the fast scale forever (the committed error is below
-    abs_tol by construction). store_stride thins stored flow samples; both
-    sides of every jump and the final state are always stored. The first
-    step is min(max_step, epsilon, horizon).
+    positive, snaps nonzero fast-state components below it to zero at
+    every landed point (event point or step end): used when the boundary
+    layer decays below the absolute tolerance, where the error controller
+    would otherwise keep the step size pinned to the fast scale forever
+    (the committed error is below abs_tol by construction). store_stride
+    thins stored flow samples; both sides of every jump and the final
+    state are always stored. The first step is min(max_step, epsilon,
+    horizon).
     """
 
     rel_tol: float = 1e-8
@@ -296,10 +298,15 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     """Reference integration of plant; a LinearPlantSpec flows through
     as_plant_spec(), and every jump is apply_jump(q_pre, plant).
 
-    m is the trigger margin of the current point (initial, post-jump, event
-    or accepted step), evaluated once: it decides the eager jump, starts the
-    event bracket and is stored. Flow rows go straight to arc._append_row
-    (no HybridState); the arc's (t, j) ordering is checked once, at the end.
+    Each accepted step lands on one point: the localized event, or else the
+    step end. Both go through the same block: fast_floor snaps the point,
+    k1 is recomputed unless it is the unsnapped step end (FSAL), and the
+    margin m is evaluated once. m decides the eager jump, starts the next
+    event bracket and is stored. A landed point is stored if it is an
+    event, the stride is reached, it is on the horizon or a clock boundary,
+    m >= 0, or the step end diverged. Flow rows go straight to
+    arc._append_row (no HybridState); the arc's (t, j) ordering is checked
+    once, at the end.
     """
     spec = plant.as_plant_spec() if isinstance(plant, LinearPlantSpec) else plant
     n_x, n_y = spec.n_x, spec.n_z
@@ -335,12 +342,16 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                         MonitorValues(*monitors(s_post, q_post.tau, m_post)))
         return s_post, m_post
 
+    def diverged(s_now: np.ndarray) -> bool:
+        sq_norm = float(np.dot(s_now, s_now))
+        return not math.isfinite(sq_norm) or sq_norm > DIVERGENCE_NORM**2
+
     s = q0.as_vector()
     tau = q0.tau if q0.tau is not None else 0.0
     t = 0.0
     m = ev.margin(s, tau)
     steps_since_store = 0
-    jump_ring: list[float] = []
+    jump_ring: deque[float] = deque(maxlen=cfg.zeno_max_jumps + 1)
     store(t, s, tau, m)
 
     termination: Optional[Termination] = None
@@ -349,19 +360,18 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     ceiling = ev.clock_ceiling()
 
     while termination is None:
-        # Eager jumps: fire while the state sits in the jump set.
+        # Eager jumps: fire while the state sits in the jump set; the Zeno
+        # guard stops after zeno_max_jumps + 1 jumps within zeno_window.
         jumped = False
         while m >= 0.0:
             jump_ring.append(t)
-            if len(jump_ring) > cfg.zeno_max_jumps:
-                if t - jump_ring[0] <= cfg.zeno_window:
-                    s, m = record_jump(s, tau, m)
-                    termination = Termination.ZENO_GUARD
-                    break
-                jump_ring.pop(0)
             s, m = record_jump(s, tau, m)
             tau = 0.0
             jumped = True
+            if (len(jump_ring) == jump_ring.maxlen
+                    and t - jump_ring[0] <= cfg.zeno_window):
+                termination = Termination.ZENO_GUARD
+                break
         if termination is not None:
             break
         if jumped:
@@ -370,8 +380,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         if t >= cfg.horizon:
             termination = Termination.HORIZON
             break
-        sq_norm = float(np.dot(s, s))
-        if not math.isfinite(sq_norm) or sq_norm > DIVERGENCE_NORM**2:
+        if diverged(s):
             termination = Termination.DIVERGENCE
             break
 
@@ -408,11 +417,8 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                 break
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 
-        t1 = t + h
-        tau1 = ceiling if clamped_clock else tau + h
-        if cfg.horizon - t1 <= 0.0:
-            t1 = min(t1, cfg.horizon)
-        dense = _DenseSegment(t, h, s.copy(), stages)
+        t1 = min(t + h, cfg.horizon)
+        dense = _DenseSegment(t, h, s, stages)
 
         # Event bracketing on the accepted step: endpoints plus midpoint.
         def margin_at(tq: float) -> float:
@@ -425,48 +431,34 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                     t_event = locate_event(margin_at, t, t_probe, cfg.event_tol)
                     break
 
-        if t_event is not None:
-            s = dense(t_event)
-            # A localized event at the end of a clock-clamped step IS the
-            # boundary; assign it exactly so the jump test cannot miss it
-            # by one rounding of the accumulated clock.
-            if clamped_clock and t_event == t1:
-                tau = ceiling
-            else:
-                tau = tau + (t_event - t)
-            t = t_event
-            if cfg.fast_floor > 0.0:
-                y_part = s[n_x:n_x + n_y]
-                y_part[np.abs(y_part) < cfg.fast_floor] = 0.0
-            m = ev.margin(s, tau)
-            store(t, s, tau, m)
-            k1 = rhs(s)
-            steps_since_store = 0
-            continue
-
-        s = s1
-        t = t1
-        tau = tau1
-        k1 = stages[6]
-        h = h * factor
-        if cfg.fast_floor > 0.0:
+        # Land on the event point or the step end. A localized event at the
+        # end of a clock-clamped step IS the boundary; its clock is assigned
+        # exactly so the jump test cannot miss it by one rounding.
+        if t_event is None:
+            tau = ceiling if clamped_clock else tau + h
+            s, t, k1 = s1, t1, stages[6]
+            h *= factor
+        else:
+            at_ceiling = clamped_clock and t_event == t1
+            tau = ceiling if at_ceiling else tau + (t_event - t)
+            s, t, k1 = dense(t_event), t_event, None
+        if cfg.fast_floor > 0.0:  # s is a fresh array: snap it in place
             y_part = s[n_x:n_x + n_y]
-            if np.any((np.abs(y_part) < cfg.fast_floor) & (y_part != 0.0)):
-                s = s.copy()
-                s[n_x:n_x + n_y][np.abs(s[n_x:n_x + n_y]) < cfg.fast_floor] = 0.0
-                k1 = rhs(s)
-        sq_norm = float(np.dot(s, s))
-        diverged = not math.isfinite(sq_norm) or sq_norm > DIVERGENCE_NORM**2
+            small = np.abs(y_part) < cfg.fast_floor
+            if np.any(small & (y_part != 0.0)):
+                y_part[small] = 0.0
+                k1 = None
+        if k1 is None:
+            k1 = rhs(s)
+        m = ev.margin(s, tau)
+        blown_up = t_event is None and diverged(s)
         steps_since_store += 1
-        m = ev.margin(s, tau)  # finite: s1 passed the check in the step loop
-        at_boundary = diverged or t >= cfg.horizon or clamped_clock or m >= 0.0
-        if steps_since_store >= cfg.store_stride or at_boundary:
-            if np.all(np.isfinite(s)):
-                store(t, s, tau, m)
+        if (t_event is not None or steps_since_store >= cfg.store_stride
+                or blown_up or t >= cfg.horizon or clamped_clock or m >= 0.0):
+            store(t, s, tau, m)
             steps_since_store = 0
-        if diverged:
+        if blown_up:
             termination = Termination.DIVERGENCE
-            break
 
     arc.check_ordering()
     arc.set_termination(termination)

@@ -1,14 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from etcsim.demo import demo_certification, demo_plant
 from etcsim.plant import PlantSpec
-
-# The eigenvalue cross-check of the 3x3 flow form is informational; keep
-# the suite output readable.
-warnings.filterwarnings("ignore", message=".*principal-minor and eigenvalue.*")
 
 
 @pytest.fixture(scope="session")

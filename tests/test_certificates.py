@@ -366,8 +366,18 @@ class TestTriggerSlopeBound:
 # -- Batched sampling against the one-sample-at-a-time loops -----------------
 #
 # scalar_validate and scalar_slope_bound are reference loops that draw and
-# evaluate one sample at a time, with sample_in_ball and 1-D arithmetic. They
-# live only here, as oracles: the batched samplers must equal them bitwise.
+# evaluate one sample at a time, with scalar_sample_in_ball and 1-D
+# arithmetic. They live only here, as oracles: the batched samplers must
+# equal them bitwise.
+
+def scalar_sample_in_ball(rng, dim, radius):
+    v = rng.standard_normal(dim)
+    norm = float(np.linalg.norm(v))
+    if norm == 0.0:
+        return np.zeros(dim)
+    r = radius * rng.uniform() ** (1.0 / dim)
+    return v * (r / norm)
+
 
 def scalar_validate(spec, data, consts, n_samples, box, seed):
     rng = np.random.default_rng(seed)
@@ -435,9 +445,9 @@ def scalar_slope_bound(spec, data, consts, theta, rho, delta, n_samples, seed,
     e_max = 2.0 * x_max
     sup = 0.0
     for _ in range(n_samples):
-        x = sample_in_ball(rng, spec.n_x, x_max)
-        y = sample_in_ball(rng, spec.n_y, y_max)
-        e = sample_in_ball(rng, spec.n_x, e_max)
+        x = scalar_sample_in_ball(rng, spec.n_x, x_max)
+        y = scalar_sample_in_ball(rng, spec.n_y, y_max)
+        e = scalar_sample_in_ball(rng, spec.n_x, e_max)
         if float(x @ p1 @ x) > level or float(y @ p2 @ y) > level:
             continue
         u = np.asarray(spec.k(x + e), dtype=float).reshape(-1)
@@ -498,8 +508,8 @@ class RecordingGenerator:
         self.calls.append(("standard_normal", dim))
         return self.normal(dim)
 
-    def uniform(self):
-        self.calls.append(("uniform",))
+    def random(self):
+        self.calls.append(("random",))
         return 0.75
 
 
@@ -598,12 +608,15 @@ class TestBatchedSampling:
             report, scalar_validate(spec, data, consts, 1, 1e-30, 0))
 
     def test_draws_equal_sample_in_ball(self):
+        # random() returns the doubles uniform() does, one call faster
         balls = ((2, 1.3), (1, 2.7), (3, 0.4))
         rows = _draw_in_balls(np.random.default_rng(5), 500, balls)
-        rng = np.random.default_rng(5)
+        ours, oracle = np.random.default_rng(5), np.random.default_rng(5)
         for i in range(500):
             for sample, (dim, radius) in zip(rows, balls):
-                assert np.array_equal(sample[i], sample_in_ball(rng, dim, radius))
+                want = scalar_sample_in_ball(oracle, dim, radius)
+                assert np.array_equal(sample[i], want)
+                assert np.array_equal(sample_in_ball(ours, dim, radius), want)
 
     def test_level_filter_and_norms_round_as_scalar_loop(self, demo_case):
         # the level filter compares x @ p @ x with the level, and the slope
@@ -620,14 +633,17 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("normal", [np.zeros, np.ones])
     def test_draw_calls_equal_sample_in_ball(self, normal):
-        # a zero normal draw skips uniform(), as sample_in_ball does
+        # a zero normal draw skips random(), as sample_in_ball does
         balls = ((2, 1.0), (1, 3.0))
         ours, theirs = RecordingGenerator(normal), RecordingGenerator(normal)
         rows = _draw_in_balls(ours, 3, balls)
         expected = [[sample_in_ball(theirs, dim, radius) for dim, radius in balls]
                     for _ in range(3)]
-        assert ours.calls == theirs.calls
-        assert (("uniform",) in ours.calls) == (normal is np.ones)
+        one_sample = [("standard_normal", 2), ("random",),
+                      ("standard_normal", 1), ("random",)]
+        if normal is np.zeros:
+            one_sample = [("standard_normal", 2), ("standard_normal", 1)]
+        assert ours.calls == theirs.calls == 3 * one_sample
         for i in range(3):
             for sample, want in zip(rows, expected[i]):
                 assert np.array_equal(sample[i], want)

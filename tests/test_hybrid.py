@@ -113,6 +113,16 @@ class TestHybridArc:
         with pytest.raises(OrderingError):
             arc.append_flow_sample(1.0, state())
 
+    def test_flow_cannot_repeat_time_after_jump(self):
+        # (1.0, 1) is the post-jump row's pair already
+        arc = HybridArc(2, 1)
+        q = state()
+        arc.append_flow_sample(1.0, q)
+        arc.append_jump(q, q, reason="threshold")
+        with pytest.raises(OrderingError):
+            arc.append_flow_sample(1.0, q)
+        arc.check_ordering()
+
     def test_ordering_check_passes(self):
         arc = HybridArc(2, 1)
         q = state()

@@ -10,6 +10,7 @@ from etcsim.errors import ConfigurationError, OrderingError
 from etcsim.hybrid import HybridArc, HybridState, Termination
 from etcsim.plant import apply_jump
 from etcsim.simulate import (
+    DIVERGENCE_NORM,
     SolverConfig,
     build_hybrid_system,
     integrate_arc,
@@ -69,6 +70,26 @@ class TestZeno:
         assert arc.jump_count >= 1000
         assert arc.elapsed_time() == 0.0
         assert np.all(arc.t == 0.0)
+
+    def test_guard_stops_at_max_jumps_plus_one(self, certn):
+        sc = demo_scenario("zeno")
+        cfg = replace(sc.solver, zeno_max_jumps=5)
+        arc = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert)
+        assert arc.termination is Termination.ZENO_GUARD
+        assert arc.jump_count == 6
+
+    @pytest.mark.parametrize("window, tripped", [(0.06, True), (0.04, False)])
+    def test_guard_trips_only_within_window(self, window, tripped):
+        # six periodic jumps span 0.05
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.01)
+        cfg = SolverConfig(horizon=0.2, zeno_max_jumps=5, zeno_window=window)
+        arc = integrate_arc(demo_plant(0.05), policy, _q0(), cfg)
+        if tripped:
+            assert arc.termination is Termination.ZENO_GUARD
+            assert arc.jump_count == 6
+        else:
+            assert arc.termination is Termination.HORIZON
+            assert arc.jump_count == 19
 
     def test_eager_first_action_from_jump_set(self, certn):
         # any state on the naive surface jumps before flowing
@@ -344,6 +365,46 @@ class TestDivergence:
         arc = integrate_arc(unstable, policy, _q0(), cfg)
         assert arc.termination is Termination.DIVERGENCE
         assert np.linalg.norm(arc.final_state().as_vector()) > 1e11
+
+    def test_diverged_point_is_stored(self):
+        # the stride would skip it: the divergence itself makes it stored
+        plant = demo_plant(0.05)
+        unstable = replace(plant, a11=np.array([[2.0, 0.0], [0.0, 2.0]]))
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=1e6)
+        cfg = SolverConfig(horizon=100.0, rel_tol=1e-6, abs_tol=1e-9,
+                           store_stride=10_000)
+        arc = integrate_arc(unstable, policy, _q0(), cfg)
+        assert arc.termination is Termination.DIVERGENCE
+        assert arc.is_jump[-1] == 0
+        assert np.linalg.norm(arc.states[-1]) > DIVERGENCE_NORM
+        assert arc.t[-1] < cfg.horizon
+
+
+class TestFastFloor:
+    def _landed_fast_components(self, arc):
+        # every stored flow row after the initial one is a landed point
+        return np.abs(arc.y[1:][arc.is_jump[1:] == 0])
+
+    def test_dwell_run_snaps_below_floor(self, certn):
+        sc = demo_scenario("dwell")
+        cfg = replace(sc.solver, horizon=2.0, store_stride=1)
+        arc = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert,
+                            params=certn.dwell)
+        assert arc.jump_count >= 2
+        y = self._landed_fast_components(arc)
+        assert np.any(y == 0.0)
+        assert np.all((y == 0.0) | (y >= cfg.fast_floor))
+
+    def test_event_points_snapped_as_step_ends(self):
+        # with a period below the step cap many landed points are event
+        # points, and at some of them |y| has decayed below this floor
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.005)
+        cfg = SolverConfig(horizon=1.0, fast_floor=5e-3)
+        arc = integrate_arc(demo_plant(0.02), policy, _q0(), cfg)
+        assert arc.jump_count == 199
+        y = self._landed_fast_components(arc)
+        assert np.any(y == 0.0)
+        assert np.all((y == 0.0) | (y >= cfg.fast_floor))
 
 
 class TestHybridSystemInterface:
