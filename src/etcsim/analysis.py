@@ -9,7 +9,7 @@ residual ball reached under a dead-zone trigger.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -18,7 +18,7 @@ from .certificates import AnalysisParameters, LyapunovCertificate
 from .errors import ConfigurationError, EtcsimError, InsufficientDataError
 from .hybrid import HybridArc, HybridState, Termination, record_dict
 from .simulate import SolverConfig, integrate_arc
-from .triggers import PolicyKind, TriggerPolicy
+from .triggers import TriggerPolicy
 
 __all__ = [
     "ArcSummary",
@@ -46,8 +46,7 @@ def inter_event_times(arc: HybridArc, policy: Optional[TriggerPolicy] = None,
     """
     times = arc.jump_times()
     durations = np.diff(times) if times.size >= 2 else np.empty(0)
-    if (policy is not None and policy.kind is PolicyKind.TIME_REGULARIZED
-            and durations.size):
+    if policy is not None and policy.requires_clock and durations.size:
         floor = policy.t_star - 2.0 * event_tol
         worst = float(durations.min())
         if worst < floor:
@@ -87,9 +86,6 @@ class EnvelopeFit:
     violation_fraction: float
     n_used: int
     degenerate: bool = False
-
-    def to_dict(self) -> dict:
-        return record_dict(self)
 
 
 def fit_envelope(arc: HybridArc, mode: str = "practical") -> EnvelopeFit:
@@ -231,7 +227,8 @@ def summarize_arc(arc: HybridArc, policy: Optional[TriggerPolicy] = None,
 # Parameter sweeps
 # ---------------------------------------------------------------------------
 
-_SWEEP_AXES = ("epsilon", "rho", "sigma", "t_star", "period", "seed")
+_POLICY_AXES = tuple(f.name for f in fields(TriggerPolicy) if f.name != "kind")
+_SWEEP_AXES = ("epsilon", *_POLICY_AXES, "seed")
 
 
 @dataclass(frozen=True)
@@ -239,9 +236,6 @@ class SweepCell:
     point: dict
     summary: Optional[ArcSummary] = None
     error: Optional[str] = None
-
-    def to_dict(self) -> dict:
-        return record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -254,10 +248,10 @@ class SweepResult:
 
     def to_csv(self, path) -> None:
         axis_names = list(self.axes)
-        fields = ["jump_count", "min_iet", "mean_iet", "final_xy_norm",
-                  "ball_radius_estimate", "termination"]
+        columns = ["jump_count", "min_iet", "mean_iet", "final_xy_norm",
+                   "ball_radius_estimate", "termination"]
         with open(path, "w", newline="") as fh:
-            fh.write(",".join(axis_names + fields + ["error"]) + "\n")
+            fh.write(",".join(axis_names + columns + ["error"]) + "\n")
             for cell in self.cells:
                 row = [repr(cell.point[a]) for a in axis_names]
                 if cell.summary is not None:
@@ -266,7 +260,7 @@ class SweepResult:
                             f"{s.mean_iet:.17g}", f"{s.final_xy_norm:.17g}",
                             f"{s.ball_radius_estimate:.17g}", s.termination]
                 else:
-                    row += [""] * len(fields)
+                    row += [""] * len(columns)
                 row.append(cell.error or "")
                 fh.write(",".join(row) + "\n")
 
@@ -308,12 +302,8 @@ def _run_cell(scenario, point: dict, index: int) -> SweepCell:
     plant = scenario.plant
     if "epsilon" in point:
         plant = plant.with_epsilon(float(point["epsilon"]))
-    policy_kwargs = {}
-    for name in ("rho", "sigma", "t_star", "period"):
-        if name in point:
-            policy_kwargs[name] = float(point[name])
-    policy = (replace(scenario.policy, **policy_kwargs)
-              if policy_kwargs else scenario.policy)
+    policy = replace(scenario.policy, **{name: float(point[name])
+                                         for name in _POLICY_AXES if name in point})
     seed = int(point.get("seed", scenario.solver.seed + index))
     solver = replace(scenario.solver, seed=seed)
     q0 = build_initial_state(scenario.initial, plant, policy, seed)

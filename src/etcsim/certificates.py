@@ -24,6 +24,7 @@ from scipy.integrate import solve_ivp
 from .errors import (
     CertificateError,
     CertificateInfeasibleError,
+    ConfigurationError,
     InfeasibleDwellError,
 )
 from .hybrid import record_dict
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 SLACK_TOL = -1e-9
+# Rows drawn and evaluated at once by the sampled checks: bounds their
+# memory, and every result equals the one-draw result bitwise.
+_SAMPLE_CHUNK = 2048
 
 
 def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
@@ -148,6 +152,9 @@ class QuadraticLyapunovData:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "QuadraticLyapunovData":
+        missing = [f.name for f in fields(cls) if f.name not in cfg]
+        if missing:
+            raise ConfigurationError(f"Lyapunov data is missing fields: {missing}")
         return cls(**{f.name: cfg[f.name] for f in fields(cls)})
 
     def to_dict(self) -> dict:
@@ -801,19 +808,10 @@ class AssumptionReport:
         raise KeyError(name)
 
 
-def validate_assumptions(spec: PlantSpec, data: QuadraticLyapunovData,
-                         consts: AssumptionConstants, n_samples: int = 10_000,
-                         box: float = 10.0, seed: int = 0) -> AssumptionReport:
-    """Check every assumption inequality on random samples in a box.
-
-    Samples (x, y, e) uniformly in [-box, box]^dim and evaluates the six
-    inequality families with the supplied constants; each family must keep
-    its worst slack above -1e-9. A violating family carries the witness
-    point that achieved the worst slack.
-    """
-    n_x, n_y = spec.n_x, spec.n_y
-    draws = np.random.default_rng(seed).uniform(-box, box, (n_samples, 2 * n_x + n_y))
-    x, y, e = np.split(draws, [n_x, n_x + n_y], axis=1)
+def _assumption_slacks(spec: PlantSpec, data: QuadraticLyapunovData,
+                       consts: AssumptionConstants, x: np.ndarray, y: np.ndarray,
+                       e: np.ndarray) -> dict:
+    """Slack of each inequality family per (x, y, e) row; NaN where none."""
     p1, p2 = data.p1, data.p2
     u = _batch_map(spec, "k", x + e)
     h_held = _batch_map(spec, "h", x, u)
@@ -834,7 +832,7 @@ def validate_assumptions(spec: PlantSpec, data: QuadraticLyapunovData,
         error_growth = (consts.m_err * e_norm
                         + consts.n_err * (np.sqrt(v_x) + np.sqrt(v_y))
                         + _dot_rows(e, f_x) / e_norm)
-    slacks = {
+    return {
         "slow_iss": -consts.alpha1 * v_x + g1_e - _dot_rows(grad_vx, f_s),
         "fast_decay": -consts.alpha2 * v_y - _dot_rows(grad_vy, g_f),
         "coupling_slow": consts.beta1 * sqrt_vxy - _dot_rows(grad_vx, f_x - f_s),
@@ -845,17 +843,36 @@ def validate_assumptions(spec: PlantSpec, data: QuadraticLyapunovData,
                         - _quad_rows(y + h_held - h_fresh, p2)),
         "error_growth": np.where(e_norm > 0.0, error_growth, np.nan),
     }
-    families = []
-    for name in FAMILY_NAMES:
-        # the first smallest slack, a NaN skipped as `slack < worst` skips it;
-        # the appended inf stands when no sample counts
-        slack = np.append(np.where(np.isnan(slacks[name]), math.inf, slacks[name]),
-                          math.inf)
-        i = int(np.argmin(slack))
-        witness = (x[i].copy(), y[i].copy(), e[i].copy()) if slack[i] < SLACK_TOL else None
-        families.append(FamilyResult(name=name, worst_slack=float(slack[i]),
-                                     witness=witness))
-    return AssumptionReport(families=tuple(families), n_samples=n_samples, box=box)
+
+
+def validate_assumptions(spec: PlantSpec, data: QuadraticLyapunovData,
+                         consts: AssumptionConstants, n_samples: int = 10_000,
+                         box: float = 10.0, seed: int = 0) -> AssumptionReport:
+    """Check every assumption inequality on random samples in a box.
+
+    Samples (x, y, e) uniformly in [-box, box]^dim and evaluates the six
+    inequality families with the supplied constants; each family must keep
+    its worst slack above -1e-9. A violating family carries the witness
+    point that achieved the worst slack. Samples are drawn and evaluated
+    in chunks of _SAMPLE_CHUNK rows, in the order one draw would give.
+    """
+    n_x, n_y = spec.n_x, spec.n_y
+    rng = np.random.default_rng(seed)
+    # (worst slack, its sample) per family; inf stands when no sample counts
+    worst = {name: (math.inf, None) for name in FAMILY_NAMES}
+    for start in range(0, n_samples, _SAMPLE_CHUNK):
+        rows = min(_SAMPLE_CHUNK, n_samples - start)
+        draws = rng.uniform(-box, box, (rows, 2 * n_x + n_y))
+        x, y, e = np.split(draws, [n_x, n_x + n_y], axis=1)
+        for name, slack in _assumption_slacks(spec, data, consts, x, y, e).items():
+            # the first smallest slack, a NaN skipped as `slack < worst` skips it
+            slack = np.where(np.isnan(slack), math.inf, slack)
+            i = int(np.argmin(slack))
+            if slack[i] < worst[name][0]:
+                worst[name] = (float(slack[i]), (x[i].copy(), y[i].copy(), e[i].copy()))
+    families = tuple(FamilyResult(name, slack, point if slack < SLACK_TOL else None)
+                     for name, (slack, point) in worst.items())
+    return AssumptionReport(families=families, n_samples=n_samples, box=box)
 
 
 def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
@@ -881,15 +898,17 @@ def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
     y_max = math.sqrt(level / lmin2)
     e_max = 2.0 * x_max
 
-    x, y, e = _draw_in_balls(rng, n_samples, ((spec.n_x, x_max), (spec.n_y, y_max),
-                                              (spec.n_x, e_max)))
-    inside = ~((_quad_rows(x, p1) > level) | (_quad_rows(y, p2) > level))
-    x, y, e = x[inside], y[inside], e[inside]
-    u = _batch_map(spec, "k", x + e)
-    f_x = _batch_map(spec, "f", x, y + _batch_map(spec, "h", x, u), u)
-    val = (_gain_rows(consts.gamma1.slope, np.sqrt(_dot_rows(e, e)))
-           * np.sqrt(_dot_rows(f_x, f_x)))
-    sup = float(np.fmax.reduce(val, initial=0.0))  # a NaN never raises sup
+    balls = ((spec.n_x, x_max), (spec.n_y, y_max), (spec.n_x, e_max))
+    sup = 0.0
+    for start in range(0, n_samples, _SAMPLE_CHUNK):
+        x, y, e = _draw_in_balls(rng, min(_SAMPLE_CHUNK, n_samples - start), balls)
+        inside = ~((_quad_rows(x, p1) > level) | (_quad_rows(y, p2) > level))
+        x, y, e = x[inside], y[inside], e[inside]
+        u = _batch_map(spec, "k", x + e)
+        f_x = _batch_map(spec, "f", x, y + _batch_map(spec, "h", x, u), u)
+        val = (_gain_rows(consts.gamma1.slope, np.sqrt(_dot_rows(e, e)))
+               * np.sqrt(_dot_rows(f_x, f_x)))
+        sup = float(np.fmax.reduce(val, initial=sup))  # a NaN never raises sup
     if sup <= 0.0:
         raise CertificateError("trigger slope supremum came out nonpositive")
     return inflation * sup

@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("demo", help="run a canned linear-demo scenario")
-    p.add_argument("name", choices=["zeno", "deadzone", "dwell", "compare"])
+    p.add_argument("name", choices=demo_mod.DEMO_SCENARIOS)
     p.add_argument("--out", default="out", help="output directory")
     p.set_defaults(func=_cmd_demo)
 

@@ -138,12 +138,10 @@ COMPARE_T_STAR_FRACTION = 0.25
 
 @dataclass(frozen=True)
 class DemoScenario:
-    name: str
     plant: LinearPlantSpec
     policy: TriggerPolicy
     solver: SolverConfig
     q0: HybridState
-    description: str
 
 
 def _deadzone_epsilon(certification: DemoCertification) -> float:
@@ -162,9 +160,7 @@ def demo_scenario(name: str) -> DemoScenario:
         solver = SolverConfig(horizon=1.0, zeno_max_jumps=1000,
                               zeno_window=1e-6)
         q0 = HybridState(x=np.zeros(2), y=np.zeros(1), e=np.zeros(2))
-        return DemoScenario(name, plant, policy, solver, q0,
-                            "naive trigger from the origin: the jump image "
-                            "lands back on the trigger surface")
+        return DemoScenario(plant, policy, solver, q0)
     if name == "deadzone":
         eps = _deadzone_epsilon(certification)
         plant = demo_plant(eps)
@@ -173,8 +169,7 @@ def demo_scenario(name: str) -> DemoScenario:
         solver = SolverConfig(horizon=DEADZONE_HORIZON)
         q0 = HybridState(x=np.array(DEADZONE_X0), y=np.array(DEADZONE_Y0),
                          e=np.zeros(2))
-        return DemoScenario(name, plant, policy, solver, q0,
-                            "dead-zone trigger at a certified epsilon")
+        return DemoScenario(plant, policy, solver, q0)
     if name == "dwell":
         params = certification.dwell
         eps = params.epsilon_star
@@ -194,9 +189,7 @@ def demo_scenario(name: str) -> DemoScenario:
         )
         q0 = HybridState(x=np.array(DEADZONE_X0), y=np.array(DEADZONE_Y0),
                          e=np.zeros(2), tau=0.0)
-        return DemoScenario(name, plant, policy, solver, q0,
-                            "dwell-clock trigger at the certified epsilon "
-                            "over the certified-rate horizon")
+        return DemoScenario(plant, policy, solver, q0)
     if name in ("compare", "compare_periodic"):
         # At a dwell time close to the admissible bound the state decays so
         # much per interval that the threshold is always met at the
@@ -216,8 +209,7 @@ def demo_scenario(name: str) -> DemoScenario:
             policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=t_shared)
             q0 = HybridState(x=np.array(DEADZONE_X0), y=np.array(DEADZONE_Y0),
                              e=np.zeros(2))
-        return DemoScenario(name, plant, policy, solver, q0,
-                            "transmission-count comparison leg")
+        return DemoScenario(plant, policy, solver, q0)
     raise KeyError(f"unknown demo scenario {name!r}")
 
 

@@ -11,7 +11,8 @@ A scenario JSON carries:
                  {"ball_radius": 1.0, "seed": 7},   # sampled |(x,y)| <= radius
       "lyapunov": {"p1": ..., "p2": ..., "alpha1_bar": ...,
                    "alpha2": ..., "l_bar": ...},    # optional: enables monitors
-      "analysis": {"mode": "dwell", "t_star": ...}   # optional: dwell monitors
+      "analysis": {"mode": "dwell", "sigma": ...,
+                   "t_star": ...}                   # optional: dwell monitors
     }
 
 Matrix entries are row-major nested lists. The sampled initial condition
@@ -100,6 +101,9 @@ def load_scenario(cfg: dict) -> Scenario:
         if cert is None:
             raise ConfigurationError("analysis section needs a lyapunov section")
         ana = cfg["analysis"]
+        unknown = set(ana) - {"mode", "sigma", "t_star"}
+        if unknown:
+            raise ConfigurationError(f"unknown analysis fields: {sorted(unknown)}")
         mode = ana.get("mode", "dwell")
         sigma = float(ana.get("sigma", policy.sigma or 0.5))
         t_star = ana.get("t_star", policy.t_star)
@@ -108,10 +112,9 @@ def load_scenario(cfg: dict) -> Scenario:
             t_star=float(t_star) if t_star is not None else None,
             mode=mode,
         )
-        if ana.get("epsilon_star", True):
-            params = params.with_epsilon_star(epsilon_star_search(
-                cert.constants, sigma, params.mu, mode, d=params.d_weight,
-                dwell_ode=params.dwell_ode))
+        params = params.with_epsilon_star(epsilon_star_search(
+            cert.constants, sigma, params.mu, mode, d=params.d_weight,
+            dwell_ode=params.dwell_ode))
     return Scenario(plant=plant, policy=policy, solver=solver,
                     initial=dict(cfg["initial"]), cert=cert, params=params)
 

@@ -38,11 +38,7 @@ from .plant import (
     closed_loop_flow,
     closed_loop_flow_vector,
 )
-from .triggers import (
-    PolicyKind,
-    TriggerPolicy,
-    policy_margin,
-)
+from .triggers import PolicyKind, TriggerPolicy
 
 __all__ = [
     "SolverConfig",
@@ -183,40 +179,16 @@ class _PolicyEval:
 
     def __init__(self, policy: TriggerPolicy, cert: Optional[LyapunovCertificate],
                  n_x: int, n_y: int):
+        policy.check_certificate(cert)
         self.policy = policy
         self.cert = cert
         self.n_x = n_x
         self.n_y = n_y
-        if policy.kind is not PolicyKind.PERIODIC and cert is None:
-            raise ConfigurationError(
-                f"{policy.kind.value} policy needs a Lyapunov certificate"
-            )
-        if (policy.kind is PolicyKind.TIME_REGULARIZED
-                and not cert.gamma1.is_quadratic):
-            raise ConfigurationError("time_regularized needs a quadratic gamma1")
 
     def margin(self, s: np.ndarray, tau: float) -> float:
         """Signed event function; >= 0 on the jump set."""
-        return policy_margin(self.policy, self.cert, s[: self.n_x],
-                             s[self.n_x + self.n_y:], tau)
-
-    def jump_reason(self, m: float, tau: float) -> str:
-        """Reason for a jump at margin m >= 0 (then tau >= t_star if dwell)."""
-        kind = self.policy.kind
-        if kind is PolicyKind.PERIODIC:
-            return "periodic"
-        if (kind is PolicyKind.TIME_REGULARIZED and m > 0.0
-                and tau <= self.policy.t_star):
-            return "dwell-clock"
-        return "threshold"
-
-    def clock_ceiling(self) -> Optional[float]:
-        """Clock value the flow must not step across without a check."""
-        if self.policy.kind is PolicyKind.TIME_REGULARIZED:
-            return self.policy.t_star
-        if self.policy.kind is PolicyKind.PERIODIC:
-            return self.policy.period
-        return None
+        return self.policy.margin(self.cert, s[: self.n_x],
+                                  s[self.n_x + self.n_y:], tau)
 
 
 def locate_event(margin_at: Callable[[float], float], t_lo: float, t_hi: float,
@@ -338,7 +310,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         q_post = apply_jump(q_pre, plant)
         s_post = q_post.as_vector()
         m_post = ev.margin(s_post, 0.0)
-        arc.append_jump(q_pre, q_post, ev.jump_reason(m_pre, tau_pre),
+        arc.append_jump(q_pre, q_post, policy.jump_reason(m_pre, tau_pre),
                         MonitorValues(*monitors(s_post, q_post.tau, m_post)))
         return s_post, m_post
 
@@ -357,7 +329,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     termination: Optional[Termination] = None
     h = min(max_step, eps, cfg.horizon)
     k1 = rhs(s)
-    ceiling = ev.clock_ceiling()
+    ceiling = policy.clock_ceiling
 
     while termination is None:
         # Eager jumps: fire while the state sits in the jump set; the Zeno

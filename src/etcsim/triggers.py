@@ -19,8 +19,9 @@ All policy evaluations are pure functions of (state, parameters).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -33,7 +34,6 @@ __all__ = [
     "PolicyKind",
     "TriggerPolicy",
     "threshold_margin",
-    "policy_margin",
     "naive_event",
     "deadzone_event",
     "time_regularized_event",
@@ -79,15 +79,27 @@ class PolicyKind(str, Enum):
     PERIODIC = "periodic"
 
 
+# The parameters each policy kind takes; a parameter of another kind is an
+# error. Every parameter lies in the open interval (0, upper).
+_KIND_PARAMETERS = {
+    PolicyKind.NAIVE: ("sigma",),
+    PolicyKind.DEADZONE: ("sigma", "rho"),
+    PolicyKind.TIME_REGULARIZED: ("sigma", "t_star"),
+    PolicyKind.PERIODIC: ("period",),
+}
+_UPPER = {"sigma": 1.0, "rho": math.inf, "t_star": math.inf, "period": math.inf}
+
+
 @dataclass(frozen=True)
 class TriggerPolicy:
     """A triggering rule and its parameters.
 
-    sigma in (0, 1) scales the Lyapunov threshold (all state-dependent
-    policies); rho > 0 is the dead-zone floor; t_star > 0 the enforced
-    dwell time; period > 0 the baseline period. The time-regularized
-    policy requires the clock component in the hybrid state; the others
-    forbid it.
+    naive takes sigma; deadzone sigma and rho; time_regularized sigma and
+    t_star; periodic period. sigma in (0, 1) scales the Lyapunov threshold,
+    rho > 0 is the dead-zone floor, t_star > 0 the enforced dwell time and
+    period > 0 the baseline period; a parameter the kind does not take is
+    an error. The time-regularized policy requires the clock component in
+    the hybrid state; the others forbid it.
     """
 
     kind: PolicyKind
@@ -97,30 +109,59 @@ class TriggerPolicy:
     period: Optional[float] = None
 
     def __post_init__(self):
-        kind = PolicyKind(self.kind)
+        try:
+            kind = PolicyKind(self.kind)
+        except ValueError:
+            raise ConfigurationError(f"unknown policy kind {self.kind!r}, not one of "
+                                     f"{[k.value for k in PolicyKind]}") from None
         object.__setattr__(self, "kind", kind)
-        needs_sigma = kind in (PolicyKind.NAIVE, PolicyKind.DEADZONE,
-                               PolicyKind.TIME_REGULARIZED)
-        if needs_sigma:
-            if self.sigma is None or not (0.0 < self.sigma < 1.0):
+        takes = _KIND_PARAMETERS[kind]
+        for name, upper in _UPPER.items():
+            value = getattr(self, name)
+            if name not in takes:
+                if value is not None:
+                    raise ConfigurationError(
+                        f"{kind.value} policy does not take {name}, got {value}"
+                    )
+            elif not (isinstance(value, Real) and 0.0 < value < upper):
                 raise ConfigurationError(
-                    f"{kind.value} policy needs sigma in (0, 1), got {self.sigma}"
+                    f"{kind.value} policy needs {name} in (0, {upper:g}), got {value}"
                 )
-        if kind is PolicyKind.DEADZONE:
-            if self.rho is None or self.rho <= 0.0:
-                raise ConfigurationError(f"deadzone needs rho > 0, got {self.rho}")
-        if kind is PolicyKind.TIME_REGULARIZED:
-            if self.t_star is None or self.t_star <= 0.0:
-                raise ConfigurationError(
-                    f"time_regularized needs t_star > 0, got {self.t_star}"
-                )
-        if kind is PolicyKind.PERIODIC:
-            if self.period is None or self.period <= 0.0:
-                raise ConfigurationError(f"periodic needs period > 0, got {self.period}")
 
     @property
     def requires_clock(self) -> bool:
         return self.kind is PolicyKind.TIME_REGULARIZED
+
+    @property
+    def clock_ceiling(self) -> Optional[float]:
+        """Clock value a flow step must land on: t_star, the period, or None."""
+        return self.t_star if self.t_star is not None else self.period
+
+    def jump_reason(self, m: float, tau: float) -> str:
+        """Reason for a jump at margin m >= 0 (then tau >= t_star if dwell)."""
+        if self.kind is PolicyKind.PERIODIC:
+            return "periodic"
+        if self.t_star is not None and m > 0.0 and tau <= self.t_star:
+            return "dwell-clock"
+        return "threshold"
+
+    def check_certificate(self, cert) -> None:
+        """Raise unless cert can evaluate this policy's margin."""
+        if cert is None and self.kind is not PolicyKind.PERIODIC:
+            raise ConfigurationError(
+                f"{self.kind.value} policy needs a Lyapunov certificate"
+            )
+        if self.requires_clock and not cert.gamma1.is_quadratic:
+            raise ConfigurationError("time_regularized needs a quadratic gamma1")
+
+    def margin(self, cert, x: np.ndarray, e: np.ndarray, tau: float) -> float:
+        """Signed event margin on raw vectors; >= 0 on the jump set. tau is
+        the time since the last transmission. rho and t_star are None unless
+        the kind takes them; the public *_event functions give the same values."""
+        if self.kind is PolicyKind.PERIODIC:
+            return periodic_event(tau, self.period)
+        margin = threshold_margin(x, e, cert, self.sigma, self.rho)
+        return margin if self.t_star is None else _dwell_margin(margin, tau, self.t_star)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "TriggerPolicy":
@@ -128,11 +169,10 @@ class TriggerPolicy:
         kind = cfg.pop("policy", None)
         if kind is None:
             raise ConfigurationError("policy config needs a 'policy' field")
-        known = {"sigma", "rho", "t_star", "period"}
-        unknown = set(cfg) - known
+        unknown = set(cfg) - {f.name for f in fields(cls) if f.name != "kind"}
         if unknown:
             raise ConfigurationError(f"unknown policy fields: {sorted(unknown)}")
-        return cls(kind=PolicyKind(kind), **cfg)
+        return cls(kind=kind, **cfg)
 
 
 def threshold_margin(x: np.ndarray, e: np.ndarray, cert, sigma: float,
@@ -152,24 +192,6 @@ def _dwell_margin(margin: float, tau: float, t_star: float) -> float:
     branch_threshold = margin if tau >= t_star else -math.inf
     branch_clock = (tau - t_star) if margin >= 0.0 else -math.inf
     return max(branch_threshold, branch_clock)
-
-
-def policy_margin(policy: TriggerPolicy, cert, x: np.ndarray, e: np.ndarray,
-                  tau: float) -> float:
-    """Signed event margin of any policy on raw vectors; >= 0 on the jump set.
-
-    tau is the time since the last transmission (the dwell clock for the
-    time-regularized policy). Parameters are taken as validated by
-    TriggerPolicy; the public *_event functions give the same values.
-    """
-    kind = policy.kind
-    if kind is PolicyKind.PERIODIC:
-        return periodic_event(tau, policy.period)
-    rho = policy.rho if kind is PolicyKind.DEADZONE else None
-    margin = threshold_margin(x, e, cert, policy.sigma, rho)
-    if kind is PolicyKind.TIME_REGULARIZED:
-        return _dwell_margin(margin, tau, policy.t_star)
-    return margin
 
 
 def naive_event(q: HybridState, cert, sigma: float) -> float:

@@ -252,6 +252,20 @@ class TestSweep:
             assert cell.summary.termination == "horizon-reached"
             assert cell.summary.ball_radius_estimate < 1.0
 
+    def test_axis_the_policy_does_not_take_recorded_as_error(self, certn):
+        # a rho sweep on a time-regularized scenario, a t_star sweep on a
+        # dead-zone one: each cell names the parameter, none runs
+        deadzone = _sweep_scenario(certn)
+        dwell = replace(deadzone, policy=TriggerPolicy(
+            kind=PolicyKind.TIME_REGULARIZED, sigma=0.3, t_star=0.1))
+        for scenario, axis in ((dwell, "rho"), (deadzone, "t_star")):
+            result = sweep(scenario, {axis: [0.02, 0.05]})
+            assert len(result.cells) == 2
+            for cell in result.cells:
+                assert cell.summary is None
+                assert cell.error.startswith("ConfigurationError: ")
+                assert f"does not take {axis}" in cell.error
+
     def test_unknown_axis_rejected(self, certn):
         with pytest.raises(ConfigurationError):
             sweep(_sweep_scenario(certn), {"bogus": [1]})

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import etcsim.certificates as certificates
 from etcsim.certificates import (
     FAMILY_NAMES,
     QuadraticLyapunovData,
@@ -23,6 +24,7 @@ from etcsim.demo import demo_lyapunov_data, demo_plant
 from etcsim.errors import (
     CertificateError,
     CertificateInfeasibleError,
+    ConfigurationError,
     DimensionError,
     InfeasibleDwellError,
 )
@@ -227,7 +229,7 @@ class TestJsonRecords:
         assert np.array_equal(back.p2, data.p2)
         assert (back.alpha1_bar, back.alpha2, back.l_bar) == (1.5, 0.3, 2.0)
         del out["l_bar"]
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigurationError, match="l_bar"):
             QuadraticLyapunovData.from_dict(out)
 
 
@@ -588,6 +590,47 @@ class TestBatchedSampling:
         args = dict(theta=2.0, rho=0.02, delta=1.0, n_samples=2000, seed=3)
         assert (trigger_slope_bound(nan_f, data, consts, **args)
                 == scalar_slope_bound(nan_f, data, consts, **args))
+
+    @pytest.mark.parametrize("n", [2047, 2049, 4097])
+    def test_chunk_borders_equal_scalar_loop(self, demo_case, n):
+        # sizes on both sides of one chunk and past two: the draws, the
+        # worst slacks, their first witnesses and the supremum run on
+        # across chunks as in one pass
+        assert certificates._SAMPLE_CHUNK == 2048
+        spec, data, consts = demo_case
+        broken = replace(consts, beta1=consts.beta1 / 2.0,
+                         beta2=consts.beta2 / 2.0, alpha1=2.0 * consts.alpha1)
+        report = validate_assumptions(spec, data, broken, n_samples=n,
+                                      box=10.0, seed=3)
+        assert not report.passed
+        assert_report_equals_oracle(
+            report, scalar_validate(spec, data, broken, n, 10.0, 3))
+        args = dict(theta=DEMO_THETA, rho=0.02, delta=1.0, n_samples=n, seed=n)
+        assert (trigger_slope_bound(spec, data, consts, **args)
+                == scalar_slope_bound(spec, data, consts, **args))
+
+    def test_first_witness_kept_across_small_chunks(self, nonlinear_case,
+                                                    monkeypatch):
+        # f = inf for x > 0 makes slow_iss -inf at every such sample: the
+        # witness is the first of them, not one from a later chunk
+        monkeypatch.setattr(certificates, "_SAMPLE_CHUNK", 3)
+        spec, data, consts = nonlinear_case
+        inf_f = replace(spec, f=lambda x, z, u: (
+            np.array([math.inf]) if x[0] > 0.0 else spec.f(x, z, u)))
+        with np.errstate(invalid="ignore"):  # inf - inf in other families
+            report = validate_assumptions(inf_f, data, consts, n_samples=40,
+                                          box=1.0, seed=2)
+            oracle = scalar_validate(inf_f, data, consts, 40, 1.0, 2)
+        assert_report_equals_oracle(report, oracle)
+        draws = np.random.default_rng(2).uniform(-1.0, 1.0, (40, 3))
+        first = int(np.argmax(draws[:, 0] > 0.0))
+        witness = report.family("slow_iss").witness
+        assert report.family("slow_iss").worst_slack == -math.inf
+        assert witness[0][0] == draws[first, 0] and first >= 3
+        for n in (1, 3, 10):
+            args = dict(theta=2.0, rho=0.02, delta=1.0, n_samples=n, seed=n)
+            assert (trigger_slope_bound(spec, data, consts, **args)
+                    == scalar_slope_bound(spec, data, consts, **args))
 
     def test_zero_samples(self, demo_case):
         spec, data, consts = demo_case

@@ -166,6 +166,35 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ConfigurationError"
 
+    @pytest.mark.parametrize("section, key, value, named", [
+        ("policy", "policy", "deadzon", "deadzon"),
+        ("analysis", "tstar", 0.5, "tstar"),
+    ])
+    def test_error_json_on_unknown_kind_or_analysis_field(
+            self, tmp_path, capsys, section, key, value, named):
+        cfg = scenario_dict(policy={"policy": "time_regularized",
+                                    "sigma": 0.15, "t_star": 0.5})
+        cfg["analysis"] = {"mode": "dwell", "sigma": 0.15}
+        cfg[section][key] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        code = main(["simulate", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "ConfigurationError"
+        assert named in payload["message"]
+
+    def test_error_json_on_missing_lyapunov_field(self, tmp_path, capsys):
+        lyap = demo_lyapunov_data().to_dict()
+        del lyap["p2"]
+        lyap.update({"sigma": 0.3, "mode": "practical"})
+        path = tmp_path / "lyap.json"
+        path.write_text(json.dumps(lyap))
+        assert main(["certify", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "ConfigurationError",
+                           "message": "Lyapunov data is missing fields: ['p2']"}
+
     def test_error_json_on_unknown_solver_field(self, tmp_path, capsys):
         cfg = scenario_dict()
         cfg["solver"]["force_python"] = True

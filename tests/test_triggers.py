@@ -32,6 +32,14 @@ class StubCert:
         return float(x @ x)
 
 
+class CubicCert(StubCert):
+    """StubCert with a cubic gamma1."""
+
+    def __init__(self):
+        super().__init__()
+        self.gamma1 = GammaForm(2.0, 3.0)
+
+
 def state(x, e, tau=None, n_y=1):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     e = np.atleast_1d(np.asarray(e, dtype=float))
@@ -86,6 +94,79 @@ class TestPolicyValidation:
         with pytest.raises(ConfigurationError):
             TriggerPolicy.from_dict({"policy": "deadzone", "sigma": 0.4,
                                      "rho": 0.2, "bogus": 1})
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="bogus"):
+            TriggerPolicy.from_dict({"policy": "bogus"})
+        with pytest.raises(ConfigurationError, match="bogus"):
+            TriggerPolicy(kind="bogus", sigma=0.3)
+
+    def test_parameter_of_another_kind_rejected(self):
+        with pytest.raises(ConfigurationError, match="does not take rho"):
+            TriggerPolicy(kind=PolicyKind.NAIVE, sigma=0.3, rho=0.1)
+        for kind, params in POLICY_PARAMS.items():
+            TriggerPolicy(kind=kind, **params)
+            for name in ("sigma", "rho", "t_star", "period"):
+                if name not in params:
+                    with pytest.raises(ConfigurationError,
+                                       match=f"does not take {name}"):
+                        TriggerPolicy(kind=kind, **params, **{name: 0.5})
+                    with pytest.raises(ConfigurationError,
+                                       match=f"does not take {name}"):
+                        TriggerPolicy.from_dict({"policy": kind.value, **params,
+                                                 name: 0.5})
+
+    def test_missing_nan_or_non_number_parameter_rejected(self):
+        for kind, params in POLICY_PARAMS.items():
+            for name in params:
+                for bad in (None, math.nan, "0.5"):
+                    with pytest.raises(ConfigurationError, match=name):
+                        TriggerPolicy(kind=kind, **{**params, name: bad})
+
+
+POLICY_PARAMS = {
+    PolicyKind.NAIVE: {"sigma": 0.3},
+    PolicyKind.DEADZONE: {"sigma": 0.3, "rho": 0.1},
+    PolicyKind.TIME_REGULARIZED: {"sigma": 0.3, "t_star": 0.5},
+    PolicyKind.PERIODIC: {"period": 0.25},
+}
+
+
+def policy_of(kind):
+    return TriggerPolicy(kind=kind, **POLICY_PARAMS[kind])
+
+
+class TestPolicyRules:
+    def test_clock_ceiling(self):
+        ceilings = {kind: policy_of(kind).clock_ceiling for kind in PolicyKind}
+        assert ceilings == {PolicyKind.NAIVE: None, PolicyKind.DEADZONE: None,
+                            PolicyKind.TIME_REGULARIZED: 0.5,
+                            PolicyKind.PERIODIC: 0.25}
+
+    def test_jump_reason(self):
+        for kind in (PolicyKind.NAIVE, PolicyKind.DEADZONE):
+            for m, tau in ((0.0, 0.0), (1.0, 0.5), (1.0, 9.0)):
+                assert policy_of(kind).jump_reason(m, tau) == "threshold"
+        periodic = policy_of(PolicyKind.PERIODIC)
+        assert periodic.jump_reason(0.0, 0.25) == "periodic"
+        dwell = policy_of(PolicyKind.TIME_REGULARIZED)
+        # past the surface at the boundary: the clock fired it
+        assert dwell.jump_reason(1.0, 0.5) == "dwell-clock"
+        # on the surface, or past the boundary: the threshold fired it
+        assert dwell.jump_reason(0.0, 0.5) == "threshold"
+        assert dwell.jump_reason(0.0, 0.7) == "threshold"
+
+    def test_check_certificate(self):
+        policy_of(PolicyKind.PERIODIC).check_certificate(None)
+        for kind in (PolicyKind.NAIVE, PolicyKind.DEADZONE,
+                     PolicyKind.TIME_REGULARIZED):
+            with pytest.raises(ConfigurationError, match="certificate"):
+                policy_of(kind).check_certificate(None)
+            policy_of(kind).check_certificate(StubCert())
+        policy_of(PolicyKind.NAIVE).check_certificate(CubicCert())
+        policy_of(PolicyKind.DEADZONE).check_certificate(CubicCert())
+        with pytest.raises(ConfigurationError, match="quadratic"):
+            policy_of(PolicyKind.TIME_REGULARIZED).check_certificate(CubicCert())
 
 
 class TestNaive:
@@ -174,11 +255,6 @@ class TestTimeRegularized:
             time_regularized_event(q, cert, 0.5, 1.0)
 
     def test_quadratic_gain_required(self):
-        class CubicCert(StubCert):
-            def __init__(self):
-                super().__init__()
-                self.gamma1 = GammaForm(2.0, 3.0)
-
         q = state([1.0, 0.0], [0.0, 0.0], tau=0.5)
         with pytest.raises(ConfigurationError):
             time_regularized_event(q, CubicCert(), 0.5, 1.0)
