@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import AnalysisParameters, LyapunovCertificate
 from .errors import ConfigurationError, EtcsimError, InsufficientDataError
-from .hybrid import HybridArc, HybridState, Termination, record_dict
+from .hybrid import HybridArc, HybridState, Termination, read_section, record_dict
 from .simulate import SolverConfig, integrate_arc
 from .triggers import TriggerPolicy
 
@@ -228,7 +228,8 @@ def summarize_arc(arc: HybridArc, policy: Optional[TriggerPolicy] = None,
 # ---------------------------------------------------------------------------
 
 _POLICY_AXES = tuple(f.name for f in fields(TriggerPolicy) if f.name != "kind")
-_SWEEP_AXES = ("epsilon", *_POLICY_AXES, "seed")
+_SWEEP_AXES = {**{name: (list[float], None) for name in ("epsilon", *_POLICY_AXES)},
+               "seed": (list[int], None)}
 
 
 @dataclass(frozen=True)
@@ -279,9 +280,7 @@ def sweep(scenario, grid: dict) -> SweepResult:
 
     if not isinstance(scenario, Scenario):
         raise ConfigurationError("sweep needs a loaded Scenario")
-    unknown = set(grid) - set(_SWEEP_AXES)
-    if unknown:
-        raise ConfigurationError(f"unknown sweep axes: {sorted(unknown)}")
+    grid = read_section("sweep grid", grid, _SWEEP_AXES)
     axes = {name: list(values) for name, values in grid.items() if values}
     if not axes:
         raise ConfigurationError("sweep grid is empty")

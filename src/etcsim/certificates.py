@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -24,10 +24,9 @@ from scipy.integrate import solve_ivp
 from .errors import (
     CertificateError,
     CertificateInfeasibleError,
-    ConfigurationError,
     InfeasibleDwellError,
 )
-from .hybrid import record_dict
+from .hybrid import field_keys, read_section, record_dict
 from .plant import PlantSpec, _batch_map
 from .triggers import GammaForm
 
@@ -100,6 +99,8 @@ def _spectral_norm(p: np.ndarray) -> float:
 def _check_spd(p: np.ndarray, name: str, sym_tol: float = 1e-12) -> None:
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise CertificateError(f"{name} must be square, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise CertificateError(f"{name} has non-finite entries")
     asym = float(np.max(np.abs(p - p.T))) if p.size else 0.0
     scale = max(1.0, _spectral_norm(p))
     if asym > sym_tol * scale:
@@ -152,10 +153,7 @@ class QuadraticLyapunovData:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "QuadraticLyapunovData":
-        missing = [f.name for f in fields(cls) if f.name not in cfg]
-        if missing:
-            raise ConfigurationError(f"Lyapunov data is missing fields: {missing}")
-        return cls(**{f.name: cfg[f.name] for f in fields(cls)})
+        return cls(**read_section("Lyapunov data", cfg, field_keys(cls)))
 
     def to_dict(self) -> dict:
         return record_dict(self)
@@ -220,22 +218,14 @@ class AssumptionConstants:
         return (self.lambda1 + self.lambda2) * max(sigma * self.alpha1, 1.0)
 
     def to_dict(self) -> dict:
-        return {
-            "alpha1": self.alpha1,
-            "gamma1_bar": self.gamma1.coeff,
-            "gamma1_power": self.gamma1.power,
-            "alpha2": self.alpha2,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "beta3": self.beta3,
-            "gamma2_bar": self.gamma2.coeff,
-            "gamma2_power": self.gamma2.power,
-            "l_link": self.l_link,
-            "lambda1": self.lambda1,
-            "lambda2": self.lambda2,
-            "m_err": self.m_err,
-            "n_err": self.n_err,
-        }
+        """record_dict, with each gain split into <name>_bar and <name>_power."""
+        out = {}
+        for name, value in record_dict(self).items():
+            if isinstance(value, dict):
+                out[f"{name}_bar"], out[f"{name}_power"] = value["coeff"], value["power"]
+            else:
+                out[name] = value
+        return out
 
 
 def derive_constants(data: QuadraticLyapunovData) -> AssumptionConstants:

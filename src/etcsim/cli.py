@@ -22,7 +22,7 @@ from .certificates import (
     select_analysis_parameters,
 )
 from .errors import EtcsimError
-from .hybrid import write_json
+from .hybrid import field_keys, read_section, write_json
 from .scenario import load_scenario_file
 from .simulate import integrate_arc
 
@@ -49,15 +49,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+# A certify file is Lyapunov data plus the analysis it asks for.
+_CERTIFY_KEYS = {"sigma": (float, 0.5), "mode": (str, "practical"),
+                 "t_star": (float, None)}
+
+
 def _cmd_certify(args) -> int:
     with open(args.lyapunov) as fh:
-        cfg = json.load(fh)
-    data = QuadraticLyapunovData.from_dict(cfg)
-    cert = LyapunovCertificate.derive(data)
+        cfg = read_section("Lyapunov data", json.load(fh),
+                           {**field_keys(QuadraticLyapunovData), **_CERTIFY_KEYS})
+    sigma, mode, t_star = (cfg.pop(key) for key in _CERTIFY_KEYS)
+    cert = LyapunovCertificate.derive(QuadraticLyapunovData(**cfg))
     consts = cert.constants
-    sigma = float(cfg.get("sigma", 0.5))
-    mode = cfg.get("mode", "practical")
-    t_star = cfg.get("t_star")
+    sigma = float(sigma)
     params = select_analysis_parameters(
         consts, sigma, t_star=float(t_star) if t_star is not None else None,
         mode=mode,
@@ -165,8 +169,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (EtcsimError, OSError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (EtcsimError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return 1
 

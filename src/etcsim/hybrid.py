@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import astuple, dataclass, fields, is_dataclass
+from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
 from enum import Enum
-from typing import Callable, Optional
+from numbers import Integral, Real
+from typing import Callable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import DimensionError, DivergenceError, OrderingError
+from .errors import ConfigurationError, DimensionError, DivergenceError, OrderingError
 
 __all__ = [
     "Termination",
@@ -71,6 +72,67 @@ def record_dict(record, skip: tuple[str, ...] = ()) -> dict:
     """
     return {f.name: _json_value(getattr(record, f.name)) for f in fields(record)
             if getattr(record, f.name) is not None and f.name not in skip}
+
+
+def field_keys(cls) -> dict:
+    """A dataclass's keys for read_section: each field's type hint and
+    default, MISSING (so required) where it has none."""
+    hints = get_type_hints(cls)
+    return {f.name: (hints[f.name], f.default) for f in fields(cls)}
+
+
+def read_section(section: str, value, keys: dict) -> dict:
+    """The read side of the JSON convention: one input section, checked.
+
+    keys maps each key the section takes to (type, default), MISSING for a
+    required key. A float takes a number but not a bool, an int an integer,
+    Optional[...] also None, list[...] a list of its item type, np.ndarray a
+    number or a rectangular nested list of numbers. Anything else is a
+    ConfigurationError naming the section and the key. Returns the given
+    keys in their order, then every absent optional key with its default.
+    """
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{section} must be an object, got {value!r}")
+    unknown = [key for key in value if key not in keys]
+    if unknown:
+        raise ConfigurationError(f"{section} has unknown fields: {unknown}")
+    missing = [key for key, (_, default) in keys.items()
+               if default is MISSING and key not in value]
+    if missing:
+        raise ConfigurationError(f"{section} is missing fields: {missing}")
+    for key, item in value.items():
+        if not _fits(keys[key][0], item):
+            raise ConfigurationError(f"{section} field {key!r} must be "
+                                     f"{_type_name(keys[key][0])}, got {item!r}")
+    return {**value, **{key: default for key, (_, default) in keys.items()
+                        if key not in value}}
+
+
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
+               dict: "an object", type(None): "null",
+               np.ndarray: "a number or a rectangular list of numbers"}
+
+
+def _fits(tp, value) -> bool:
+    args = get_args(tp)
+    if get_origin(tp) is Union:
+        return any(_fits(arg, value) for arg in args)
+    if get_origin(tp) is list:
+        return isinstance(value, list) and all(_fits(args[0], item) for item in value)
+    if tp is np.ndarray:  # a ragged list or a string leaves a leaf that is no number
+        try:
+            return all(_fits(float, leaf) for leaf in np.asarray(value, dtype=object).flat)
+        except ValueError:
+            return False
+    if isinstance(value, bool):
+        return tp is bool
+    return isinstance(value, {float: Real, int: Integral}.get(tp, tp))
+
+
+def _type_name(tp) -> str:
+    if get_origin(tp) is list:
+        return f"a list, each item {_type_name(get_args(tp)[0])}"
+    return " or ".join(_TYPE_NAMES[arg] for arg in get_args(tp) or (tp,))
 
 
 def write_json(path, obj) -> None:

@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .hybrid import HybridState, record_dict
+from .hybrid import HybridState, field_keys, read_section, record_dict
 
 __all__ = [
     "PlantSpec",
@@ -392,11 +392,7 @@ class LinearPlantSpec:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "LinearPlantSpec":
-        names = [f.name for f in fields(cls)]
-        missing = [name for name in names if name not in cfg]
-        if missing:
-            raise ConfigurationError(f"linear plant config missing fields: {missing}")
-        return cls(**{name: cfg[name] for name in names})
+        return cls(**read_section("plant", cfg, field_keys(cls)))
 
     @classmethod
     def from_json(cls, path) -> "LinearPlantSpec":

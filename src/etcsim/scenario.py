@@ -1,29 +1,18 @@
 """Scenario files: JSON descriptions of a plant, policy, solver, and run.
 
-A scenario JSON carries:
-
-    {
-      "plant":   {"a11": [[...]], "a12": ..., "a21": ..., "a22": ...,
-                  "b1": ..., "b2": ..., "k_gain": ..., "epsilon": ...},
-      "policy":  {"policy": "deadzone", "sigma": 0.3, "rho": 0.02},
-      "solver":  {"horizon": 40.0, ...},            # SolverConfig fields
-      "initial": {"x": [...], "y": [...]}           # explicit state, or
-                 {"ball_radius": 1.0, "seed": 7},   # sampled |(x,y)| <= radius
-      "lyapunov": {"p1": ..., "p2": ..., "alpha1_bar": ...,
-                   "alpha2": ..., "l_bar": ...},    # optional: enables monitors
-      "analysis": {"mode": "dwell", "sigma": ...,
-                   "t_star": ...}                   # optional: dwell monitors
-    }
-
-Matrix entries are row-major nested lists. The sampled initial condition
-draws (x, y) uniformly from the ball of the given radius with e = 0 and,
-under the time-regularized policy, a zero clock.
+A scenario holds the sections plant, policy, solver and initial, and may
+add lyapunov (monitors and state-dependent policies) and analysis (the
+R monitor's dwell parameters). hybrid.read_section reads each against its
+declared keys: a dataclass's fields, or the few keys declared below and in
+load_scenario. The initial section is either x, y and optional e and tau,
+or ball_radius and an optional integer seed, which draws (x, y) uniformly
+from that ball with e = 0. The README tables every key.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,7 +26,7 @@ from .certificates import (
     select_analysis_parameters,
 )
 from .errors import ConfigurationError
-from .hybrid import HybridState
+from .hybrid import HybridState, read_section
 from .plant import LinearPlantSpec
 from .simulate import SolverConfig
 from .triggers import TriggerPolicy
@@ -62,56 +51,53 @@ class Scenario:
         )
 
 
+# An initial section is an explicit state or a sampled one, never both.
+_STATE_KEYS = {"x": (np.ndarray, MISSING), "y": (np.ndarray, MISSING),
+               "e": (np.ndarray, None)}
+_BALL_KEYS = {"ball_radius": (float, MISSING), "seed": (int, None)}
+_SECTIONS = {**dict.fromkeys(("plant", "policy", "solver", "initial"), (dict, MISSING)),
+             "lyapunov": (dict, None), "analysis": (dict, None)}
+
+
 def build_initial_state(initial: dict, plant: LinearPlantSpec,
                         policy: TriggerPolicy, seed: int) -> HybridState:
-    tau = 0.0 if policy.requires_clock else None
-    if "ball_radius" in initial:
-        radius = float(initial["ball_radius"])
-        if radius < 0.0:
-            raise ConfigurationError("ball_radius must be >= 0")
-        rng = np.random.default_rng(int(initial.get("seed", seed)))
-        xy = sample_in_ball(rng, plant.n_x + plant.n_z, radius)
-        return HybridState(x=xy[: plant.n_x], y=xy[plant.n_x:],
-                           e=np.zeros(plant.n_x), tau=tau)
-    if "x" not in initial or "y" not in initial:
-        raise ConfigurationError(
-            "initial condition needs either x and y or a ball_radius"
-        )
-    x = np.asarray(initial["x"], dtype=float)
-    y = np.asarray(initial["y"], dtype=float)
-    e = np.asarray(initial.get("e", np.zeros(plant.n_x)), dtype=float)
-    if "tau" in initial and policy.requires_clock:
-        tau = float(initial["tau"])
-    return HybridState(x=x, y=y, e=e, tau=tau)
+    ball = isinstance(initial, dict) and "ball_radius" in initial
+    keys = _BALL_KEYS if ball else _STATE_KEYS
+    if policy.requires_clock and not ball:  # only a clocked policy takes tau
+        keys = {**keys, "tau": (float, 0.0)}
+    values = read_section("initial", initial, keys)
+    tau = float(values.get("tau", 0.0)) if policy.requires_clock else None
+    if not ball:
+        x = np.asarray(values["x"], dtype=float)
+        e = np.zeros_like(x) if values["e"] is None else np.asarray(values["e"], dtype=float)
+        return HybridState(x=x, y=np.asarray(values["y"], dtype=float), e=e, tau=tau)
+    radius = float(values["ball_radius"])
+    seed = int(seed if values["seed"] is None else values["seed"])
+    if radius < 0.0 or seed < 0:
+        raise ConfigurationError(f"initial ball_radius {radius} and seed {seed} "
+                                 "must be >= 0")
+    xy = sample_in_ball(np.random.default_rng(seed), plant.n_x + plant.n_z, radius)
+    return HybridState(x=xy[: plant.n_x], y=xy[plant.n_x:], e=np.zeros(plant.n_x), tau=tau)
 
 
 def load_scenario(cfg: dict) -> Scenario:
-    for key in ("plant", "policy", "solver", "initial"):
-        if key not in cfg:
-            raise ConfigurationError(f"scenario is missing the {key!r} section")
+    cfg = read_section("scenario", cfg, _SECTIONS)
     plant = LinearPlantSpec.from_dict(cfg["plant"])
     policy = TriggerPolicy.from_dict(cfg["policy"])
     solver = SolverConfig.from_dict(cfg["solver"])
-    cert = None
-    params = None
-    if "lyapunov" in cfg:
-        data = QuadraticLyapunovData.from_dict(cfg["lyapunov"])
-        cert = LyapunovCertificate.derive(data)
-    if "analysis" in cfg:
+    cert = params = None
+    if cfg["lyapunov"] is not None:
+        cert = LyapunovCertificate.derive(QuadraticLyapunovData.from_dict(cfg["lyapunov"]))
+    if cfg["analysis"] is not None:
         if cert is None:
             raise ConfigurationError("analysis section needs a lyapunov section")
-        ana = cfg["analysis"]
-        unknown = set(ana) - {"mode", "sigma", "t_star"}
-        if unknown:
-            raise ConfigurationError(f"unknown analysis fields: {sorted(unknown)}")
-        mode = ana.get("mode", "dwell")
-        sigma = float(ana.get("sigma", policy.sigma or 0.5))
-        t_star = ana.get("t_star", policy.t_star)
+        ana = read_section("analysis", cfg["analysis"], {
+            "mode": (str, "dwell"), "t_star": (float, policy.t_star),
+            "sigma": (float, MISSING if policy.sigma is None else policy.sigma)})
+        sigma, mode, t_star = float(ana["sigma"]), ana["mode"], ana["t_star"]
         params = select_analysis_parameters(
             cert.constants, sigma,
-            t_star=float(t_star) if t_star is not None else None,
-            mode=mode,
-        )
+            t_star=float(t_star) if t_star is not None else None, mode=mode)
         params = params.with_epsilon_star(epsilon_star_search(
             cert.constants, sigma, params.mu, mode, d=params.d_weight,
             dwell_ode=params.dwell_ode))

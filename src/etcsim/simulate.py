@@ -17,19 +17,21 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .certificates import AnalysisParameters, LyapunovCertificate
-from .errors import ConfigurationError, DivergenceError
+from .errors import ConfigurationError, DimensionError, DivergenceError
 from .hybrid import (
     HybridArc,
     HybridState,
     HybridSystemInterface,
     MonitorValues,
     Termination,
+    field_keys,
+    read_section,
 )
 from .plant import (
     LinearPlantSpec,
@@ -121,8 +123,8 @@ class SolverConfig:
     def __post_init__(self):
         if min(self.rel_tol, self.abs_tol, self.event_tol) <= 0.0:
             raise ConfigurationError("rel_tol, abs_tol and event_tol must be > 0")
-        if self.horizon <= 0.0:
-            raise ConfigurationError(f"horizon must be > 0, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigurationError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.zeno_max_jumps < 2:
             raise ConfigurationError("zeno_max_jumps must be >= 2")
         if self.zeno_window <= 0.0:
@@ -134,10 +136,7 @@ class SolverConfig:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "SolverConfig":
-        unknown = set(cfg) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ConfigurationError(f"unknown solver fields: {sorted(unknown)}")
-        return cls(**cfg)
+        return cls(**read_section("solver", cfg, field_keys(cls)))
 
 
 def monitor_v(q: HybridState, cert: LyapunovCertificate, epsilon: float) -> float:
@@ -457,4 +456,11 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
         )
     if not isinstance(plant, (LinearPlantSpec, PlantSpec)):
         raise ConfigurationError(f"unsupported plant type {type(plant)!r}")
+    sizes = {"x": (q0.x.size, plant.n_x), "y": (q0.y.size, plant.n_z),
+             "e": (q0.e.size, plant.n_x)}
+    if cert is not None:
+        sizes.update(P1=(len(cert.data.p1), plant.n_x), P2=(len(cert.data.p2), plant.n_z))
+    for name, (size, expected) in sizes.items():
+        if size != expected:
+            raise DimensionError(f"{name} has size {size}, expected {expected} for this plant")
     return _integrate_python(plant, policy, q0, cfg, cert, params)

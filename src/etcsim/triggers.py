@@ -19,7 +19,7 @@ All policy evaluations are pure functions of (state, parameters).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass
 from enum import Enum
 from numbers import Real
 from typing import Optional
@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigurationError
-from .hybrid import HybridState
+from .hybrid import HybridState, field_keys, read_section
 
 __all__ = [
     "GammaForm",
@@ -165,14 +165,10 @@ class TriggerPolicy:
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "TriggerPolicy":
-        cfg = dict(cfg)
-        kind = cfg.pop("policy", None)
-        if kind is None:
-            raise ConfigurationError("policy config needs a 'policy' field")
-        unknown = set(cfg) - {f.name for f in fields(cls) if f.name != "kind"}
-        if unknown:
-            raise ConfigurationError(f"unknown policy fields: {sorted(unknown)}")
-        return cls(kind=kind, **cfg)
+        keys = field_keys(cls)
+        del keys["kind"]  # read from the "policy" key
+        values = read_section("policy", cfg, {"policy": (str, MISSING), **keys})
+        return cls(kind=values.pop("policy"), **values)
 
 
 def threshold_margin(x: np.ndarray, e: np.ndarray, cert, sigma: float,

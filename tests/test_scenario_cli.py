@@ -1,4 +1,6 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,8 @@ from etcsim.scenario import (
     sample_in_ball,
 )
 from etcsim.triggers import PolicyKind, TriggerPolicy
+
+TIME_REGULARIZED = {"policy": "time_regularized", "sigma": 0.15, "t_star": 0.5}
 
 
 def scenario_dict(policy=None, initial=None):
@@ -61,6 +65,45 @@ class TestScenarioLoading:
                                     "sigma": 0.15, "t_star": 0.5})
         sc = load_scenario(cfg)
         assert sc.initial_state().tau == 0.0
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = re.search(r"### Scenario files\s+```json\n(.*?)```", readme,
+                          re.S).group(1)
+        sc = load_scenario(json.loads(block))
+        assert sc.policy.kind is PolicyKind.DEADZONE
+        assert sc.solver.horizon == 40.0
+        assert sc.initial_state().x.tolist() == [1.0, -0.5]
+
+    def test_initial_tau_needs_a_clocked_policy(self):
+        plant = demo_plant(0.02)
+        deadzone = TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.3, rho=0.02)
+        dwell = TriggerPolicy.from_dict(TIME_REGULARIZED)
+        initial = {"x": [1.0, -0.5], "y": [0.4], "tau": 0.25}
+        assert build_initial_state(initial, plant, dwell, seed=0).tau == 0.25
+        with pytest.raises(ConfigurationError, match=r"initial has unknown fields: \['tau'\]"):
+            build_initial_state(initial, plant, deadzone, seed=0)
+
+    @pytest.mark.parametrize("initial, named", [
+        ({"ball_radius": 1.0, "x": [1.0, -0.5]}, "['x']"),
+        ({"x": [1.0, -0.5], "y": [0.4], "seed": 3}, "['seed']"),
+        ({"ball_radius": 1.0, "seed": 2.0}, "'seed'"),
+        ({"ball_radius": 1.0, "seed": -1}, "seed -1"),
+        ({"x": [1.0, -0.5]}, "missing fields: ['y']"),
+    ])
+    def test_initial_is_one_form_with_typed_keys(self, initial, named):
+        policy = TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.3, rho=0.02)
+        with pytest.raises(ConfigurationError, match=re.escape(named)):
+            build_initial_state(initial, demo_plant(0.02), policy, seed=0)
+
+    def test_analysis_sigma_has_no_fallback_under_a_periodic_policy(self):
+        cfg = scenario_dict(policy={"policy": "periodic", "period": 0.3})
+        cfg["analysis"] = {"mode": "practical"}
+        with pytest.raises(ConfigurationError,
+                           match=r"analysis is missing fields: \['sigma'\]"):
+            load_scenario(cfg)
+        cfg["analysis"]["sigma"] = 0.3
+        assert load_scenario(cfg).params.sigma == 0.3
 
     def test_analysis_section_builds_params(self):
         cfg = scenario_dict(policy={"policy": "time_regularized",
@@ -205,3 +248,67 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ConfigurationError"
         assert "force_python" in payload["message"]
+
+
+def _lyapunov_file(**extra):
+    return {**demo_lyapunov_data().to_dict(), "sigma": 0.3, **extra}
+
+
+def _scenario(section=None, **values):
+    cfg = scenario_dict()
+    if section is None:
+        cfg.update(values)
+    else:
+        cfg[section].update(values)
+    return cfg
+
+
+def _initial(**initial):
+    return scenario_dict(initial=initial)
+
+
+# Each row: command, input file, section and key the error must name. At the
+# parent of the section reader every row exited 0 or failed untyped.
+BAD_INPUTS = {
+    "certify-misspelled-sigma": ("certify", _lyapunov_file(sigm=0.15),
+                                 "lyapunov data", "sigm"),
+    "solver-string-horizon": ("simulate", _scenario("solver", horizon="5"),
+                              "solver", "horizon"),
+    "initial-tau-clockless": ("simulate", _scenario("initial", tau=3.0),
+                              "initial", "tau"),
+    "unknown-top-level-section": ("simulate", _scenario(analysys={"mode": "dwell"}),
+                                  "scenario", "analysys"),
+    "unknown-initial-key": ("simulate", _scenario("initial", ee=[0.0, 0.0]),
+                            "initial", "ee"),
+    "unknown-plant-key": ("simulate", _scenario("plant", a13=[[0.0]]),
+                          "plant", "a13"),
+    "unknown-lyapunov-key": ("simulate", _scenario("lyapunov", p3=[[1.0]]),
+                             "lyapunov", "p3"),
+    "fractional-store-stride": ("simulate", _scenario("solver", store_stride=2.5),
+                                "solver", "store_stride"),
+    "string-ball-radius": ("simulate", _initial(ball_radius="1"),
+                           "initial", "ball_radius"),
+    "x-with-ball-radius": ("simulate", _initial(ball_radius=1.0, x=[1.0, -0.5]),
+                           "initial", "x"),
+    "grid-axis-not-a-list": ("sweep", {"rho": 0.01}, "sweep grid", "rho"),
+    "string-x": ("simulate", _initial(x="1.0, -0.5", y=[0.4]), "initial", "x"),
+}
+
+
+@pytest.mark.parametrize("command, cfg, section, key", BAD_INPUTS.values(),
+                         ids=BAD_INPUTS.keys())
+def test_bad_input_is_a_typed_error_naming_section_and_key(
+        tmp_path, capsys, command, cfg, section, key):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(cfg))
+    if command == "sweep":
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(scenario_dict()))
+        argv = ["sweep", str(scenario), "--grid", str(path)]
+    else:
+        argv = [command, str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "ConfigurationError"
+    assert section in payload["message"].lower()
+    assert repr(key) in payload["message"]

@@ -6,7 +6,7 @@ import pytest
 
 from etcsim.certificates import DwellComparison
 from etcsim.demo import demo_certification, demo_plant, demo_scenario
-from etcsim.errors import ConfigurationError, OrderingError
+from etcsim.errors import ConfigurationError, DimensionError, OrderingError
 from etcsim.hybrid import HybridArc, HybridState, Termination
 from etcsim.plant import apply_jump
 from etcsim.simulate import (
@@ -231,6 +231,29 @@ class TestPeriodic:
         assert arc.jump_count == math.floor(5.25 / 0.5)
         periods = np.diff(arc.jump_times())
         assert periods == pytest.approx(0.5, abs=1e-12)
+
+
+class TestInitialStateSize:
+    def test_each_block_checked_against_the_plant(self, certn):
+        plant = demo_plant(0.02)
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.3)
+        cfg = SolverConfig(horizon=1.0)
+        q0 = HybridState(x=np.ones(3), y=np.ones(1), e=np.zeros(3))
+        with pytest.raises(DimensionError, match="x has size 3, expected 2"):
+            integrate_arc(plant, policy, q0, cfg)
+        q0 = HybridState(x=np.ones(2), y=np.ones(2), e=np.zeros(2))
+        with pytest.raises(DimensionError, match="y has size 2, expected 1"):
+            integrate_arc(plant, policy, q0, cfg)
+
+    def test_lyapunov_blocks_checked_against_the_plant(self, certn):
+        from etcsim.certificates import LyapunovCertificate, QuadraticLyapunovData
+
+        data = QuadraticLyapunovData(p1=np.eye(3), p2=[[0.8]], alpha1_bar=1.998,
+                                     alpha2=1.1988, l_bar=1.0)
+        policy = TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.3, rho=0.02)
+        with pytest.raises(DimensionError, match="P1 has size 3, expected 2"):
+            integrate_arc(demo_plant(0.02), policy, _q0(), SolverConfig(horizon=1.0),
+                          cert=LyapunovCertificate.derive(data))
 
 
 class TestTimeRegularized:
