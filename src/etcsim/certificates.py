@@ -24,9 +24,10 @@ from scipy.integrate import solve_ivp
 from .errors import (
     CertificateError,
     CertificateInfeasibleError,
+    ConfigurationError,
     InfeasibleDwellError,
 )
-from .hybrid import field_keys, read_section, record_dict
+from .hybrid import check_numbers, field_keys, read_section, record_dict
 from .plant import PlantSpec, _batch_map
 from .triggers import GammaForm
 
@@ -126,6 +127,8 @@ class QuadraticLyapunovData:
     alpha2: float
     l_bar: float
 
+    _BOUNDS = dict.fromkeys(("alpha1_bar", "alpha2", "l_bar"), "(0, inf)")
+
     def __post_init__(self):
         p1 = np.atleast_2d(np.asarray(self.p1, dtype=float))
         p2 = np.atleast_2d(np.asarray(self.p2, dtype=float))
@@ -137,11 +140,9 @@ class QuadraticLyapunovData:
         p2.flags.writeable = False
         object.__setattr__(self, "p1", p1)
         object.__setattr__(self, "p2", p2)
-        for name in ("alpha1_bar", "alpha2", "l_bar"):
-            val = float(getattr(self, name))
-            if val <= 0.0 or not math.isfinite(val):
-                raise CertificateError(f"{name} must be > 0, got {val}")
-            object.__setattr__(self, name, val)
+        check_numbers("QuadraticLyapunovData", self, self._BOUNDS, CertificateError)
+        for name in self._BOUNDS:
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def v_x(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float).reshape(-1)
@@ -181,14 +182,12 @@ class AssumptionConstants:
     m_err: float
     n_err: float
 
+    _BOUNDS = {**dict.fromkeys(("alpha1", "alpha2"), "(0, inf)"),
+               **dict.fromkeys(("beta1", "beta2", "beta3", "l_link", "lambda1",
+                                "lambda2", "m_err", "n_err"), "[0, inf)")}
+
     def __post_init__(self):
-        for name in ("alpha1", "alpha2"):
-            if getattr(self, name) <= 0.0:
-                raise CertificateError(f"{name} must be > 0")
-        for name in ("beta1", "beta2", "beta3", "l_link", "lambda1", "lambda2",
-                      "m_err", "n_err"):
-            if getattr(self, name) < 0.0:
-                raise CertificateError(f"{name} must be >= 0")
+        check_numbers("AssumptionConstants", self, self._BOUNDS, CertificateError)
         if self.gamma1.power != self.gamma2.power:
             raise CertificateError(
                 "gamma1 and gamma2 must share the same power for the link condition"
@@ -243,20 +242,23 @@ def derive_constants(data: QuadraticLyapunovData) -> AssumptionConstants:
     p1min = float(np.min(np.linalg.eigvalsh(p1)))
     p2min = float(np.min(np.linalg.eigvalsh(p2)))
 
-    return AssumptionConstants(
-        alpha1=a1b / 2.0,
-        gamma1=GammaForm(2.0 * lbar**2 * p1n**2 / (a1b * p1min)),
-        alpha2=data.alpha2,
-        beta1=2.0 * lbar * p1n / math.sqrt(p1min * p2min),
-        beta2=2.0 * lbar**2 * p2n / math.sqrt(p1min * p2min),
-        beta3=4.0 * lbar**2 * p2n / p2min,
-        gamma2=GammaForm(2.0 * lbar**2 * p2n),
-        l_link=a1b * p1min * p2n / p1n**2,
-        lambda1=0.5 * a1b * p1min * p2n / p1n**2,
-        lambda2=math.sqrt(a1b * p1min) * p2n / (p1n * math.sqrt(p2min)),
-        m_err=lbar,
-        n_err=lbar * max(p1min ** -0.5, p2min ** -0.5),
-    )
+    try:  # lbar**2 raises OverflowError; a product that reaches inf fails a gain
+        return AssumptionConstants(
+            alpha1=a1b / 2.0,
+            gamma1=GammaForm(2.0 * lbar**2 * p1n**2 / (a1b * p1min)),
+            alpha2=data.alpha2,
+            beta1=2.0 * lbar * p1n / math.sqrt(p1min * p2min),
+            beta2=2.0 * lbar**2 * p2n / math.sqrt(p1min * p2min),
+            beta3=4.0 * lbar**2 * p2n / p2min,
+            gamma2=GammaForm(2.0 * lbar**2 * p2n),
+            l_link=a1b * p1min * p2n / p1n**2,
+            lambda1=0.5 * a1b * p1min * p2n / p1n**2,
+            lambda2=math.sqrt(a1b * p1min) * p2n / (p1n * math.sqrt(p2min)),
+            m_err=lbar,
+            n_err=lbar * max(p1min ** -0.5, p2min ** -0.5),
+        )
+    except (OverflowError, ConfigurationError) as exc:
+        raise CertificateError(f"l_bar {lbar:g} is too large: a constant overflows") from exc
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import MISSING, astuple, dataclass, fields, is_dataclass
 from enum import Enum
 from numbers import Integral, Real
@@ -106,6 +107,23 @@ def read_section(section: str, value, keys: dict) -> dict:
                                      f"{_type_name(keys[key][0])}, got {item!r}")
     return {**value, **{key: default for key, (_, default) in keys.items()
                         if key not in value}}
+
+
+def check_numbers(name: str, record, bounds: dict, error: type = ConfigurationError) -> None:
+    """The value side of read_section's rule: each field of record (a dataclass,
+    or a dict that read_section has read) named in bounds has its type hint's
+    type and a finite value in its interval, "(low, high)" or "[low, high)";
+    anything else raises error naming the record and the field."""
+    hints = get_type_hints(type(record)) if is_dataclass(record) else {}
+    for key, interval in bounds.items():
+        value = record[key] if isinstance(record, dict) else getattr(record, key)
+        tp = hints.get(key, float)
+        tp = next(a for a in get_args(tp) or (tp,) if a is not type(None))  # drop Optional
+        low, high = map(float, interval[1:-1].split(","))
+        if not (_fits(tp, value) and (low <= value if interval[0] == "[" else low < value)
+                and value < high and value <= sys.float_info.max):  # NaN fails; so does 10**400
+            raise error(f"{name} field {key!r} must be {_type_name(tp)} in {interval}, "
+                        f"got {key} {value!r}")
 
 
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",

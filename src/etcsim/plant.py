@@ -15,7 +15,6 @@ physical state z stays continuous and e resets to zero.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -23,7 +22,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .hybrid import HybridState, field_keys, read_section, record_dict
+from .hybrid import HybridState, check_numbers, field_keys, read_section, record_dict
 
 __all__ = [
     "PlantSpec",
@@ -74,7 +73,8 @@ class PlantSpec:
     derivative; h(x, u) is the selected quasi-steady-state root of g = 0
     (one root, chosen once; the toolkit never switches roots mid-run);
     k maps the held sample x + e to the input. dh_dx is the Jacobian of h
-    in x and defaults to central finite differences.
+    in x and defaults to central finite differences. epsilon is finite and
+    > 0; n_x, n_z and n_u are integers >= 1, else a DimensionError.
 
     batched declares that the maps take column stacks (dim, N) as well:
     f, g, h and k then return (rows, N), and dh_dx (n_z, n_x) for every
@@ -93,10 +93,9 @@ class PlantSpec:
     batched: bool = False
 
     def __post_init__(self):
-        if self.epsilon <= 0.0 or not math.isfinite(self.epsilon):
-            raise ConfigurationError(f"epsilon must be > 0, got {self.epsilon}")
-        if min(self.n_x, self.n_z, self.n_u) < 1:
-            raise DimensionError("n_x, n_z, n_u must all be >= 1")
+        check_numbers("PlantSpec", self, {"epsilon": "(0, inf)"})
+        check_numbers("PlantSpec", self, dict.fromkeys(("n_x", "n_z", "n_u"), "[1, inf)"),
+                      DimensionError)
         if self.dh_dx is None:
             if self.batched:
                 raise ConfigurationError("a batched plant needs its own dh_dx: the "
@@ -294,10 +293,8 @@ class LinearPlantSpec:
         object.__setattr__(self, "b1", _matrix(self.b1, (n_x, n_u), "b1"))
         object.__setattr__(self, "b2", _matrix(self.b2, (n_z, n_u), "b2"))
         object.__setattr__(self, "k_gain", _matrix(k, (n_u, n_x), "k_gain"))
-        epsilon = float(self.epsilon)
-        if epsilon <= 0.0 or not math.isfinite(epsilon):
-            raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
-        object.__setattr__(self, "epsilon", epsilon)
+        check_numbers("LinearPlantSpec", self, {"epsilon": "(0, inf)"})
+        object.__setattr__(self, "epsilon", float(self.epsilon))
         if abs(np.linalg.det(self.a22)) < 1e-12:
             raise ConfigurationError("A22 must be invertible for a unique root")
 

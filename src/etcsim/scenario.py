@@ -26,7 +26,7 @@ from .certificates import (
     select_analysis_parameters,
 )
 from .errors import ConfigurationError
-from .hybrid import HybridState, read_section
+from .hybrid import HybridState, check_numbers, read_section
 from .plant import LinearPlantSpec
 from .simulate import SolverConfig
 from .triggers import TriggerPolicy
@@ -71,12 +71,10 @@ def build_initial_state(initial: dict, plant: LinearPlantSpec,
         x = np.asarray(values["x"], dtype=float)
         e = np.zeros_like(x) if values["e"] is None else np.asarray(values["e"], dtype=float)
         return HybridState(x=x, y=np.asarray(values["y"], dtype=float), e=e, tau=tau)
-    radius = float(values["ball_radius"])
-    seed = int(seed if values["seed"] is None else values["seed"])
-    if radius < 0.0 or seed < 0:
-        raise ConfigurationError(f"initial ball_radius {radius} and seed {seed} "
-                                 "must be >= 0")
-    xy = sample_in_ball(np.random.default_rng(seed), plant.n_x + plant.n_z, radius)
+    values["seed"] = seed if values["seed"] is None else values["seed"]
+    check_numbers("initial", values, {"ball_radius": "[0, inf)", "seed": "[0, inf)"})
+    xy = sample_in_ball(np.random.default_rng(int(values["seed"])), plant.n_x + plant.n_z,
+                        float(values["ball_radius"]))
     return HybridState(x=xy[: plant.n_x], y=xy[plant.n_x:], e=np.zeros(plant.n_x), tau=tau)
 
 

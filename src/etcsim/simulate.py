@@ -30,6 +30,7 @@ from .hybrid import (
     HybridSystemInterface,
     MonitorValues,
     Termination,
+    check_numbers,
     field_keys,
     read_section,
 )
@@ -98,15 +99,15 @@ class SolverConfig:
     The same fields drive the one reference integrator for every plant.
     max_step_factor caps the step at factor * epsilon so the fast layer is
     resolved; scenarios with extremely small certified epsilon may relax it
-    and rely on the embedded error control instead. fast_floor, when
-    positive, snaps nonzero fast-state components below it to zero at
-    every landed point (event point or step end): used when the boundary
-    layer decays below the absolute tolerance, where the error controller
-    would otherwise keep the step size pinned to the fast scale forever
-    (the committed error is below abs_tol by construction). store_stride
-    thins stored flow samples; both sides of every jump and the final
-    state are always stored. The first step is min(max_step, epsilon,
-    horizon).
+    and rely on the embedded error control instead. fast_floor >= 0 snaps
+    nonzero fast-state components below it to zero at every landed point
+    (event point or step end), and 0, the default, turns the snap off: used
+    when the boundary layer decays below the absolute tolerance, where the
+    error controller would otherwise keep the step size pinned to the fast
+    scale forever (the committed error is below abs_tol by construction).
+    store_stride thins stored flow samples; both sides of every jump and
+    the final state are always stored. The first step is min(max_step,
+    epsilon, horizon). _BOUNDS declares each numeric field's range.
     """
 
     rel_tol: float = 1e-8
@@ -120,19 +121,12 @@ class SolverConfig:
     store_stride: int = 1
     fast_floor: float = 0.0
 
+    _BOUNDS = {**dict.fromkeys(("rel_tol", "abs_tol", "max_step_factor", "event_tol", "horizon",
+                                "zeno_window"), "(0, inf)"), "zeno_max_jumps": "[2, inf)",
+               "seed": "[0, inf)", "store_stride": "[1, inf)", "fast_floor": "[0, inf)"}
+
     def __post_init__(self):
-        if min(self.rel_tol, self.abs_tol, self.event_tol) <= 0.0:
-            raise ConfigurationError("rel_tol, abs_tol and event_tol must be > 0")
-        if not 0.0 < self.horizon < math.inf:
-            raise ConfigurationError(f"horizon must be finite and > 0, got {self.horizon}")
-        if self.zeno_max_jumps < 2:
-            raise ConfigurationError("zeno_max_jumps must be >= 2")
-        if self.zeno_window <= 0.0:
-            raise ConfigurationError("zeno_window must be > 0")
-        if self.store_stride < 1:
-            raise ConfigurationError("store_stride must be >= 1")
-        if self.max_step_factor <= 0.0:
-            raise ConfigurationError("max_step_factor must be > 0")
+        check_numbers("SolverConfig", self, self._BOUNDS)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "SolverConfig":

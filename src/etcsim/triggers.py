@@ -21,13 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass
 from enum import Enum
-from numbers import Real
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .hybrid import HybridState, field_keys, read_section
+from .hybrid import HybridState, check_numbers, field_keys, read_section
 
 __all__ = [
     "GammaForm",
@@ -44,16 +43,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GammaForm:
-    """Power-law class-K-infinity gain: gamma(s) = coeff * s**power."""
+    """Power-law class-K-infinity gain: gamma(s) = coeff * s**power, with a
+    finite coeff >= 0 and power >= 1."""
 
     coeff: float
     power: float = 2.0
 
     def __post_init__(self):
-        if self.coeff < 0.0:
-            raise ConfigurationError(f"gain coefficient must be >= 0, got {self.coeff}")
-        if self.power < 1.0:
-            raise ConfigurationError(f"gain power must be >= 1, got {self.power}")
+        check_numbers("GammaForm", self, {"coeff": "[0, inf)", "power": "[1, inf)"})
 
     def __call__(self, s: float) -> float:
         return self.coeff * float(s) ** self.power
@@ -79,15 +76,15 @@ class PolicyKind(str, Enum):
     PERIODIC = "periodic"
 
 
-# The parameters each policy kind takes; a parameter of another kind is an
-# error. Every parameter lies in the open interval (0, upper).
+# The parameters each policy kind takes, each a number in its interval; a
+# parameter of another kind is an error.
 _KIND_PARAMETERS = {
     PolicyKind.NAIVE: ("sigma",),
     PolicyKind.DEADZONE: ("sigma", "rho"),
     PolicyKind.TIME_REGULARIZED: ("sigma", "t_star"),
     PolicyKind.PERIODIC: ("period",),
 }
-_UPPER = {"sigma": 1.0, "rho": math.inf, "t_star": math.inf, "period": math.inf}
+_BOUNDS = {"sigma": "(0, 1)", "rho": "(0, inf)", "t_star": "(0, inf)", "period": "(0, inf)"}
 
 
 @dataclass(frozen=True)
@@ -116,17 +113,11 @@ class TriggerPolicy:
                                      f"{[k.value for k in PolicyKind]}") from None
         object.__setattr__(self, "kind", kind)
         takes = _KIND_PARAMETERS[kind]
-        for name, upper in _UPPER.items():
-            value = getattr(self, name)
-            if name not in takes:
-                if value is not None:
-                    raise ConfigurationError(
-                        f"{kind.value} policy does not take {name}, got {value}"
-                    )
-            elif not (isinstance(value, Real) and 0.0 < value < upper):
-                raise ConfigurationError(
-                    f"{kind.value} policy needs {name} in (0, {upper:g}), got {value}"
-                )
+        for name in _BOUNDS:
+            if name not in takes and getattr(self, name) is not None:
+                raise ConfigurationError(f"{kind.value} policy does not take "
+                                         f"{name}, got {getattr(self, name)}")
+        check_numbers(f"{kind.value} policy", self, {name: _BOUNDS[name] for name in takes})
 
     @property
     def requires_clock(self) -> bool:
@@ -197,8 +188,8 @@ def naive_event(q: HybridState, cert, sigma: float) -> float:
 
 def deadzone_event(q: HybridState, cert, sigma: float, rho: float) -> float:
     """Signed margin gamma1(|e|) - max{sigma * alpha1 * Vx(x), rho}."""
-    if rho <= 0.0:
-        raise ConfigurationError(f"rho must be > 0, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ConfigurationError(f"rho must be finite and > 0, got {rho}")
     return threshold_margin(q.x, q.e, cert, sigma, rho)
 
 
@@ -237,6 +228,6 @@ def time_regularized_margin(q: HybridState, cert, sigma: float,
 
 def periodic_event(t_since_jump: float, period: float) -> float:
     """Signed margin t_since_jump - period for the periodic baseline."""
-    if period <= 0.0:
-        raise ConfigurationError(f"period must be > 0, got {period}")
+    if not 0.0 < period < math.inf:
+        raise ConfigurationError(f"period must be finite and > 0, got {period}")
     return float(t_since_jump) - float(period)

@@ -83,14 +83,20 @@ def deadzone_runs(certn):
 
 
 @pytest.fixture(scope="module")
-def rho_sweep_runs(certn):
+def rho_sweep_runs(certn, deadzone_runs):
     """Dead-zone runs at rho, rho/2, rho/4 over the same fixed set of
-    initial conditions (the seed matches the 20-run fixture)."""
-    sc = demo_scenario("deadzone")
+    initial conditions (the seed matches the 20-run fixture). The rho runs
+    are the 20-run fixture's arcs: same policy, solver, certificate and
+    initial conditions, and integrate_arc is bitwise deterministic."""
+    sc, deadzone_arcs = deadzone_runs
     rng = np.random.default_rng(2024)
     ics = [sample_in_ball(rng, 3, DELTA) for _ in range(20)]
-    arcs = {}
-    for rho in (DEADZONE_RHO, DEADZONE_RHO / 2, DEADZONE_RHO / 4):
+    fresh = demo_scenario("deadzone")
+    assert (sc.policy, sc.solver) == (replace(fresh.policy, rho=DEADZONE_RHO), fresh.solver)
+    assert all(np.array_equal(arc.states[0], np.concatenate([xy, np.zeros(2)]))
+               for arc, xy in zip(deadzone_arcs, ics, strict=True))
+    arcs = {DEADZONE_RHO: deadzone_arcs}
+    for rho in (DEADZONE_RHO / 2, DEADZONE_RHO / 4):
         policy = replace(sc.policy, rho=rho)
         arcs[rho] = [
             integrate_arc(sc.plant, policy,

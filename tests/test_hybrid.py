@@ -1,9 +1,21 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from etcsim.errors import DimensionError, DivergenceError, OrderingError
+from etcsim.certificates import AssumptionConstants, QuadraticLyapunovData
+from etcsim.demo import demo_plant
+from etcsim.errors import (
+    CertificateError,
+    ConfigurationError,
+    DimensionError,
+    DivergenceError,
+    OrderingError,
+)
 from etcsim.hybrid import (
     HybridArc,
     HybridState,
@@ -11,6 +23,10 @@ from etcsim.hybrid import (
     MonitorValues,
     Termination,
 )
+from etcsim.plant import PlantSpec
+from etcsim.scenario import build_initial_state
+from etcsim.simulate import SolverConfig
+from etcsim.triggers import GammaForm, PolicyKind, TriggerPolicy
 
 
 def state(x=(1.0, 2.0), y=(3.0,), e=(0.0, 0.0), tau=None):
@@ -250,3 +266,88 @@ class TestSampleTable:
         assert np.array_equal(arc.final_state().as_vector(), q_last.as_vector())
         assert arc.final_state().tau == q_last.tau
         arc.check_ordering()
+
+
+# Every bounded numeric input field: (builder, field, type, low, closed, high,
+# error). The intervals are spelled out here, not read from the records.
+def _policy(field):
+    base = {"sigma": {"kind": PolicyKind.NAIVE},
+            "rho": {"kind": PolicyKind.DEADZONE, "sigma": 0.3},
+            "t_star": {"kind": PolicyKind.TIME_REGULARIZED, "sigma": 0.3},
+            "period": {"kind": PolicyKind.PERIODIC}}[field]
+    return lambda **kw: TriggerPolicy(**base, **kw)
+
+
+def _lyapunov(**kw):
+    return QuadraticLyapunovData(**{"p1": np.eye(2), "p2": np.eye(1), "alpha1_bar": 1.0,
+                                    "alpha2": 1.0, "l_bar": 1.0, **kw})
+
+
+def _constants(**kw):
+    base = dict.fromkeys(("alpha1", "alpha2", "beta1", "beta2", "beta3", "l_link",
+                          "lambda1", "lambda2", "m_err", "n_err"), 1.0)
+    return AssumptionConstants(**{**base, "gamma1": GammaForm(1.0), "gamma2": GammaForm(0.0),
+                                  **kw})
+
+
+def _plant(**kw):
+    maps = {"f": lambda x, z, u: x, "g": lambda x, z, u: z, "h": lambda x, u: x,
+            "k": lambda xs: xs}
+    return PlantSpec(**{"n_x": 1, "n_z": 1, "n_u": 1, "epsilon": 0.1, **maps, **kw})
+
+
+def _initial(**kw):
+    policy = TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.3, rho=0.02)
+    return build_initial_state({"ball_radius": 1.0, **kw}, demo_plant(0.02), policy, seed=0)
+
+
+POS, NONNEG = (0.0, False, math.inf), (0.0, True, math.inf)
+BOUNDED_FIELDS = [
+    *[(SolverConfig, name, float, *POS, ConfigurationError)
+      for name in ("rel_tol", "abs_tol", "max_step_factor", "event_tol", "horizon",
+                   "zeno_window")],
+    (SolverConfig, "fast_floor", float, *NONNEG, ConfigurationError),
+    (SolverConfig, "zeno_max_jumps", int, 2, True, math.inf, ConfigurationError),
+    (SolverConfig, "store_stride", int, 1, True, math.inf, ConfigurationError),
+    (SolverConfig, "seed", int, *NONNEG, ConfigurationError),
+    (_policy("sigma"), "sigma", float, 0.0, False, 1.0, ConfigurationError),
+    *[(_policy(name), name, float, *POS, ConfigurationError)
+      for name in ("rho", "t_star", "period")],
+    (GammaForm, "coeff", float, *NONNEG, ConfigurationError),
+    (lambda **kw: GammaForm(1.0, **kw), "power", float, 1.0, True, math.inf,
+     ConfigurationError),
+    *[(_lyapunov, name, float, *POS, CertificateError)
+      for name in ("alpha1_bar", "alpha2", "l_bar")],
+    *[(_constants, name, float, *POS, CertificateError) for name in ("alpha1", "alpha2")],
+    *[(_constants, name, float, *NONNEG, CertificateError)
+      for name in ("beta1", "beta2", "beta3", "l_link", "lambda1", "lambda2", "m_err",
+                   "n_err")],
+    (_plant, "epsilon", float, *POS, ConfigurationError),
+    *[(_plant, name, int, 1, True, math.inf, DimensionError)
+      for name in ("n_x", "n_z", "n_u")],
+    (lambda **kw: replace(demo_plant(0.02), **kw), "epsilon", float, *POS,
+     ConfigurationError),
+    (_initial, "ball_radius", float, *NONNEG, ConfigurationError),
+    (_initial, "seed", int, *NONNEG, ConfigurationError),
+]
+
+
+@pytest.mark.parametrize("build, field, kind, low, closed, high, error", BOUNDED_FIELDS,
+                         ids=[f"{i}-{row[1]}" for i, row in enumerate(BOUNDED_FIELDS)])
+@settings(derandomize=True, max_examples=50, database=None, deadline=None)
+@given(data=st.data())
+def test_bounded_field_takes_exactly_finite_numbers_in_its_interval(
+        data, build, field, kind, low, closed, high, error):
+    edges = [low, math.nextafter(low, -math.inf), math.nextafter(low, math.inf), high,
+             math.nextafter(high, -math.inf), 1e400, -1e400, 10**400, sys.float_info.max]
+    value = data.draw(st.one_of(st.floats(), st.integers(), st.sampled_from(edges)))
+    # an int is a number, but a float is no integer; a number beyond the
+    # largest float is not finite, also as an int
+    typed = isinstance(value, int) or kind is float
+    finite = value == value and abs(value) <= sys.float_info.max  # NaN != NaN
+    inside = (low <= value if closed else low < value) and value < high
+    if typed and finite and inside:
+        build(**{field: value})
+    else:
+        with pytest.raises(error, match=repr(field)):
+            build(**{field: value})

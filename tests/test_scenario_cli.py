@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from pathlib import Path
 
@@ -238,6 +239,15 @@ class TestCli:
         assert payload == {"error": "ConfigurationError",
                            "message": "Lyapunov data is missing fields: ['p2']"}
 
+    @pytest.mark.parametrize("l_bar", [1e300, 1e154])  # lbar**2 raises; a gain reaches inf
+    def test_error_json_on_overflowing_l_bar(self, tmp_path, capsys, l_bar):
+        path = tmp_path / "lyap.json"
+        path.write_text(json.dumps(_lyapunov_file(l_bar=l_bar)))
+        assert main(["certify", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error"] == "CertificateError"
+        assert "l_bar" in payload["message"]
+
     def test_error_json_on_unknown_solver_field(self, tmp_path, capsys):
         cfg = scenario_dict()
         cfg["solver"]["force_python"] = True
@@ -267,8 +277,8 @@ def _initial(**initial):
     return scenario_dict(initial=initial)
 
 
-# Each row: command, input file, section and key the error must name. At the
-# parent of the section reader every row exited 0 or failed untyped.
+# Each row: command, input file, section and key the error must name. Before
+# the section reader and the number rule every row exited 0 or failed untyped.
 BAD_INPUTS = {
     "certify-misspelled-sigma": ("certify", _lyapunov_file(sigm=0.15),
                                  "lyapunov data", "sigm"),
@@ -292,6 +302,13 @@ BAD_INPUTS = {
                            "initial", "x"),
     "grid-axis-not-a-list": ("sweep", {"rho": 0.01}, "sweep grid", "rho"),
     "string-x": ("simulate", _initial(x="1.0, -0.5", y=[0.4]), "initial", "x"),
+    "nan-event-tol": ("simulate", _scenario("solver", event_tol=math.nan),
+                      "solver", "event_tol"),
+    "negative-fast-floor": ("simulate", _scenario("solver", fast_floor=-1.0),
+                            "solver", "fast_floor"),
+    "nan-zeno-window": ("simulate", _scenario("solver", zeno_window=math.nan),
+                        "solver", "zeno_window"),
+    "nan-ball-radius": ("simulate", _initial(ball_radius=math.nan), "initial", "ball_radius"),
 }
 
 

@@ -41,6 +41,15 @@ class TestSolverConfig:
             SolverConfig(zeno_max_jumps=1)
         with pytest.raises(ConfigurationError):
             SolverConfig(store_stride=0)
+        # NaN passes every `<=` range test; max_step_factor NaN made the
+        # integrator loop forever, so it is tested here and not through the CLI
+        for name in ("max_step_factor", "event_tol", "rel_tol", "abs_tol", "zeno_window",
+                     "zeno_max_jumps", "store_stride", "fast_floor"):
+            with pytest.raises(ConfigurationError, match=f"'{name}'"):
+                SolverConfig(**{name: math.nan})
+        for name, bad in (("fast_floor", -1.0), ("seed", -1), ("horizon", math.inf)):
+            with pytest.raises(ConfigurationError, match=f"'{name}'"):
+                SolverConfig(**{name: bad})
 
 
 class TestLocateEvent:

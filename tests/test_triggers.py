@@ -65,6 +65,11 @@ class TestGammaForm:
             GammaForm(-1.0)
         with pytest.raises(ConfigurationError):
             GammaForm(1.0, 0.5)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="'coeff'"):
+                GammaForm(bad)
+            with pytest.raises(ConfigurationError, match="'power'"):
+                GammaForm(1.0, bad)
 
 
 class TestPolicyValidation:
@@ -73,6 +78,9 @@ class TestPolicyValidation:
             TriggerPolicy(kind=PolicyKind.NAIVE, sigma=1.0)
         with pytest.raises(ConfigurationError):
             TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.5, rho=0.0)
+        for rho in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="rho"):
+                deadzone_event(state([0.0, 0.0], [0.0, 0.0]), StubCert(), 0.5, rho)
         with pytest.raises(ConfigurationError):
             TriggerPolicy(kind=PolicyKind.TIME_REGULARIZED, sigma=0.5,
                           t_star=-1.0)
@@ -275,8 +283,9 @@ class TestPeriodic:
         assert count == math.floor(horizon / period)
 
     def test_invalid_period(self):
-        with pytest.raises(ConfigurationError):
-            periodic_event(1.0, 0.0)
+        for period in (0.0, math.nan, math.inf):
+            with pytest.raises(ConfigurationError, match="period"):
+                periodic_event(1.0, period)
 
 
 class TestPurity:
