@@ -13,6 +13,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -100,8 +101,6 @@ def _spectral_norm(p: np.ndarray) -> float:
 def _check_spd(p: np.ndarray, name: str, sym_tol: float = 1e-12) -> None:
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise CertificateError(f"{name} must be square, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
-        raise CertificateError(f"{name} has non-finite entries")
     asym = float(np.max(np.abs(p - p.T))) if p.size else 0.0
     scale = max(1.0, _spectral_norm(p))
     if asym > sym_tol * scale:
@@ -127,21 +126,18 @@ class QuadraticLyapunovData:
     alpha2: float
     l_bar: float
 
-    _BOUNDS = dict.fromkeys(("alpha1_bar", "alpha2", "l_bar"), "(0, inf)")
+    _BOUNDS = {**dict.fromkeys(("p1", "p2"), "(-inf, inf)"),
+               **dict.fromkeys(("alpha1_bar", "alpha2", "l_bar"), "(0, inf)")}
 
     def __post_init__(self):
-        p1 = np.atleast_2d(np.asarray(self.p1, dtype=float))
-        p2 = np.atleast_2d(np.asarray(self.p2, dtype=float))
-        _check_spd(p1, "P1")
-        _check_spd(p2, "P2")
-        p1 = p1.copy()
-        p2 = p2.copy()
-        p1.flags.writeable = False
-        p2.flags.writeable = False
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "p2", p2)
+        for name in ("p1", "p2"):
+            p = np.atleast_2d(np.asarray(getattr(self, name), dtype=float)).copy()
+            p.flags.writeable = False
+            object.__setattr__(self, name, p)
         check_numbers("QuadraticLyapunovData", self, self._BOUNDS, CertificateError)
-        for name in self._BOUNDS:
+        _check_spd(self.p1, "P1")
+        _check_spd(self.p2, "P2")
+        for name in ("alpha1_bar", "alpha2", "l_bar"):
             object.__setattr__(self, name, float(getattr(self, name)))
 
     def v_x(self, x: np.ndarray) -> float:
@@ -469,6 +465,18 @@ def _psi_ceiling(mu: float, lam: float, d: float, t_star: float) -> float:
     return (mu - math.log1p(lam * math.sqrt(d)) / t_star) / (1.0 / t_star + 1.0)
 
 
+def _overflow_is_typed(fn):
+    """fn, raising a CertificateError where an OverflowError escapes it."""
+    @functools.wraps(fn)
+    def typed(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise CertificateError(f"a certificate constant overflows in {fn.__name__}") from exc
+    return typed
+
+
+@_overflow_is_typed
 def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
                                t_star: Optional[float] = None,
                                mode: str = "dwell",
@@ -705,6 +713,7 @@ def _dwell_eps_estimate(consts: AssumptionConstants, sigma: float, mu: float,
     return 0.0 if estimate is None else estimate
 
 
+@_overflow_is_typed
 def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
                         mode: str, *, d: Optional[float] = None,
                         dwell_ode: Optional[DwellComparison] = None,

@@ -112,16 +112,17 @@ def read_section(section: str, value, keys: dict) -> dict:
 def check_numbers(name: str, record, bounds: dict, error: type = ConfigurationError) -> None:
     """The value side of read_section's rule: each field of record (a dataclass,
     or a dict that read_section has read) named in bounds has its type hint's
-    type and a finite value in its interval, "(low, high)" or "[low, high)";
-    anything else raises error naming the record and the field."""
+    type and a finite value in its interval, "(low, high)" or "[low, high)",
+    every entry of an array field; anything else raises error naming the
+    record and the field."""
     hints = get_type_hints(type(record)) if is_dataclass(record) else {}
     for key, interval in bounds.items():
         value = record[key] if isinstance(record, dict) else getattr(record, key)
         tp = hints.get(key, float)
         tp = next(a for a in get_args(tp) or (tp,) if a is not type(None))  # drop Optional
         low, high = map(float, interval[1:-1].split(","))
-        if not (_fits(tp, value) and (low <= value if interval[0] == "[" else low < value)
-                and value < high and value <= sys.float_info.max):  # NaN fails; so does 10**400
+        if not (_fits(tp, value) and np.all((low <= value if interval[0] == "[" else low < value)
+                & (value < high) & (abs(value) <= sys.float_info.max))):  # NaN fails; so does 10**400
             raise error(f"{name} field {key!r} must be {_type_name(tp)} in {interval}, "
                         f"got {key} {value!r}")
 

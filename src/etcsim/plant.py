@@ -74,7 +74,9 @@ class PlantSpec:
     (one root, chosen once; the toolkit never switches roots mid-run);
     k maps the held sample x + e to the input. dh_dx is the Jacobian of h
     in x and defaults to central finite differences. epsilon is finite and
-    > 0; n_x, n_z and n_u are integers >= 1, else a DimensionError.
+    > 0; n_x, n_z and n_u are integers >= 1, else a DimensionError. Each
+    map returns its declared size (f n_x, g and h n_z, k n_u), else a
+    DimensionError that names the map.
 
     batched declares that the maps take column stacks (dim, N) as well:
     f, g, h and k then return (rows, N), and dh_dx (n_z, n_x) for every
@@ -125,7 +127,8 @@ def _batch_map(spec: PlantSpec, name: str, *rows: np.ndarray) -> np.ndarray:
     shape = {"f": (spec.n_x,), "g": (spec.n_z,), "h": (spec.n_z,), "k": (spec.n_u,),
              "dh_dx": (spec.n_z, spec.n_x)}[name]
     if not spec.batched:
-        return np.array([np.asarray(fn(*sample), dtype=float).reshape(-1)
+        size = int(np.prod(shape))
+        return np.array([_vec(fn(*sample), size, f"map {name}")
                          for sample in zip(*rows)]).reshape(n, *shape)
     out = np.asarray(fn(*(np.ascontiguousarray(r.T) for r in rows)), dtype=float)
     if name == "dh_dx" and out.shape in (shape, (n, *shape)):
@@ -148,11 +151,11 @@ def closed_loop_flow_vector(x, y, e, spec: PlantSpec) -> np.ndarray:
     x = _vec(x, spec.n_x, "x")
     y = _vec(y, spec.n_y, "y")
     e = _vec(e, spec.n_x, "e")
-    u = np.asarray(spec.k(x + e), dtype=float).reshape(-1)
-    h_val = np.asarray(spec.h(x, u), dtype=float).reshape(-1)
+    u = _vec(spec.k(x + e), spec.n_u, "map k")
+    h_val = _vec(spec.h(x, u), spec.n_z, "map h")
     z = y + h_val
-    fx = np.asarray(spec.f(x, z, u), dtype=float).reshape(-1)
-    g_val = np.asarray(spec.g(x, z, u), dtype=float).reshape(-1)
+    fx = _vec(spec.f(x, z, u), spec.n_x, "map f")
+    g_val = _vec(spec.g(x, z, u), spec.n_z, "map g")
     jac = np.asarray(spec.dh_dx(x, u), dtype=float).reshape(spec.n_z, spec.n_x)
     y_dot = g_val / spec.epsilon - jac @ fx
     out = np.concatenate([fx, y_dot, -fx])
@@ -279,6 +282,9 @@ class LinearPlantSpec:
     k_gain: np.ndarray
     epsilon: float
 
+    _BOUNDS = {**dict.fromkeys(("a11", "a12", "a21", "a22", "b1", "b2", "k_gain"), "(-inf, inf)"),
+               "epsilon": "(0, inf)"}
+
     def __post_init__(self):
         a11 = np.atleast_2d(np.asarray(self.a11, dtype=float))
         n_x = a11.shape[0]
@@ -293,7 +299,7 @@ class LinearPlantSpec:
         object.__setattr__(self, "b1", _matrix(self.b1, (n_x, n_u), "b1"))
         object.__setattr__(self, "b2", _matrix(self.b2, (n_z, n_u), "b2"))
         object.__setattr__(self, "k_gain", _matrix(k, (n_u, n_x), "k_gain"))
-        check_numbers("LinearPlantSpec", self, {"epsilon": "(0, inf)"})
+        check_numbers("LinearPlantSpec", self, self._BOUNDS)
         object.__setattr__(self, "epsilon", float(self.epsilon))
         if abs(np.linalg.det(self.a22)) < 1e-12:
             raise ConfigurationError("A22 must be invertible for a unique root")

@@ -168,7 +168,8 @@ def _monitor_r(x, y, e, tau, cert: LyapunovCertificate, params) -> float:
 
 
 class _PolicyEval:
-    """One (policy, certificate, dimensions) binding of the trigger margin."""
+    """The integrator's binding of TriggerPolicy.margin to one certificate
+    and to the (x, y, e) slices of its stacked state vectors."""
 
     def __init__(self, policy: TriggerPolicy, cert: Optional[LyapunovCertificate],
                  n_x: int, n_y: int):
@@ -216,11 +217,10 @@ def build_hybrid_system(spec: PlantSpec, policy: TriggerPolicy,
             "the periodic baseline is clock-driven, not state-dependent; "
             "run it through integrate_arc directly"
         )
-    ev = _PolicyEval(policy, cert, spec.n_x, spec.n_z)
+    policy.check_certificate(cert)
 
     def event_function(q: HybridState) -> float:
-        tau = q.tau if q.tau is not None else 0.0
-        return ev.margin(q.as_vector(), tau)
+        return policy.margin(cert, q.x, q.e, q.tau if q.tau is not None else 0.0)
 
     return HybridSystemInterface(
         flow_map=lambda q: closed_loop_flow(q, spec),

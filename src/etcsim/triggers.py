@@ -32,7 +32,6 @@ __all__ = [
     "GammaForm",
     "PolicyKind",
     "TriggerPolicy",
-    "threshold_margin",
     "naive_event",
     "deadzone_event",
     "time_regularized_event",
@@ -63,10 +62,6 @@ class GammaForm:
     def slope(self, s: float) -> float:
         """Derivative gamma'(s)."""
         return self.coeff * self.power * float(s) ** (self.power - 1.0)
-
-    @property
-    def is_quadratic(self) -> bool:
-        return self.power == 2.0
 
 
 class PolicyKind(str, Enum):
@@ -142,17 +137,26 @@ class TriggerPolicy:
             raise ConfigurationError(
                 f"{self.kind.value} policy needs a Lyapunov certificate"
             )
-        if self.requires_clock and not cert.gamma1.is_quadratic:
+        if self.requires_clock and cert.gamma1.power != 2.0:
             raise ConfigurationError("time_regularized needs a quadratic gamma1")
 
     def margin(self, cert, x: np.ndarray, e: np.ndarray, tau: float) -> float:
-        """Signed event margin on raw vectors; >= 0 on the jump set. tau is
-        the time since the last transmission. rho and t_star are None unless
-        the kind takes them; the public *_event functions give the same values."""
+        """The one signed event margin, on raw vectors; >= 0 on the jump set.
+        tau is the time since the last transmission. tau - period, else
+        gamma1(|e|) - max{sigma * alpha1 * Vx(x), rho} (no floor when rho is
+        None); with t_star, the max of that margin once tau >= t_star and of
+        tau - t_star once that margin is >= 0, each branch -inf otherwise."""
         if self.kind is PolicyKind.PERIODIC:
-            return periodic_event(tau, self.period)
-        margin = threshold_margin(x, e, cert, self.sigma, self.rho)
-        return margin if self.t_star is None else _dwell_margin(margin, tau, self.t_star)
+            return float(tau) - float(self.period)
+        thresh = self.sigma * cert.alpha1 * cert.v_x(x)
+        if self.rho is not None:
+            thresh = max(thresh, self.rho)
+        margin = cert.gamma1(float(np.linalg.norm(e))) - thresh
+        if self.t_star is None:
+            return margin
+        branch_threshold = margin if tau >= self.t_star else -math.inf
+        branch_clock = (tau - self.t_star) if margin >= 0.0 else -math.inf
+        return max(branch_threshold, branch_clock)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "TriggerPolicy":
@@ -162,35 +166,25 @@ class TriggerPolicy:
         return cls(kind=values.pop("policy"), **values)
 
 
-def threshold_margin(x: np.ndarray, e: np.ndarray, cert, sigma: float,
-                     rho: Optional[float] = None) -> float:
-    """gamma1(|e|) - max{sigma * alpha1 * Vx(x), rho}; no floor when rho is None.
-
-    The one threshold margin behind every state-dependent policy.
-    """
-    thresh = sigma * cert.alpha1 * cert.v_x(x)
-    if rho is not None:
-        thresh = max(thresh, rho)
-    return cert.gamma1(float(np.linalg.norm(e))) - thresh
-
-
-def _dwell_margin(margin: float, tau: float, t_star: float) -> float:
-    """Max of the dwell-clock policy's two jump-branch margins."""
-    branch_threshold = margin if tau >= t_star else -math.inf
-    branch_clock = (tau - t_star) if margin >= 0.0 else -math.inf
-    return max(branch_threshold, branch_clock)
+def _checked(q: Optional[HybridState], cert, kind: PolicyKind, **params) -> TriggerPolicy:
+    """The policy of kind and params, once it, cert and q's clock pass its checks:
+    each public *_event function rejects exactly what TriggerPolicy rejects."""
+    policy = TriggerPolicy(kind, **params)
+    policy.check_certificate(cert)
+    if policy.requires_clock and q.tau is None:
+        raise ConfigurationError("time_regularized policy needs the clock component")
+    return policy
 
 
 def naive_event(q: HybridState, cert, sigma: float) -> float:
     """Signed margin gamma1(|e|) - sigma * alpha1 * Vx(x); >= 0 on the jump set."""
-    return threshold_margin(q.x, q.e, cert, sigma)
+    return _checked(q, cert, PolicyKind.NAIVE, sigma=sigma).margin(cert, q.x, q.e, q.tau)
 
 
 def deadzone_event(q: HybridState, cert, sigma: float, rho: float) -> float:
     """Signed margin gamma1(|e|) - max{sigma * alpha1 * Vx(x), rho}."""
-    if not 0.0 < rho < math.inf:
-        raise ConfigurationError(f"rho must be finite and > 0, got {rho}")
-    return threshold_margin(q.x, q.e, cert, sigma, rho)
+    policy = _checked(q, cert, PolicyKind.DEADZONE, sigma=sigma, rho=rho)
+    return policy.margin(cert, q.x, q.e, q.tau)
 
 
 def time_regularized_event(q: HybridState, cert, sigma: float,
@@ -202,32 +196,21 @@ def time_regularized_event(q: HybridState, cert, sigma: float,
     has run past t_star, or anywhere at/beyond the surface exactly when the
     clock reads t_star.
     """
-    if q.tau is None:
-        raise ConfigurationError("time_regularized policy needs the clock component")
-    if not cert.gamma1.is_quadratic:
-        raise ConfigurationError("time_regularized policy needs a quadratic gamma1")
+    _checked(q, cert, PolicyKind.TIME_REGULARIZED, sigma=sigma, t_star=t_star)
     margin = naive_event(q, cert, sigma)
-    tau = q.tau
-    flow_ok = margin <= 0.0 or tau <= t_star
-    jump_ok = (margin == 0.0 and tau >= t_star) or (margin >= 0.0 and tau == t_star)
+    flow_ok = margin <= 0.0 or q.tau <= t_star
+    jump_ok = (margin == 0.0 and q.tau >= t_star) or (margin >= 0.0 and q.tau == t_star)
     return flow_ok, jump_ok
 
 
 def time_regularized_margin(q: HybridState, cert, sigma: float,
                             t_star: float) -> float:
-    """Scalar event function used for localization.
-
-    Max of the two jump-branch margins, each -inf while its clock
-    condition fails: the threshold margin once tau >= t_star, and the
-    clock margin tau - t_star once the threshold is met.
-    """
-    if q.tau is None:
-        raise ConfigurationError("time_regularized policy needs the clock component")
-    return _dwell_margin(naive_event(q, cert, sigma), q.tau, t_star)
+    """Scalar event function used for localization: the dwell-clock margin."""
+    policy = _checked(q, cert, PolicyKind.TIME_REGULARIZED, sigma=sigma, t_star=t_star)
+    return policy.margin(cert, q.x, q.e, q.tau)
 
 
 def periodic_event(t_since_jump: float, period: float) -> float:
     """Signed margin t_since_jump - period for the periodic baseline."""
-    if not 0.0 < period < math.inf:
-        raise ConfigurationError(f"period must be finite and > 0, got {period}")
-    return float(t_since_jump) - float(period)
+    return _checked(None, None, PolicyKind.PERIODIC, period=period).margin(
+        None, None, None, t_since_jump)

@@ -199,6 +199,13 @@ class TestSelectParameters:
             max(c.lambda2, (c.lambda1 + c.lambda2) * 0.3 * c.alpha1))
         assert params.lambda_practical == pytest.approx(lam)
 
+    def test_overflowing_constant_is_a_certificate_error(self):
+        # max_dwell_time squares n_err, which overflows past 1.3e154
+        c = replace(derive_constants(demo_lyapunov_data()), n_err=1e200)
+        with pytest.raises(CertificateError,
+                           match="overflows in select_analysis_parameters"):
+            select_analysis_parameters(c, 0.3, mode="practical")
+
 
 class TestJsonRecords:
     def test_practical_parameters_keys_in_field_order(self):

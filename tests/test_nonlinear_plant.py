@@ -6,9 +6,14 @@ local, which is all the margins need."""
 import numpy as np
 import pytest
 
-from etcsim.certificates import LyapunovCertificate, QuadraticLyapunovData
+from etcsim.certificates import (
+    LyapunovCertificate,
+    QuadraticLyapunovData,
+    validate_assumptions,
+)
+from etcsim.errors import DimensionError
 from etcsim.hybrid import HybridState, Termination
-from etcsim.plant import apply_jump, check_root_consistency
+from etcsim.plant import PlantSpec, apply_jump, check_root_consistency
 from etcsim.simulate import SolverConfig, integrate_arc
 from etcsim.triggers import PolicyKind, TriggerPolicy
 
@@ -61,3 +66,35 @@ def test_dwell_clock_run(plant, cert):
     iets = np.diff(arc.jump_times())
     if iets.size:
         assert np.all(iets >= 0.3 - 2e-9)
+
+
+@pytest.fixture(scope="module")
+def short_root():
+    """Two fast states whose root h returns one value, so y + h would
+    broadcast, and a certificate of the plant's sizes."""
+    plant = PlantSpec(
+        n_x=1, n_z=2, n_u=1,
+        f=lambda x, z, u: np.array([-x[0] + 0.1 * z[0]]),
+        g=lambda x, z, u: u[0] - z,
+        h=lambda x, u: np.array([u[0]]),
+        dh_dx=lambda x, u: np.zeros((2, 1)),
+        k=lambda xs: np.array([-0.5 * xs[0]]),
+        epsilon=0.02,
+    )
+    data = QuadraticLyapunovData(p1=np.eye(1), p2=np.eye(2),
+                                 alpha1_bar=1.0, alpha2=1.9, l_bar=1.5)
+    return plant, LyapunovCertificate.derive(data)
+
+
+def test_flow_of_a_map_of_wrong_size_is_a_dimension_error(short_root):
+    plant, cert = short_root
+    policy = TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.4, rho=0.01)
+    q0 = HybridState(x=np.array([1.5]), y=np.array([0.5, 0.0]), e=np.zeros(1))
+    with pytest.raises(DimensionError, match="map h has size 1, expected 2"):
+        integrate_arc(plant, policy, q0, SolverConfig(horizon=5.0), cert=cert)
+
+
+def test_sampled_check_of_a_map_of_wrong_size_is_a_dimension_error(short_root):
+    plant, cert = short_root
+    with pytest.raises(DimensionError, match="map h has size 1, expected 2"):
+        validate_assumptions(plant, cert.data, cert.constants, n_samples=100)

@@ -248,6 +248,15 @@ class TestCli:
         assert payload["error"] == "CertificateError"
         assert "l_bar" in payload["message"]
 
+    def test_error_json_on_overflowing_epsilon_star_search(self, tmp_path, capsys):
+        # derive_constants takes l_bar 1e100; the eps* inequalities square beta1
+        path = tmp_path / "lyap.json"
+        path.write_text(json.dumps(_lyapunov_file(l_bar=1e100)))
+        assert main(["certify", str(path)]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "CertificateError", "message": "a certificate constant "
+                           "overflows in epsilon_star_search"}
+
     def test_error_json_on_unknown_solver_field(self, tmp_path, capsys):
         cfg = scenario_dict()
         cfg["solver"]["force_python"] = True
@@ -278,7 +287,8 @@ def _initial(**initial):
 
 
 # Each row: command, input file, section and key the error must name. Before
-# the section reader and the number rule every row exited 0 or failed untyped.
+# the section reader and the number rule every row exited 0 or failed untyped;
+# the non-finite matrix rows failed as a DivergenceError at the first flow.
 BAD_INPUTS = {
     "certify-misspelled-sigma": ("certify", _lyapunov_file(sigm=0.15),
                                  "lyapunov data", "sigm"),
@@ -309,6 +319,10 @@ BAD_INPUTS = {
     "nan-zeno-window": ("simulate", _scenario("solver", zeno_window=math.nan),
                         "solver", "zeno_window"),
     "nan-ball-radius": ("simulate", _initial(ball_radius=math.nan), "initial", "ball_radius"),
+    "nan-a11": ("simulate", _scenario("plant", a11=[[math.nan, 0.0], [0.0, -0.6]]),
+                "plant", "a11"),
+    "inf-k-gain": ("simulate", _scenario("plant", k_gain=[[0.0, -math.inf]]),
+                   "plant", "k_gain"),
 }
 
 

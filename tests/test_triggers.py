@@ -81,6 +81,19 @@ class TestPolicyValidation:
         for rho in (0.0, math.nan, math.inf):
             with pytest.raises(ConfigurationError, match="rho"):
                 deadzone_event(state([0.0, 0.0], [0.0, 0.0]), StubCert(), 0.5, rho)
+        # the public functions reject exactly what TriggerPolicy rejects
+        q, cert = state([1.0, 0.0], [0.5, 0.0], tau=0.5), StubCert()
+        for sigma in (1.0, math.nan):
+            for call in (lambda: naive_event(q, cert, sigma),
+                         lambda: deadzone_event(q, cert, sigma, 0.1),
+                         lambda: time_regularized_event(q, cert, sigma, 1.0),
+                         lambda: time_regularized_margin(q, cert, sigma, 1.0)):
+                with pytest.raises(ConfigurationError, match="sigma"):
+                    call()
+        for t_star in (math.nan, -1.0):
+            for fn in (time_regularized_event, time_regularized_margin):
+                with pytest.raises(ConfigurationError, match="t_star"):
+                    fn(q, cert, 0.5, t_star)
         with pytest.raises(ConfigurationError):
             TriggerPolicy(kind=PolicyKind.TIME_REGULARIZED, sigma=0.5,
                           t_star=-1.0)
