@@ -29,7 +29,7 @@ from .errors import (
     InfeasibleDwellError,
 )
 from .hybrid import check_numbers, field_keys, read_section, record_dict
-from .plant import PlantSpec, _batch_map
+from .plant import PlantSpec, _batch_map, _held_rows, _jump_rows
 from .triggers import GammaForm
 
 __all__ = [
@@ -814,9 +814,7 @@ def _assumption_slacks(spec: PlantSpec, data: QuadraticLyapunovData,
                        e: np.ndarray) -> dict:
     """Slack of each inequality family per (x, y, e) row; NaN where none."""
     p1, p2 = data.p1, data.p2
-    u = _batch_map(spec, "k", x + e)
-    h_held = _batch_map(spec, "h", x, u)
-    h_fresh = _batch_map(spec, "h", x, _batch_map(spec, "k", x))
+    u, h_held = _held_rows(spec, x, e)
     f_x = _batch_map(spec, "f", x, y + h_held, u)
     f_s = _batch_map(spec, "f", x, h_held, u)
     g_f = _batch_map(spec, "g", x, y + h_held, u)
@@ -841,7 +839,7 @@ def _assumption_slacks(spec: PlantSpec, data: QuadraticLyapunovData,
                           + _dot_rows(grad_vy, jac_f_x)),
         "jump_growth": (v_y + consts.lambda1 * g1_e
                         + consts.lambda2 * np.sqrt(np.maximum(g1_e * v_y, 0.0))
-                        - _quad_rows(y + h_held - h_fresh, p2)),
+                        - _quad_rows(_jump_rows(spec, x, y, h_held), p2)),
         "error_growth": np.where(e_norm > 0.0, error_growth, np.nan),
     }
 
@@ -905,8 +903,8 @@ def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
         x, y, e = _draw_in_balls(rng, min(_SAMPLE_CHUNK, n_samples - start), balls)
         inside = ~((_quad_rows(x, p1) > level) | (_quad_rows(y, p2) > level))
         x, y, e = x[inside], y[inside], e[inside]
-        u = _batch_map(spec, "k", x + e)
-        f_x = _batch_map(spec, "f", x, y + _batch_map(spec, "h", x, u), u)
+        u, h_held = _held_rows(spec, x, e)
+        f_x = _batch_map(spec, "f", x, y + h_held, u)
         val = (_gain_rows(consts.gamma1.slope, np.sqrt(_dot_rows(e, e)))
                * np.sqrt(_dot_rows(f_x, f_x)))
         sup = float(np.fmax.reduce(val, initial=sup))  # a NaN never raises sup

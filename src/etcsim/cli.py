@@ -21,7 +21,7 @@ from .certificates import (
     epsilon_star_search,
     select_analysis_parameters,
 )
-from .errors import EtcsimError
+from .errors import ConfigurationError, EtcsimError
 from .hybrid import field_keys, read_section, write_json
 from .scenario import load_scenario_file
 from .simulate import integrate_arc
@@ -59,8 +59,9 @@ def _cmd_certify(args) -> int:
         cfg = read_section("Lyapunov data", json.load(fh),
                            {**field_keys(QuadraticLyapunovData), **_CERTIFY_KEYS})
     sigma, mode, t_star = (cfg.pop(key) for key in _CERTIFY_KEYS)
-    cert = LyapunovCertificate.derive(QuadraticLyapunovData(**cfg))
-    consts = cert.constants
+    if mode == "practical" and t_star is not None:
+        raise ConfigurationError(f"practical analysis does not take t_star, got {t_star}")
+    consts = LyapunovCertificate.derive(QuadraticLyapunovData(**cfg)).constants
     sigma = float(sigma)
     params = select_analysis_parameters(
         consts, sigma, t_star=float(t_star) if t_star is not None else None,

@@ -15,6 +15,7 @@ physical state z stays continuous and e resets to zero.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -75,8 +76,8 @@ class PlantSpec:
     k maps the held sample x + e to the input. dh_dx is the Jacobian of h
     in x and defaults to central finite differences. epsilon is finite and
     > 0; n_x, n_z and n_u are integers >= 1, else a DimensionError. Each
-    map returns its declared size (f n_x, g and h n_z, k n_u), else a
-    DimensionError that names the map.
+    map returns its declared size (f n_x, g and h n_z, k n_u, dh_dx
+    n_z * n_x entries), else a DimensionError that names the map.
 
     batched declares that the maps take column stacks (dim, N) as well:
     f, g, h and k then return (rows, N), and dh_dx (n_z, n_x) for every
@@ -119,6 +120,12 @@ def _vec(a, n: int, name: str) -> np.ndarray:
     return arr
 
 
+def _point(spec: PlantSpec | LinearPlantSpec, **parts) -> list[np.ndarray]:
+    """Each part (x, y, e, z or u) of one point, size-checked, as a (1, dim) row."""
+    sizes = {"x": spec.n_x, "y": spec.n_z, "e": spec.n_x, "z": spec.n_z, "u": spec.n_u}
+    return [_vec(a, sizes[name], name)[None, :] for name, a in parts.items()]
+
+
 def _batch_map(spec: PlantSpec, name: str, *rows: np.ndarray) -> np.ndarray:
     """Map `name` of spec on N samples given and returned as (N, dim) rows:
     one call on the column stacks if the plant is batched, else one call per
@@ -127,7 +134,7 @@ def _batch_map(spec: PlantSpec, name: str, *rows: np.ndarray) -> np.ndarray:
     shape = {"f": (spec.n_x,), "g": (spec.n_z,), "h": (spec.n_z,), "k": (spec.n_u,),
              "dh_dx": (spec.n_z, spec.n_x)}[name]
     if not spec.batched:
-        size = int(np.prod(shape))
+        size = math.prod(shape)
         return np.array([_vec(fn(*sample), size, f"map {name}")
                          for sample in zip(*rows)]).reshape(n, *shape)
     out = np.asarray(fn(*(np.ascontiguousarray(r.T) for r in rows)), dtype=float)
@@ -138,12 +145,21 @@ def _batch_map(spec: PlantSpec, name: str, *rows: np.ndarray) -> np.ndarray:
     raise DimensionError(f"batched plant map {name} gave shape {out.shape} for {n} samples")
 
 
+def _held_rows(spec: PlantSpec, x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Held input u = k(x + e) and its root h(x, u) on (N, dim) rows."""
+    u = _batch_map(spec, "k", x + e)
+    return u, _batch_map(spec, "h", x, u)
+
+
+def _jump_rows(spec: PlantSpec, x: np.ndarray, y: np.ndarray, h_held: np.ndarray) -> np.ndarray:
+    """Fast-state jump y + h(x, k(x+e)) - h(x, k(x)) on rows, h_held from _held_rows."""
+    return y + h_held - _batch_map(spec, "h", x, _batch_map(spec, "k", x))
+
+
 def shift_coordinates(z, x, u, spec: PlantSpec) -> np.ndarray:
     """Shift the quasi-steady-state to the origin: y = z - h(x, u)."""
-    z = _vec(z, spec.n_z, "z")
-    x = _vec(x, spec.n_x, "x")
-    u = _vec(u, spec.n_u, "u")
-    return z - np.asarray(spec.h(x, u), dtype=float).reshape(-1)
+    z, x, u = _point(spec, z=z, x=x, u=u)
+    return (z - _batch_map(spec, "h", x, u))[0]
 
 
 def closed_loop_flow_vector(x, y, e, spec: PlantSpec) -> np.ndarray:
@@ -152,11 +168,10 @@ def closed_loop_flow_vector(x, y, e, spec: PlantSpec) -> np.ndarray:
     y = _vec(y, spec.n_y, "y")
     e = _vec(e, spec.n_x, "e")
     u = _vec(spec.k(x + e), spec.n_u, "map k")
-    h_val = _vec(spec.h(x, u), spec.n_z, "map h")
-    z = y + h_val
+    z = y + _vec(spec.h(x, u), spec.n_z, "map h")
     fx = _vec(spec.f(x, z, u), spec.n_x, "map f")
     g_val = _vec(spec.g(x, z, u), spec.n_z, "map g")
-    jac = np.asarray(spec.dh_dx(x, u), dtype=float).reshape(spec.n_z, spec.n_x)
+    jac = _vec(spec.dh_dx(x, u), spec.n_z * spec.n_x, "map dh_dx").reshape(spec.n_z, spec.n_x)
     y_dot = g_val / spec.epsilon - jac @ fx
     out = np.concatenate([fx, y_dot, -fx])
     if not np.all(np.isfinite(out)):
@@ -176,29 +191,24 @@ def jump_map_hy(x, y, e, spec: PlantSpec) -> np.ndarray:
     The jump is an artifact of the coordinate shift: the physical state z
     is continuous across transmissions by construction.
     """
-    x = _vec(x, spec.n_x, "x")
-    y = _vec(y, spec.n_y, "y")
-    e = _vec(e, spec.n_x, "e")
-    u_held = np.asarray(spec.k(x + e), dtype=float).reshape(-1)
-    u_fresh = np.asarray(spec.k(x), dtype=float).reshape(-1)
-    h_held = np.asarray(spec.h(x, u_held), dtype=float).reshape(-1)
-    h_fresh = np.asarray(spec.h(x, u_fresh), dtype=float).reshape(-1)
-    return y + h_held - h_fresh
+    x, y, e = _point(spec, x=x, y=y, e=e)
+    return _jump_rows(spec, x, y, _held_rows(spec, x, e)[1])[0]
 
 
 def apply_jump(q: HybridState, spec: PlantSpec | LinearPlantSpec) -> HybridState:
     """Full jump map: x unchanged, y -> h_y(x, y, e), e -> 0, tau -> 0.
 
-    The one jump entry point. A PlantSpec jumps with the generic map
-    jump_map_hy. A LinearPlantSpec jumps with its closed form y + G e,
+    The one jump entry point; q's parts must have the plant's sizes, else a
+    DimensionError that names the part. A PlantSpec jumps with the generic
+    map jump_map_hy. A LinearPlantSpec jumps with its closed form y + G e,
     G = Hu K: each increment (G e)_i is summed from 0.0 in state order in
     plain float arithmetic (no BLAS, which may reorder or fuse), so the
     result is bitwise fixed on every host. It equals jump_map_hy in exact
     arithmetic but may round differently.
     """
+    x, y, e = _point(spec, x=q.x, y=q.y, e=q.e)
     if isinstance(spec, LinearPlantSpec):
-        e = q.e.tolist()
-        y = q.y.tolist()
+        y, e = y[0].tolist(), e[0].tolist()
         y_plus = np.empty(len(y))
         for i, row in enumerate(spec.jump_gain().tolist()):
             acc = 0.0
@@ -206,7 +216,7 @@ def apply_jump(q: HybridState, spec: PlantSpec | LinearPlantSpec) -> HybridState
                 acc += g_im * e_m
             y_plus[i] = y[i] + acc
     else:
-        y_plus = jump_map_hy(q.x, q.y, q.e, spec)
+        y_plus = _jump_rows(spec, x, y, _held_rows(spec, x, e)[1])[0]
     return HybridState(
         x=q.x,
         y=y_plus,
@@ -217,21 +227,16 @@ def apply_jump(q: HybridState, spec: PlantSpec | LinearPlantSpec) -> HybridState
 
 def reduced_slow_flow(x, e, spec: PlantSpec) -> np.ndarray:
     """Approximate slow model f_s(x, e) = f(x, h(x, k(x+e)), k(x+e))."""
-    x = _vec(x, spec.n_x, "x")
-    e = _vec(e, spec.n_x, "e")
-    u = np.asarray(spec.k(x + e), dtype=float).reshape(-1)
-    h_val = np.asarray(spec.h(x, u), dtype=float).reshape(-1)
-    return np.asarray(spec.f(x, h_val, u), dtype=float).reshape(-1)
+    x, e = _point(spec, x=x, e=e)
+    u, h_held = _held_rows(spec, x, e)
+    return _batch_map(spec, "f", x, h_held, u)[0]
 
 
 def reduced_fast_flow(x, y, e, spec: PlantSpec) -> np.ndarray:
     """Approximate fast model g_f(x, y, e) = g(x, y + h(x, k(x+e)), k(x+e))."""
-    x = _vec(x, spec.n_x, "x")
-    y = _vec(y, spec.n_y, "y")
-    e = _vec(e, spec.n_x, "e")
-    u = np.asarray(spec.k(x + e), dtype=float).reshape(-1)
-    h_val = np.asarray(spec.h(x, u), dtype=float).reshape(-1)
-    return np.asarray(spec.g(x, y + h_val, u), dtype=float).reshape(-1)
+    x, y, e = _point(spec, x=x, y=y, e=e)
+    u, h_held = _held_rows(spec, x, e)
+    return _batch_map(spec, "g", x, y + h_held, u)[0]
 
 
 def check_root_consistency(spec: PlantSpec, box: float = 1.0,
@@ -270,7 +275,7 @@ class LinearPlantSpec:
     dx/dt = A11 x + A12 z + B1 u,  eps dz/dt = A21 x + A22 z + B2 u,
     u = K x at transmissions. A22 must be invertible so the root
     h(x, u) = -A22^{-1} (A21 x + B2 u) is unique; a Hurwitz check on A22
-    is recorded as a diagnostic.
+    is available as `a22_hurwitz`.
     """
 
     a11: np.ndarray

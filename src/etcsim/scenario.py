@@ -93,6 +93,8 @@ def load_scenario(cfg: dict) -> Scenario:
             "mode": (str, "dwell"), "t_star": (float, policy.t_star),
             "sigma": (float, MISSING if policy.sigma is None else policy.sigma)})
         sigma, mode, t_star = float(ana["sigma"]), ana["mode"], ana["t_star"]
+        if mode == "practical" and "t_star" in cfg["analysis"]:  # not the policy's default
+            raise ConfigurationError(f"practical analysis does not take t_star, got {t_star}")
         params = select_analysis_parameters(
             cert.constants, sigma,
             t_star=float(t_star) if t_star is not None else None, mode=mode)

@@ -3,6 +3,8 @@ nonlinear plant: a cubic-damped slow state driven through a first-order
 actuator. The quadratic certificate used for the trigger thresholds is
 local, which is all the margins need."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,16 @@ from etcsim.certificates import (
 )
 from etcsim.errors import DimensionError
 from etcsim.hybrid import HybridState, Termination
-from etcsim.plant import PlantSpec, apply_jump, check_root_consistency
+from etcsim.plant import (
+    PlantSpec,
+    apply_jump,
+    check_root_consistency,
+    closed_loop_flow_vector,
+    jump_map_hy,
+    reduced_fast_flow,
+    reduced_slow_flow,
+    shift_coordinates,
+)
 from etcsim.simulate import SolverConfig, integrate_arc
 from etcsim.triggers import PolicyKind, TriggerPolicy
 
@@ -98,3 +109,21 @@ def test_sampled_check_of_a_map_of_wrong_size_is_a_dimension_error(short_root):
     plant, cert = short_root
     with pytest.raises(DimensionError, match="map h has size 1, expected 2"):
         validate_assumptions(plant, cert.data, cert.constants, n_samples=100)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: jump_map_hy([1.0], [0.5, 0.0], [0.2], p),
+    lambda p: reduced_slow_flow([1.0], [0.2], p),
+    lambda p: reduced_fast_flow([1.0], [0.5, 0.0], [0.2], p),
+    lambda p: shift_coordinates([0.5, 0.0], [1.0], [0.2], p),
+], ids=["jump_map_hy", "reduced_slow_flow", "reduced_fast_flow", "shift_coordinates"])
+def test_point_map_of_wrong_size_is_a_dimension_error(short_root, call):
+    plant, _ = short_root
+    with pytest.raises(DimensionError, match="map h has size 1, expected 2"):
+        call(plant)
+
+
+def test_flow_of_a_jacobian_of_wrong_size_is_a_dimension_error(nonlinear_plant):
+    plant = replace(nonlinear_plant, dh_dx=lambda x, u: np.zeros((2, 2)))
+    with pytest.raises(DimensionError, match=r"map dh_dx has size 4, expected 1"):
+        closed_loop_flow_vector([1.0], [0.5], [0.2], plant)

@@ -193,6 +193,16 @@ class TestJumpMap:
             assert q_plus.tau == (None if tau is None else 0.0)
 
 
+    @pytest.mark.parametrize("x, y, e, named", [
+        (np.ones(2), np.ones(2), np.ones(2), "y has size 2, expected 1"),
+        (np.ones(2), np.ones(0), np.ones(2), "y has size 0, expected 1"),
+        (np.ones(3), np.ones(1), np.ones(3), "x has size 3, expected 2"),
+    ], ids=["y_too_long", "y_empty", "x_and_e_too_long"])
+    def test_apply_jump_linear_checks_state_sizes(self, lin, x, y, e, named):
+        with pytest.raises(DimensionError, match=named):
+            apply_jump(HybridState(x=x, y=y, e=e), lin)
+
+
 class TestRootMatrices:
     def test_solved_once_read_only_and_per_instance(self, monkeypatch):
         lin = demo_plant(0.05)

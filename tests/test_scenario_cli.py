@@ -106,6 +106,11 @@ class TestScenarioLoading:
         cfg["analysis"]["sigma"] = 0.3
         assert load_scenario(cfg).params.sigma == 0.3
 
+    def test_practical_analysis_ignores_the_policys_t_star(self):
+        cfg = scenario_dict(policy=TIME_REGULARIZED)
+        cfg["analysis"] = {"mode": "practical"}
+        assert load_scenario(cfg).params.mode == "practical"
+
     def test_analysis_section_builds_params(self):
         cfg = scenario_dict(policy={"policy": "time_regularized",
                                     "sigma": 0.15, "t_star": 0.5})
@@ -227,6 +232,21 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ConfigurationError"
         assert named in payload["message"]
+
+    @pytest.mark.parametrize("command, document", [
+        ("certify", {**demo_lyapunov_data().to_dict(),
+                     "sigma": 0.15, "mode": "practical", "t_star": 0.5}),
+        ("simulate", {**scenario_dict(policy=TIME_REGULARIZED),
+                      "analysis": {"mode": "practical", "sigma": 0.15, "t_star": 0.5}}),
+    ], ids=["certify_file", "scenario_analysis"])
+    def test_error_json_on_t_star_under_practical_analysis(self, tmp_path, capsys,
+                                                           command, document):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(document))
+        assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"error": "ConfigurationError",
+                           "message": "practical analysis does not take t_star, got 0.5"}
 
     def test_error_json_on_missing_lyapunov_field(self, tmp_path, capsys):
         lyap = demo_lyapunov_data().to_dict()
