@@ -54,6 +54,14 @@ SLACK_TOL = -1e-9
 # Rows drawn and evaluated at once by the sampled checks: bounds their
 # memory, and every result equals the one-draw result bitwise.
 _SAMPLE_CHUNK = 2048
+_SYM_TOL = 1e-12  # largest asymmetry of P1 and P2, relative to max(1, norm)
+_N_ODE_GRID = 512  # points of the comparison-ODE trajectory that is stored
+_N_VARTHETA = 10  # vartheta floors scanned, log-spaced in [1e-4, 0.9]
+_MU_BISECT_ITERS = 28  # bisection steps for the largest mu whose transit covers t_star
+_EPS_FLOOR = 1e-12  # smallest eps that the epsilon* search and its ranking certify
+_N_W_GRID = 64  # clock values, equally spaced in tau, that the dwell flow form is checked at
+# The keyword arguments of epsilon_star_search that each analysis mode takes.
+_MODE_TAKES = {"practical": ("rho", "xi_delta"), "dwell": ("d", "dwell_ode")}
 
 
 def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndarray:
@@ -98,12 +106,12 @@ def _spectral_norm(p: np.ndarray) -> float:
     return float(np.linalg.norm(p, 2))
 
 
-def _check_spd(p: np.ndarray, name: str, sym_tol: float = 1e-12) -> None:
+def _check_spd(p: np.ndarray, name: str) -> None:
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise CertificateError(f"{name} must be square, got shape {p.shape}")
     asym = float(np.max(np.abs(p - p.T))) if p.size else 0.0
     scale = max(1.0, _spectral_norm(p))
-    if asym > sym_tol * scale:
+    if asym > _SYM_TOL * scale:
         raise CertificateError(f"{name} is not symmetric (asymmetry {asym:.3e})")
     eigmin = float(np.min(np.linalg.eigvalsh(p)))
     if eigmin <= 0.0:
@@ -336,6 +344,11 @@ class DwellComparison:
         return float(np.interp(tau, self.tau_grid, self.values))
 
 
+def _comparison_coeff(mu: float, n_err: float, gamma1_bar: float, alpha1: float) -> float:
+    """G = gamma1_bar N^2/(alpha1 - mu), the quadratic coefficient of the comparison ODE."""
+    return gamma1_bar / (alpha1 - mu) * n_err**2
+
+
 def _transit_time_quadrature(mu: float, vartheta: float, m_err: float,
                              n_err: float, gamma1_bar: float,
                              alpha1: float) -> float:
@@ -346,7 +359,7 @@ def _transit_time_quadrature(mu: float, vartheta: float, m_err: float,
     G = gamma1_bar N^2/(alpha1 - mu), B = 2M + mu, C = 1 + mu. Used for
     fast bisection probes; the ODE integration remains the stored oracle.
     """
-    g = gamma1_bar / (alpha1 - mu) * n_err**2
+    g = _comparison_coeff(mu, n_err, gamma1_bar, alpha1)
     b = 2.0 * m_err + mu
     c = 1.0 + mu
     lo, hi = vartheta, 1.0 / vartheta
@@ -369,20 +382,20 @@ def _transit_time_quadrature(mu: float, vartheta: float, m_err: float,
 
 
 def dwell_time_ode(mu: float, vartheta: float, m_err: float, n_err: float,
-                   gamma1_bar: float, alpha1: float,
-                   n_grid: int = 512) -> DwellComparison:
+                   gamma1_bar: float, alpha1: float) -> DwellComparison:
     """Transit time of the decay comparison ODE, with the sampled trajectory.
 
     Integrates w' = -1 - 2*M*w - mu - (mu*w + gamma1_bar/(alpha1-mu)*(N*w)^2)
     from w(0) = 1/vartheta until w = vartheta. Since w' <= -1 the transit
     time is at most 1/vartheta - vartheta; failure to reach the floor
-    within that horizon is an integration error.
+    within that horizon is an integration error. The trajectory is stored at
+    _N_ODE_GRID (512) equally spaced clock values.
     """
     if not 0.0 < mu < alpha1:
         raise CertificateError(f"mu must lie in (0, alpha1={alpha1:.6g}), got {mu}")
     if not 0.0 < vartheta < 1.0:
         raise CertificateError(f"vartheta must lie in (0, 1), got {vartheta}")
-    quad = gamma1_bar / (alpha1 - mu) * n_err**2
+    quad = _comparison_coeff(mu, n_err, gamma1_bar, alpha1)
 
     def rhs(_t, w):
         return -1.0 - 2.0 * m_err * w - mu - (mu * w + quad * w * w)
@@ -401,7 +414,7 @@ def dwell_time_ode(mu: float, vartheta: float, m_err: float, n_err: float,
             "comparison ODE failed to reach its floor within the unit-rate cap"
         )
     transit = float(sol.t_events[0][0])
-    tau_grid = np.linspace(0.0, transit, n_grid)
+    tau_grid = np.linspace(0.0, transit, _N_ODE_GRID)
     values = sol.sol(tau_grid)[0]
     values[0] = 1.0 / vartheta
     values[-1] = vartheta
@@ -479,17 +492,16 @@ def _overflow_is_typed(fn):
 @_overflow_is_typed
 def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
                                t_star: Optional[float] = None,
-                               mode: str = "dwell",
-                               n_vartheta: int = 10,
-                               mu_bisect_iters: int = 28) -> AnalysisParameters:
+                               mode: str = "dwell") -> AnalysisParameters:
     """Select the decay margin and companion parameters for one analysis.
 
     mode "practical": mu = alpha1 (1 - sigma) / 2 and the offset factor theta.
     mode "dwell": requires t_star below the closed-form dwell bound; scans
-    a logarithmic vartheta grid, bisecting for the largest mu whose
-    comparison-ODE transit still covers t_star, and keeps the candidate
-    with the largest certified hybrid rate psi. The returned pair is
-    re-integrated and asserted to satisfy the transit postcondition.
+    _N_VARTHETA (10) log-spaced vartheta floors in [1e-4, 0.9], bisecting
+    in _MU_BISECT_ITERS (28) steps for the largest mu whose comparison-ODE
+    transit still covers t_star, and keeps the candidate with the largest
+    certified hybrid rate psi. The returned pair is re-integrated and
+    asserted to satisfy the transit postcondition.
     """
     if not 0.0 < sigma < 1.0:
         raise CertificateError(f"sigma must lie in (0,1), got {sigma}")
@@ -523,18 +535,17 @@ def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
 
     best = None
     mu_floor = 1e-4 * consts.alpha1
-    for vartheta in np.geomspace(1e-4, 0.9, n_vartheta):
+    for vartheta in np.geomspace(1e-4, 0.9, _N_VARTHETA):
         vartheta = float(vartheta)
         if transit(mu_floor, vartheta) < t_star:
             continue
         lo = _bisect_largest(lambda mu: transit(mu, vartheta) >= t_star,
-                             mu_floor, consts.alpha1 * (1.0 - 1e-9), mu_bisect_iters)
+                             mu_floor, consts.alpha1 * (1.0 - 1e-9), _MU_BISECT_ITERS)
         mu = 0.98 * lo  # back off so the transit covers t_star with margin
         if mu <= 0.0:
             continue
-        lam = consts.lambda_jump(sigma)
         d = 0.5 * min(_d_weight_bounds(consts, sigma, mu, vartheta, t_star))
-        psi_max = _psi_ceiling(mu, lam, d, t_star)
+        psi_max = _psi_ceiling(mu, lam_jump_free, d, t_star)
         if psi_max <= 0.0:
             continue
         psi = 0.5 * psi_max
@@ -583,49 +594,32 @@ def _practical_feasible(eps: float, consts: AssumptionConstants, sigma: float,
     cross = (consts.beta1 + se * consts.beta2) ** 2 / 4.0
     if (slow - mu) * fast < cross:
         return False
-    if rho is not None and xi_delta is not None:
+    if rho is not None:  # epsilon_star_search takes rho and xi_delta together
         lam = consts.lambda_practical(sigma)
         if (4.0 / mu) * math.log1p(2.0 * eps**0.25 * lam) > rho / xi_delta:
             return False
     return True
 
 
-def _clock_quadratic_coeff(consts: AssumptionConstants, mu: float) -> float:
-    return consts.gamma1_bar / (consts.alpha1 - mu) * consts.n_err**2
-
-
-def _a1_matrix(eps: float, consts: AssumptionConstants, mu: float, d: float,
-               w: float) -> np.ndarray:
-    """Flow quadratic form in (sqrt(Vx), sqrt(Vy), |e|) when the clock
-    comparison value w is positive."""
-    g1 = consts.gamma1_bar
-    b = 0.5 * (consts.beta1 + d * consts.beta2)
-    c = g1 * consts.n_err * w
-    # -g1 - d*g2 - g1*f_w - 2*g1*M*w with f_w the comparison ODE rate,
-    # which collapses to mu*g1*(1 + w) - d*g2 + g1^2 N^2 w^2/(alpha1-mu).
-    upsilon = (mu * g1 * (1.0 + w) - d * consts.gamma2_bar
-               + g1 * _clock_quadratic_coeff(consts, mu) * w * w)
-    return np.array([
-        [consts.alpha1, -b, -c],
-        [-b, d * consts.alpha2 / eps - d * consts.beta3, -c],
-        [-c, -c, upsilon],
-    ])
-
-
-def _a1_scalar_conditions(eps: float, consts: AssumptionConstants, mu: float,
-                          d: float, w: float) -> bool:
-    """Leading-principal-minor conditions for A1 >= mu * diag(1, d, g1*w)."""
+def _a1_entries(eps: float, consts: AssumptionConstants, mu: float, d: float,
+                w: float) -> tuple[float, float, float, float, float]:
+    """(a11, d2, w33, b, c) of A1 - mu * diag(1, d, g1*w) = [[a11, -b, -c], [-b, d2, -c],
+    [-c, -c, w33]], with A1 the flow form in (sqrt(Vx), sqrt(Vy), |e|) while w > 0."""
     g1 = consts.gamma1_bar
     b = 0.5 * (consts.beta1 + d * consts.beta2)
     c = g1 * consts.n_err * w
     d2 = d * (consts.alpha2 / eps - consts.beta3 - mu)
     a11 = consts.alpha1 - mu
+    # A1's last entry is -g1 - d*g2 - g1*f_w - 2*g1*M*w with f_w the comparison
+    # ODE rate, which collapses to mu*g1*(1 + w) - d*g2 + g1^2 N^2 w^2/(alpha1-mu).
     upsilon = (mu * g1 * (1.0 + w) - d * consts.gamma2_bar
-               + g1 * _clock_quadratic_coeff(consts, mu) * w * w)
-    w33 = upsilon - mu * g1 * w
-    if a11 < 0.0:
-        return False
-    if a11 * d2 < b * b:
+               + g1 * _comparison_coeff(mu, consts.n_err, g1, consts.alpha1) * w * w)
+    return a11, d2, upsilon - mu * g1 * w, b, c
+
+
+def _a1_scalar_conditions(a11: float, d2: float, w33: float, b: float, c: float) -> bool:
+    """Leading-principal-minor conditions for A1 >= mu * diag(1, d, g1*w), on its entries."""
+    if a11 < 0.0 or a11 * d2 < b * b:  # the 1x1 and 2x2 leading minors
         return False
     det = (a11 * (d2 * w33 - c * c)
            + b * (-b * w33 - c * c)
@@ -633,10 +627,8 @@ def _a1_scalar_conditions(eps: float, consts: AssumptionConstants, mu: float,
     return det >= 0.0
 
 
-def _a1_eigen_conditions(eps: float, consts: AssumptionConstants, mu: float,
-                         d: float, w: float) -> bool:
-    g1 = consts.gamma1_bar
-    mat = _a1_matrix(eps, consts, mu, d, w) - mu * np.diag([1.0, d, g1 * w])
+def _a1_eigen_conditions(a11: float, d2: float, w33: float, b: float, c: float) -> bool:
+    mat = np.array([[a11, -b, -c], [-b, d2, -c], [-c, -c, w33]])
     scale = max(1.0, float(np.max(np.abs(mat))))
     return float(np.min(np.linalg.eigvalsh(mat))) >= -1e-10 * scale
 
@@ -649,9 +641,10 @@ def _dwell_feasible(eps: float, consts: AssumptionConstants, sigma: float,
     # Flow form while the comparison value is positive, at the worst clock
     # value over its trajectory.
     for w in w_grid:
-        scalar_ok = _a1_scalar_conditions(eps, consts, mu, d, float(w))
+        entries = _a1_entries(eps, consts, mu, d, float(w))
+        scalar_ok = _a1_scalar_conditions(*entries)
         if warn_mismatch:
-            eigen_ok = _a1_eigen_conditions(eps, consts, mu, d, float(w))
+            eigen_ok = _a1_eigen_conditions(*entries)
             if scalar_ok != eigen_ok:
                 warnings.warn(
                     "scalar principal-minor and eigenvalue tests disagree for "
@@ -688,13 +681,12 @@ def _bisect_largest(ok: Callable[[float], bool], lo: float, hi: float,
     return lo
 
 
-def _log_eps_bisect(feasible: Callable[[float], bool], eps_floor: float,
-                    iterations: int) -> Optional[float]:
-    """Largest feasible eps in [eps_floor, 1] by log-eps bisection, or None."""
-    if not feasible(eps_floor):  # eps_floor itself: exp(log(eps_floor)) rounds
+def _log_eps_bisect(feasible: Callable[[float], bool], iterations: int) -> Optional[float]:
+    """Largest feasible eps in [_EPS_FLOOR, 1] by log-eps bisection, or None."""
+    if not feasible(_EPS_FLOOR):  # the floor itself: exp(log(_EPS_FLOOR)) rounds
         return 1.0 if feasible(1.0) else None
     return math.exp(_bisect_largest(lambda s: feasible(math.exp(s)),
-                                    math.log(eps_floor), 0.0, iterations))
+                                    math.log(_EPS_FLOOR), 0.0, iterations))
 
 
 def _dwell_eps_estimate(consts: AssumptionConstants, sigma: float, mu: float,
@@ -708,8 +700,7 @@ def _dwell_eps_estimate(consts: AssumptionConstants, sigma: float, mu: float,
     w_grid = np.array([vartheta, 1.0 / vartheta])
 
     estimate = _log_eps_bisect(
-        lambda eps: _dwell_feasible(eps, consts, sigma, mu, d, w_grid),
-        1e-12, 40)
+        lambda eps: _dwell_feasible(eps, consts, sigma, mu, d, w_grid), 40)
     return 0.0 if estimate is None else estimate
 
 
@@ -718,17 +709,24 @@ def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
                         mode: str, *, d: Optional[float] = None,
                         dwell_ode: Optional[DwellComparison] = None,
                         rho: Optional[float] = None,
-                        xi_delta: Optional[float] = None,
-                        eps_floor: float = 1e-12,
-                        n_w_grid: int = 64) -> float:
-    """Largest certified singular-perturbation parameter in (0, 1].
+                        xi_delta: Optional[float] = None) -> float:
+    """Largest certified singular-perturbation parameter in [1e-12, 1].
 
-    Bisects in log-eps; all certificate inequalities are monotone (they
-    only get harder as eps grows), and the returned value is re-checked
-    against every defining inequality before being returned.
+    Bisects in log-eps from _EPS_FLOOR; all certificate inequalities are
+    monotone (they only get harder as eps grows), and the returned value is
+    re-checked against every defining inequality; dwell mode checks its flow
+    form at _N_W_GRID (64) clock values of the stored comparison ODE. Only
+    practical mode takes rho with xi_delta, only dwell mode d and dwell_ode.
     """
     if not 0.0 < sigma < 1.0:
         raise CertificateError(f"sigma must lie in (0,1), got {sigma}")
+    if mode not in _MODE_TAKES:
+        raise CertificateError(f"unknown analysis mode {mode!r}")
+    for name, value in (("d", d), ("dwell_ode", dwell_ode), ("rho", rho), ("xi_delta", xi_delta)):
+        if value is not None and name not in _MODE_TAKES[mode]:
+            raise CertificateError(f"{mode} analysis does not take {name}")
+    if (rho is None) != (xi_delta is None):
+        raise CertificateError("rho and xi_delta are given together or not at all")
     if mode == "practical":
         if not 0.0 < mu < consts.alpha1 * (1.0 - sigma):
             raise CertificateError(
@@ -738,12 +736,12 @@ def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
         def feasible(eps: float) -> bool:
             return _practical_feasible(eps, consts, sigma, mu, rho, xi_delta)
 
-    elif mode == "dwell":
+    else:
         if not 0.0 < mu < consts.alpha1:
             raise CertificateError(f"dwell mode needs mu in (0, alpha1), got {mu}")
         if d is None or dwell_ode is None:
             raise CertificateError("dwell mode needs d and the stored comparison ODE")
-        taus = np.linspace(0.0, dwell_ode.transit_time, n_w_grid)
+        taus = np.linspace(0.0, dwell_ode.transit_time, _N_W_GRID)
         w_grid = np.array([dwell_ode.evaluate(t) for t in taus])
 
         def feasible(eps: float) -> bool:
@@ -753,13 +751,11 @@ def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
         # silently resolved).
         _dwell_feasible(min(1.0, 1e-3), consts, sigma, mu, d, w_grid,
                        warn_mismatch=True)
-    else:
-        raise CertificateError(f"unknown analysis mode {mode!r}")
 
-    eps_star = _log_eps_bisect(feasible, eps_floor, 80)
+    eps_star = _log_eps_bisect(feasible, 80)
     if eps_star is None:
         raise CertificateInfeasibleError(
-            f"no eps above {eps_floor:.1e} passes the certificate inequalities"
+            f"no eps above {_EPS_FLOOR:.1e} passes the certificate inequalities"
         )
     if not feasible(eps_star):
         raise CertificateError("postcondition failed: eps_star does not re-pass")
@@ -855,6 +851,8 @@ def validate_assumptions(spec: PlantSpec, data: QuadraticLyapunovData,
     point that achieved the worst slack. Samples are drawn and evaluated
     in chunks of _SAMPLE_CHUNK rows, in the order one draw would give.
     """
+    check_numbers("validate_assumptions", {"n_samples": n_samples, "box": box},
+                  {"n_samples": "[0, inf)", "box": "(0, inf)"}, CertificateError)
     n_x, n_y = spec.n_x, spec.n_y
     rng = np.random.default_rng(seed)
     # (worst slack, its sample) per family; inf stands when no sample counts

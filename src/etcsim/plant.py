@@ -40,20 +40,21 @@ __all__ = [
 ]
 
 ROOT_CONSISTENCY_TOL = 1e-9
+_FD_STEP_SCALE = 1e-6  # finite-difference step per unit of 1 + |x|
 
 
-def finite_difference_dh_dx(h: Callable, step_scale: float = 1e-6) -> Callable:
+def finite_difference_dh_dx(h: Callable) -> Callable:
     """Central-difference Jacobian of h in x; fallback when none is supplied.
 
-    Step is 1e-6 * (1 + |x|) per coordinate. Prefer an analytic Jacobian:
-    this term multiplies the fast dynamics and silent FD error would
-    corrupt the eps-scaled correction.
+    Step is _FD_STEP_SCALE (1e-6) times 1 + |x| per coordinate. Prefer an
+    analytic Jacobian: this term multiplies the fast dynamics and silent FD
+    error would corrupt the eps-scaled correction.
     """
 
     def dh_dx(x: np.ndarray, u: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         n_x = x.size
-        step = step_scale * (1.0 + float(np.linalg.norm(x)))
+        step = _FD_STEP_SCALE * (1.0 + float(np.linalg.norm(x)))
         cols = []
         for i in range(n_x):
             dx = np.zeros(n_x)
@@ -246,6 +247,8 @@ def check_root_consistency(spec: PlantSpec, box: float = 1.0,
 
     Returns the worst |g| found; raises ConfigurationError above tol.
     """
+    check_numbers("check_root_consistency", {"n_samples": n_samples, "box": box},
+                  {"n_samples": "[0, inf)", "box": "(0, inf)"})
     draws = np.random.default_rng(seed).uniform(-box, box, (n_samples, spec.n_x + spec.n_u))
     x, u = draws[:, :spec.n_x], draws[:, spec.n_x:]
     resid = _batch_map(spec, "g", x, _batch_map(spec, "h", x, u), u)

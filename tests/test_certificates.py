@@ -320,6 +320,37 @@ class TestEpsilonStar:
         with pytest.raises(CertificateError):
             epsilon_star_search(c, 0.5, c.alpha1, "practical")
 
+    @pytest.mark.parametrize("mode, names, message", [
+        ("practical", ("rho",), "rho and xi_delta are given together or not at all"),
+        ("practical", ("xi_delta",), "rho and xi_delta are given together or not at all"),
+        ("practical", ("d",), "practical analysis does not take d$"),
+        ("practical", ("dwell_ode",), "practical analysis does not take dwell_ode"),
+        ("dwell", ("d", "dwell_ode", "rho", "xi_delta"), "dwell analysis does not take rho"),
+    ])
+    def test_keyword_the_mode_does_not_take_rejected(self, certification, mode, names,
+                                                      message):
+        c, dwell = certification.cert.constants, certification.dwell
+        values = {"d": dwell.d_weight, "dwell_ode": dwell.dwell_ode, "rho": 0.5, "xi_delta": 1.0}
+        mu = dwell.mu if mode == "dwell" else 0.25 * c.alpha1
+        with pytest.raises(CertificateError, match=message):
+            epsilon_star_search(c, dwell.sigma, mu, mode, **{n: values[n] for n in names})
+
+    def test_demo_chain_pinned(self, certification):
+        # the parameters and epsilon* of both demo analyses, bitwise
+        assert certification.practical.to_dict() == {
+            "mode": "practical", "sigma": 0.3, "mu": 0.34964999999999996,
+            "dwell_bound": 0.9266585607027892, "lambda_jump": 1.2642784503423288,
+            "lambda_practical": 2.0634784503423287, "epsilon_star": 0.030501921980267813,
+            "theta": 76.20125731868448}
+        assert certification.dwell.to_dict() == {
+            "mode": "dwell", "sigma": 0.15, "mu": 0.08730302688628569,
+            "dwell_bound": 0.9266585607027892, "lambda_jump": 1.2642784503423288,
+            "lambda_practical": 2.0634784503423287, "epsilon_star": 1.2133523112123186e-10,
+            "vartheta": 0.015732632357860408, "t_star": 0.8339927046325103,
+            "dwell_bound_ode": 0.8352451112965213, "d_weight": 2.906517332371021e-05,
+            "psi": 0.017998222486270563}
+        assert certification.dwell.dwell_ode.values.size == 512
+
 
 class TestValidateAssumptions:
     def test_demo_passes(self):
@@ -356,6 +387,16 @@ class TestValidateAssumptions:
         assert family.witness is not None
         x, y, e = family.witness
         assert len(x) == 2 and len(y) == 1 and len(e) == 2
+
+    @pytest.mark.parametrize("n_samples, box", [
+        (-5, 10.0), (2000, 0.0), (2000, -10.0), (2000, math.nan), (2000, math.inf)])
+    def test_sample_count_and_box_checked(self, n_samples, box):
+        # a negative count or a zero box sampled nothing and passed any constants
+        data = demo_lyapunov_data()
+        broken = replace(derive_constants(data), lambda2=0.0)
+        spec = demo_plant(0.05).as_plant_spec()
+        with pytest.raises(CertificateError, match="validate_assumptions field"):
+            validate_assumptions(spec, data, broken, n_samples=n_samples, box=box)
 
 
 class TestTriggerSlopeBound:

@@ -311,6 +311,12 @@ class TestInvariants:
                                       tol=1.0) == scalar_root_consistency(
                                           spec, 1.0, 200, 0)
 
+    @pytest.mark.parametrize("n_samples, box", [
+        (-1, 1.0), (10, 0.0), (10, -1.0), (10, math.nan), (10, math.inf)])
+    def test_root_consistency_sample_count_and_box_checked(self, spec, n_samples, box):
+        with pytest.raises(ConfigurationError, match="check_root_consistency field"):
+            check_root_consistency(spec, box=box, n_samples=n_samples)
+
     def test_batched_plant_without_jacobian_rejected(self):
         # the finite-difference dh_dx default takes one sample, not a stack
         with pytest.raises(ConfigurationError, match="batched plant needs"):
