@@ -2,10 +2,10 @@
 
 From quadratic Lyapunov data (P1, P2, decay rates, a common Lipschitz
 constant) this module derives every constant required by the stability
-assumptions, computes the closed-form maximum dwell time together with its
-comparison-ODE cross-check, selects the decay/weight parameters used by
-the two stability analyses, and searches for the largest certified
-singular-perturbation parameter.
+assumptions, computes the closed-form maximum dwell time and the
+closed-form solution of its comparison ODE, selects the decay/weight
+parameters used by the two stability analyses, and searches for the largest
+certified singular-perturbation parameter.
 
 All operations are pure functions of their inputs; grid searches are
 deterministic.
@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     CertificateError,
@@ -28,7 +27,7 @@ from .errors import (
     ConfigurationError,
     InfeasibleDwellError,
 )
-from .hybrid import check_numbers, field_keys, read_section, record_dict
+from .hybrid import SampleArgs, check_numbers, field_keys, read_section, record_dict
 from .plant import PlantSpec, _batch_map, _held_rows, _jump_rows
 from .triggers import GammaForm
 
@@ -55,11 +54,9 @@ SLACK_TOL = -1e-9
 # memory, and every result equals the one-draw result bitwise.
 _SAMPLE_CHUNK = 2048
 _SYM_TOL = 1e-12  # largest asymmetry of P1 and P2, relative to max(1, norm)
-_N_ODE_GRID = 512  # points of the comparison-ODE trajectory that is stored
 _N_VARTHETA = 10  # vartheta floors scanned, log-spaced in [1e-4, 0.9]
 _MU_BISECT_ITERS = 28  # bisection steps for the largest mu whose transit covers t_star
 _EPS_FLOOR = 1e-12  # smallest eps that the epsilon* search and its ranking certify
-_N_W_GRID = 64  # clock values, equally spaced in tau, that the dwell flow form is checked at
 # The keyword arguments of epsilon_star_search that each analysis mode takes.
 _MODE_TAKES = {"practical": ("rho", "xi_delta"), "dwell": ("d", "dwell_ode")}
 
@@ -292,7 +289,7 @@ class LyapunovCertificate:
 
 
 # ---------------------------------------------------------------------------
-# Dwell-time bound and its comparison-ODE oracle
+# Dwell-time bound and the comparison ODE
 # ---------------------------------------------------------------------------
 
 
@@ -319,29 +316,60 @@ def max_dwell_time(m_err: float, n_err: float, gamma1_bar: float,
 
 @dataclass(frozen=True)
 class DwellComparison:
-    """Stored comparison-ODE solution: transit time plus a sampled trajectory.
+    """Closed-form solution of the comparison ODE w' = -(G w^2 + B w + C),
+    from w(0) = 1/vartheta down to w = vartheta, reached at transit_time.
 
-    evaluate(tau) interpolates linearly on the stored grid and freezes at
-    the final value for tau beyond it (the solution is decreasing and only
-    its value at the evaluation clock matters).
+    With G >= 0 and B, C > 0 the ODE is a separable Riccati equation with
+    constant coefficients (Hale, Ordinary Differential Equations, 1969):
+    for F an antiderivative of 1/(G w^2 + B w + C) on w > 0,
+    transit_time = F(1/vartheta) - F(vartheta) and
+    w(tau) = F^-1(F(1/vartheta) - tau). F is an arctangent if 4GC > B^2, the
+    log of a ratio if 4GC < B^2, rational if 4GC = B^2 and log(B w + C)/B if
+    G = 0. evaluate is 1/vartheta for tau <= 0 and vartheta from transit_time.
     """
 
-    transit_time: float
-    tau_grid: np.ndarray
-    values: np.ndarray
+    g: float
+    b: float
+    c: float
+    vartheta: float
 
-    def __post_init__(self):
-        for name in ("tau_grid", "values"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+    def _antiderivative(self, w: float) -> float:
+        g, b, c = self.g, self.b, self.c
+        if g == 0.0:
+            return math.log(b * w + c) / b
+        disc, z = 4.0 * g * c - b * b, 2.0 * g * w + b
+        rt = math.sqrt(abs(disc))
+        if disc > 0.0:
+            return 2.0 / rt * math.atan(z / rt)
+        if disc < 0.0:
+            return math.log((z - rt) / (z + rt)) / rt
+        return -2.0 / z
+
+    def _antiderivative_inverse(self, s: float) -> float:
+        g, b, c = self.g, self.b, self.c
+        if g == 0.0:
+            return (math.exp(b * s) - c) / b
+        disc = 4.0 * g * c - b * b
+        rt = math.sqrt(abs(disc))
+        if disc > 0.0:
+            z = rt * math.tan(0.5 * rt * s)
+        elif disc < 0.0:
+            q = math.exp(rt * s)
+            z = rt * (1.0 + q) / (1.0 - q)
+        else:
+            z = -2.0 / s
+        return (z - b) / (2.0 * g)
+
+    @property
+    def transit_time(self) -> float:
+        return self._antiderivative(1.0 / self.vartheta) - self._antiderivative(self.vartheta)
 
     def evaluate(self, tau: float) -> float:
         if tau <= 0.0:
-            return float(self.values[0])
+            return 1.0 / self.vartheta
         if tau >= self.transit_time:
-            return float(self.values[-1])
-        return float(np.interp(tau, self.tau_grid, self.values))
+            return self.vartheta
+        return self._antiderivative_inverse(self._antiderivative(1.0 / self.vartheta) - tau)
 
 
 def _comparison_coeff(mu: float, n_err: float, gamma1_bar: float, alpha1: float) -> float:
@@ -349,76 +377,26 @@ def _comparison_coeff(mu: float, n_err: float, gamma1_bar: float, alpha1: float)
     return gamma1_bar / (alpha1 - mu) * n_err**2
 
 
-def _transit_time_quadrature(mu: float, vartheta: float, m_err: float,
-                             n_err: float, gamma1_bar: float,
-                             alpha1: float) -> float:
-    """Transit time of the comparison ODE via its separable antiderivative.
-
-    The dynamics is autonomous, so the transit time is the integral of
-    1/(G w^2 + B w + C) over w in [vartheta, 1/vartheta] with
-    G = gamma1_bar N^2/(alpha1 - mu), B = 2M + mu, C = 1 + mu. Used for
-    fast bisection probes; the ODE integration remains the stored oracle.
-    """
-    g = _comparison_coeff(mu, n_err, gamma1_bar, alpha1)
-    b = 2.0 * m_err + mu
-    c = 1.0 + mu
-    lo, hi = vartheta, 1.0 / vartheta
-    if g == 0.0:
-        return (math.log(b * hi + c) - math.log(b * lo + c)) / b
-    disc = 4.0 * g * c - b * b
-    if disc > 0.0:
-        rt = math.sqrt(disc)
-        return 2.0 / rt * (math.atan((2.0 * g * hi + b) / rt)
-                           - math.atan((2.0 * g * lo + b) / rt))
-    if disc < 0.0:
-        rt = math.sqrt(-disc)
-
-        def anti(w: float) -> float:
-            z = 2.0 * g * w + b
-            return math.log((z - rt) / (z + rt)) / rt
-
-        return anti(hi) - anti(lo)
-    return 2.0 / (2.0 * g * lo + b) - 2.0 / (2.0 * g * hi + b)
-
-
 def dwell_time_ode(mu: float, vartheta: float, m_err: float, n_err: float,
                    gamma1_bar: float, alpha1: float) -> DwellComparison:
-    """Transit time of the decay comparison ODE, with the sampled trajectory.
+    """The decay comparison ODE, solved in closed form.
 
-    Integrates w' = -1 - 2*M*w - mu - (mu*w + gamma1_bar/(alpha1-mu)*(N*w)^2)
-    from w(0) = 1/vartheta until w = vartheta. Since w' <= -1 the transit
-    time is at most 1/vartheta - vartheta; failure to reach the floor
-    within that horizon is an integration error. The trajectory is stored at
-    _N_ODE_GRID (512) equally spaced clock values.
+    w' = -1 - 2*M*w - mu - (mu*w + gamma1_bar/(alpha1-mu)*(N*w)^2), from
+    w(0) = 1/vartheta until w = vartheta, is w' = -(G w^2 + B w + C) with
+    G = gamma1_bar N^2/(alpha1 - mu), B = 2M + mu and C = 1 + mu; the
+    returned DwellComparison gives its transit time and w(tau). Since
+    w' <= -1 the transit time is at most 1/vartheta - vartheta.
     """
     if not 0.0 < mu < alpha1:
         raise CertificateError(f"mu must lie in (0, alpha1={alpha1:.6g}), got {mu}")
     if not 0.0 < vartheta < 1.0:
         raise CertificateError(f"vartheta must lie in (0, 1), got {vartheta}")
-    quad = _comparison_coeff(mu, n_err, gamma1_bar, alpha1)
-
-    def rhs(_t, w):
-        return -1.0 - 2.0 * m_err * w - mu - (mu * w + quad * w * w)
-
-    def hit_floor(_t, w):
-        return w[0] - vartheta
-
-    hit_floor.terminal = True
-    hit_floor.direction = -1
-
-    cap = (1.0 / vartheta - vartheta) + 1.0
-    sol = solve_ivp(rhs, (0.0, cap), [1.0 / vartheta], events=hit_floor,
-                    dense_output=True, rtol=1e-10, atol=1e-12)
-    if not sol.t_events[0].size:
+    g, b = _comparison_coeff(mu, n_err, gamma1_bar, alpha1), 2.0 * m_err + mu
+    # G >= 0, B > 0 and C > 1 make G w^2 + B w + C > 1 on w > 0: w reaches vartheta.
+    if not (0.0 <= g < math.inf and 0.0 < b < math.inf):
         raise CertificateError(
-            "comparison ODE failed to reach its floor within the unit-rate cap"
-        )
-    transit = float(sol.t_events[0][0])
-    tau_grid = np.linspace(0.0, transit, _N_ODE_GRID)
-    values = sol.sol(tau_grid)[0]
-    values[0] = 1.0 / vartheta
-    values[-1] = vartheta
-    return DwellComparison(transit_time=transit, tau_grid=tau_grid, values=values)
+            f"the comparison ODE needs G >= 0 and B > 0, finite; got G={g}, B={b}")
+    return DwellComparison(g=g, b=b, c=1.0 + mu, vartheta=vartheta)
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +478,8 @@ def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
     _N_VARTHETA (10) log-spaced vartheta floors in [1e-4, 0.9], bisecting
     in _MU_BISECT_ITERS (28) steps for the largest mu whose comparison-ODE
     transit still covers t_star, and keeps the candidate with the largest
-    certified hybrid rate psi. The returned pair is re-integrated and
-    asserted to satisfy the transit postcondition.
+    certified hybrid rate psi. The transit times and the returned
+    dwell_ode are the closed form of dwell_time_ode.
     """
     if not 0.0 < sigma < 1.0:
         raise CertificateError(f"sigma must lie in (0,1), got {sigma}")
@@ -528,18 +506,17 @@ def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
     if not 0.0 < t_star < dwell:
         raise InfeasibleDwellError(t_star, dwell)
 
-    def transit(mu: float, vartheta: float) -> float:
-        return _transit_time_quadrature(mu, vartheta, consts.m_err,
-                                        consts.n_err, consts.gamma1_bar,
-                                        consts.alpha1)
+    def comparison(mu: float, vartheta: float) -> DwellComparison:
+        return dwell_time_ode(mu, vartheta, consts.m_err, consts.n_err,
+                              consts.gamma1_bar, consts.alpha1)
 
     best = None
     mu_floor = 1e-4 * consts.alpha1
     for vartheta in np.geomspace(1e-4, 0.9, _N_VARTHETA):
         vartheta = float(vartheta)
-        if transit(mu_floor, vartheta) < t_star:
+        if comparison(mu_floor, vartheta).transit_time < t_star:
             continue
-        lo = _bisect_largest(lambda mu: transit(mu, vartheta) >= t_star,
+        lo = _bisect_largest(lambda mu: comparison(mu, vartheta).transit_time >= t_star,
                              mu_floor, consts.alpha1 * (1.0 - 1e-9), _MU_BISECT_ITERS)
         mu = 0.98 * lo  # back off so the transit covers t_star with margin
         if mu <= 0.0:
@@ -562,12 +539,7 @@ def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
             f"no (mu, vartheta) pair covers the requested dwell time {t_star:.6g}"
         )
     _, psi, mu, vartheta, d = best
-    ode = dwell_time_ode(mu, vartheta, consts.m_err, consts.n_err,
-                         consts.gamma1_bar, consts.alpha1)
-    if ode.transit_time < t_star:
-        raise CertificateError(
-            "selected pair no longer covers t_star on re-integration"
-        )
+    ode = comparison(mu, vartheta)
     return AnalysisParameters(
         mode="dwell", sigma=sigma, mu=mu, vartheta=vartheta, t_star=t_star,
         dwell_bound=dwell, dwell_bound_ode=ode.transit_time, d_weight=d,
@@ -634,14 +606,22 @@ def _a1_eigen_conditions(a11: float, d2: float, w33: float, b: float, c: float) 
 
 
 def _dwell_feasible(eps: float, consts: AssumptionConstants, sigma: float,
-                   mu: float, d: float, w_grid: np.ndarray,
+                   mu: float, d: float, vartheta: float,
                    warn_mismatch: bool = False) -> bool:
+    """The dwell certificate's flow-form conditions at eps, for the comparison
+    solution that falls from 1/vartheta to vartheta.
+
+    While w > 0 the form is checked at the trajectory's two ends only, which
+    covers every clock value: its 1x1 and 2x2 leading minors do not depend
+    on w, and with w33 = p + q w^2 and c^2 = r w^2 its determinant is
+    (a11 d2 - b^2) w33 - c^2 (a11 + 2b + d2), affine in w^2. w falls
+    monotonically, so the determinant's minimum over the trajectory sits at
+    w = 1/vartheta or at w = vartheta.
+    """
     if eps > 1.0:
         return False
-    # Flow form while the comparison value is positive, at the worst clock
-    # value over its trajectory.
-    for w in w_grid:
-        entries = _a1_entries(eps, consts, mu, d, float(w))
+    for w in (1.0 / vartheta, vartheta):
+        entries = _a1_entries(eps, consts, mu, d, w)
         scalar_ok = _a1_scalar_conditions(*entries)
         if warn_mismatch:
             eigen_ok = _a1_eigen_conditions(*entries)
@@ -691,16 +671,11 @@ def _log_eps_bisect(feasible: Callable[[float], bool], iterations: int) -> Optio
 
 def _dwell_eps_estimate(consts: AssumptionConstants, sigma: float, mu: float,
                        d: float, vartheta: float) -> float:
-    """Cheap eps bound for candidate ranking inside parameter selection.
-
-    The 3x3 determinant condition is monotone decreasing in the squared
-    comparison value, so its worst case sits at w = 1/vartheta; checking
-    that single point plus the 2x2 conditions reproduces the grid search.
-    """
-    w_grid = np.array([vartheta, 1.0 / vartheta])
-
+    """Cheap eps bound for candidate ranking inside parameter selection: the
+    dwell search's own feasibility test, in 40 log-eps bisection steps
+    instead of 80."""
     estimate = _log_eps_bisect(
-        lambda eps: _dwell_feasible(eps, consts, sigma, mu, d, w_grid), 40)
+        lambda eps: _dwell_feasible(eps, consts, sigma, mu, d, vartheta), 40)
     return 0.0 if estimate is None else estimate
 
 
@@ -715,8 +690,10 @@ def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
     Bisects in log-eps from _EPS_FLOOR; all certificate inequalities are
     monotone (they only get harder as eps grows), and the returned value is
     re-checked against every defining inequality; dwell mode checks its flow
-    form at _N_W_GRID (64) clock values of the stored comparison ODE. Only
-    practical mode takes rho with xi_delta, only dwell mode d and dwell_ode.
+    form at the two ends, 1/vartheta and vartheta, of the comparison
+    solution dwell_ode, which covers every clock value (see
+    _dwell_feasible). Only practical mode takes rho with xi_delta, only
+    dwell mode d and dwell_ode.
     """
     if not 0.0 < sigma < 1.0:
         raise CertificateError(f"sigma must lie in (0,1), got {sigma}")
@@ -741,15 +718,13 @@ def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
             raise CertificateError(f"dwell mode needs mu in (0, alpha1), got {mu}")
         if d is None or dwell_ode is None:
             raise CertificateError("dwell mode needs d and the stored comparison ODE")
-        taus = np.linspace(0.0, dwell_ode.transit_time, _N_W_GRID)
-        w_grid = np.array([dwell_ode.evaluate(t) for t in taus])
 
         def feasible(eps: float) -> bool:
-            return _dwell_feasible(eps, consts, sigma, mu, d, w_grid)
+            return _dwell_feasible(eps, consts, sigma, mu, d, dwell_ode.vartheta)
 
         # One-time cross-check of the two positivity tests (reported, never
         # silently resolved).
-        _dwell_feasible(min(1.0, 1e-3), consts, sigma, mu, d, w_grid,
+        _dwell_feasible(min(1.0, 1e-3), consts, sigma, mu, d, dwell_ode.vartheta,
                        warn_mismatch=True)
 
     eps_star = _log_eps_bisect(feasible, 80)
@@ -850,8 +825,10 @@ def validate_assumptions(spec: PlantSpec, data: QuadraticLyapunovData,
     its worst slack above -1e-9. A violating family carries the witness
     point that achieved the worst slack. Samples are drawn and evaluated
     in chunks of _SAMPLE_CHUNK rows, in the order one draw would give.
+    n_samples is a nonnegative integer and box a positive number, else a
+    CertificateError.
     """
-    check_numbers("validate_assumptions", {"n_samples": n_samples, "box": box},
+    check_numbers("validate_assumptions", SampleArgs(n_samples, box),
                   {"n_samples": "[0, inf)", "box": "(0, inf)"}, CertificateError)
     n_x, n_y = spec.n_x, spec.n_y
     rng = np.random.default_rng(seed)
@@ -883,7 +860,10 @@ def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
     with |e| at most twice the largest |x| in that region. The sampled
     supremum of gamma1'(|e|) * |f_x| is inflated by 10% to compensate the
     sampling gap; rho divided by this bound lower-bounds inter-event times.
+    n_samples is a nonnegative integer, else a CertificateError.
     """
+    check_numbers("trigger_slope_bound", SampleArgs(n_samples),
+                  {"n_samples": "[0, inf)"}, CertificateError)
     rng = np.random.default_rng(seed)
     p1, p2 = data.p1, data.p2
     lmax1 = float(np.max(np.linalg.eigvalsh(p1)))

@@ -127,6 +127,14 @@ def check_numbers(name: str, record, bounds: dict, error: type = ConfigurationEr
                         f"got {key} {value!r}")
 
 
+@dataclass(frozen=True)
+class SampleArgs:
+    """A sampled check's sample count (an integer) and box, for check_numbers."""
+
+    n_samples: int
+    box: Optional[float] = None
+
+
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string",
                dict: "an object", type(None): "null",
                np.ndarray: "a number or a rectangular list of numbers"}

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .hybrid import HybridState, check_numbers, field_keys, read_section, record_dict
+from .hybrid import HybridState, SampleArgs, check_numbers, field_keys, read_section, record_dict
 
 __all__ = [
     "PlantSpec",
@@ -245,9 +245,10 @@ def check_root_consistency(spec: PlantSpec, box: float = 1.0,
                            tol: float = ROOT_CONSISTENCY_TOL) -> float:
     """Verify g(x, h(x, u), u) = 0 on random (x, u) samples in a box.
 
-    Returns the worst |g| found; raises ConfigurationError above tol.
+    Returns the worst |g| found; raises ConfigurationError above tol, and
+    when n_samples is not a nonnegative integer or box not a positive number.
     """
-    check_numbers("check_root_consistency", {"n_samples": n_samples, "box": box},
+    check_numbers("check_root_consistency", SampleArgs(n_samples, box),
                   {"n_samples": "[0, inf)", "box": "(0, inf)"})
     draws = np.random.default_rng(seed).uniform(-box, box, (n_samples, spec.n_x + spec.n_u))
     x, u = draws[:, :spec.n_x], draws[:, spec.n_x:]

@@ -147,8 +147,8 @@ def monitor_r(q: HybridState, cert: LyapunovCertificate,
     """Dwell-clock composite: Vx + d*Vy + max(0, g1 * w(tau) * |e|^2).
 
     Values only: the piecewise max needs no derivative bookkeeping. The
-    comparison value w(tau) comes from the stored trajectory, frozen at
-    its floor beyond the stored range.
+    comparison value w(tau) is the closed-form solution params.dwell_ode,
+    held at its floor vartheta from its transit time on.
     """
     return _monitor_r(q.x, q.y, q.e, q.tau, cert, params)
 

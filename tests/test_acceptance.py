@@ -20,7 +20,6 @@ from etcsim.analysis import (
 from etcsim.certificates import (
     QuadraticLyapunovData,
     derive_constants,
-    dwell_time_ode,
     max_dwell_time,
     trigger_slope_bound,
     validate_assumptions,
@@ -189,7 +188,7 @@ def test_criterion_4_v_flow_decrease(certn, deadzone_runs, rho_sweep_runs):
         assert checked > 100  # the gate must actually bite
 
 
-def test_criterion_5_dwell_formula_vs_ode_oracle():
+def test_criterion_5_dwell_formula_vs_ode_oracle(comparison_ode_oracle):
     with criterion(5, "closed-form dwell bound matches the comparison-ODE "
                       "oracle on all three branches"):
         triples = [
@@ -199,8 +198,8 @@ def test_criterion_5_dwell_formula_vs_ode_oracle():
         ]
         for m_err, n_err, g1, a1 in triples:
             closed_form = max_dwell_time(m_err, n_err, g1, a1)
-            oracle = dwell_time_ode(1e-4, 1e-4, m_err, n_err, g1, a1)
-            assert abs(oracle.transit_time - closed_form) <= 1e-3
+            transit, _ = comparison_ode_oracle(1e-4, 1e-4, m_err, n_err, g1, a1)
+            assert abs(transit - closed_form) <= 1e-3
 
 
 def test_criterion_6_gas_decay(certn, gas_run):

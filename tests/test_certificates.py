@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import etcsim.certificates as certificates
 from etcsim.certificates import (
@@ -28,6 +30,7 @@ from etcsim.errors import (
     DimensionError,
     InfeasibleDwellError,
 )
+from etcsim.plant import check_root_consistency
 from etcsim.triggers import GammaForm
 
 
@@ -132,20 +135,46 @@ class TestComparisonOde:
             times = [grid[(m, v)] for v in thetas]
             assert times == sorted(times, reverse=True)
 
-    def test_oracle_agreement_all_branches(self):
+    def test_oracle_agreement_all_branches(self, comparison_ode_oracle):
         triples = [
             (1.0, 1.0, 2.0, 1.0),   # arctan
             (2.0, 1.0, 2.0, 0.5),   # boundary
             (2.0, 1.0, 2.0, 1.0),   # artanh
         ]
         for m, n, g1, a1 in triples:
-            sol = dwell_time_ode(1e-4, 1e-4, m, n, g1, a1)
-            assert abs(sol.transit_time - max_dwell_time(m, n, g1, a1)) <= 1e-3
+            transit, _ = comparison_ode_oracle(1e-4, 1e-4, m, n, g1, a1)
+            assert abs(transit - max_dwell_time(m, n, g1, a1)) <= 1e-3
+
+    # (mu, vartheta, m_err, n_err, gamma1_bar, alpha1) for each branch of
+    # the closed form, at vartheta 0.1 and 1e-4: 4GC > B^2 (tan), 4GC < B^2
+    # (log), 4GC = B^2 exactly (rational: G = 1.5, B = 3, C = 1.5) and G = 0.
+    @pytest.mark.parametrize("vartheta", [0.1, 1e-4])
+    @pytest.mark.parametrize("branch, mu, m_err, n_err, gamma1_bar, alpha1", [
+        ("tan", 0.05, 1.0, 1.0, 2.0, 1.0),
+        ("log", 0.05, 2.0, 1.0, 2.0, 1.0),
+        ("rational", 0.5, 1.25, 1.0, 0.75, 1.0),
+        ("g0", 0.05, 1.0, 1.0, 0.0, 1.0),
+    ])
+    def test_closed_form_equals_ode_oracle(self, comparison_ode_oracle, vartheta, branch,
+                                           mu, m_err, n_err, gamma1_bar, alpha1):
+        args = (mu, vartheta, m_err, n_err, gamma1_bar, alpha1)
+        sol = dwell_time_ode(*args)
+        disc = 4.0 * sol.g * sol.c - sol.b * sol.b
+        assert {"tan": disc > 0.0, "log": disc < 0.0 < sol.g,
+                "rational": disc == 0.0, "g0": sol.g == 0.0}[branch]
+        transit, w = comparison_ode_oracle(*args)
+        assert sol.transit_time == pytest.approx(transit, rel=1e-8)
+        # equally spaced clock values, plus log-spaced ones near tau = 0
+        # where w falls fastest from 1/vartheta
+        taus = np.concatenate([np.linspace(0.0, transit, 200),
+                               transit * np.geomspace(1e-10, 1.0, 100)])
+        for tau in taus:
+            assert sol.evaluate(tau) == pytest.approx(w(tau), rel=1e-8)
 
     def test_trajectory_endpoints_and_freeze(self):
         sol = dwell_time_ode(0.05, 0.1, 1.0, 1.0, 2.0, 1.0)
-        assert sol.values[0] == pytest.approx(10.0)
-        assert sol.values[-1] == pytest.approx(0.1)
+        assert sol.evaluate(0.0) == pytest.approx(10.0)
+        assert sol.evaluate(sol.transit_time) == pytest.approx(0.1)
         assert sol.evaluate(sol.transit_time + 99.0) == pytest.approx(0.1)
 
     def test_invalid_parameters(self):
@@ -153,6 +182,11 @@ class TestComparisonOde:
             dwell_time_ode(2.0, 0.1, 1.0, 1.0, 2.0, 1.0)  # mu >= alpha1
         with pytest.raises(CertificateError):
             dwell_time_ode(0.1, 1.5, 1.0, 1.0, 2.0, 1.0)
+        # G < 0 or B <= 0: the closed form's coefficients leave their domain
+        with pytest.raises(CertificateError, match="needs G >= 0 and B > 0"):
+            dwell_time_ode(0.1, 0.2, 1.0, 1.0, -2.0, 1.0)
+        with pytest.raises(CertificateError, match="needs G >= 0 and B > 0"):
+            dwell_time_ode(0.1, 0.2, -1.0, 1.0, 2.0, 1.0)
 
 
 class TestSelectParameters:
@@ -347,9 +381,60 @@ class TestEpsilonStar:
             "dwell_bound": 0.9266585607027892, "lambda_jump": 1.2642784503423288,
             "lambda_practical": 2.0634784503423287, "epsilon_star": 1.2133523112123186e-10,
             "vartheta": 0.015732632357860408, "t_star": 0.8339927046325103,
-            "dwell_bound_ode": 0.8352451112965213, "d_weight": 2.906517332371021e-05,
+            "dwell_bound_ode": 0.8352451112791504, "d_weight": 2.906517332371021e-05,
             "psi": 0.017998222486270563}
-        assert certification.dwell.dwell_ode.values.size == 512
+        ode = certification.dwell.dwell_ode
+        assert (ode.vartheta, ode.transit_time) == (0.015732632357860408, 0.8352451112791504)
+
+
+def grid_dwell_feasible(eps, c, sigma, mu, d, w_grid):
+    """The dwell flow-form test at every clock value of w_grid: the clock-grid
+    form that _dwell_feasible's two-endpoint form replaced, kept as its
+    reference."""
+    if eps > 1.0:
+        return False
+    for w in w_grid:
+        if not certificates._a1_scalar_conditions(
+                *certificates._a1_entries(eps, c, mu, d, float(w))):
+            return False
+    g1, g2 = c.gamma1_bar, c.gamma2_bar
+    slow = c.alpha1 * (1.0 - sigma * (1.0 + (d * g2 / g1 if g1 > 0 else 0.0)))
+    fast = d * (c.alpha2 / eps - c.beta3) - mu * d
+    cross = (c.beta1 + d * c.beta2) ** 2 / 4.0
+    return slow >= mu and (slow - mu) * fast >= cross
+
+
+def endpoint_and_grid_verdicts(c, sigma, mu, d, vartheta):
+    """(endpoint, dense-grid) verdicts of the dwell flow form on an eps log-grid."""
+    w_grid = np.geomspace(vartheta, 1.0 / vartheta, 201)  # endpoints exact
+    return [(certificates._dwell_feasible(eps, c, sigma, mu, d, vartheta),
+             grid_dwell_feasible(eps, c, sigma, mu, d, w_grid))
+            for eps in np.geomspace(1e-12, 1.0, 61)]
+
+
+class TestDwellFlowFormEndpoints:
+    @pytest.mark.parametrize("vartheta", [0.01, None, 0.5])
+    def test_endpoints_equal_dense_grid_on_demo(self, certification, vartheta):
+        c, dwell = certification.cert.constants, certification.dwell
+        verdicts = endpoint_and_grid_verdicts(c, dwell.sigma, dwell.mu, dwell.d_weight,
+                                              vartheta or dwell.vartheta)
+        assert all(ends == grid for ends, grid in verdicts)
+        assert {ends for ends, _ in verdicts} == {True, False}  # the grid crosses eps*
+
+    @settings(derandomize=True, max_examples=25, database=None, deadline=None)
+    @given(p1=st.tuples(st.floats(0.2, 5.0), st.floats(0.2, 5.0)),
+           p2=st.floats(0.2, 5.0), alpha1_bar=st.floats(0.2, 3.0),
+           alpha2=st.floats(0.2, 3.0), l_bar=st.floats(0.05, 2.0),
+           sigma=st.floats(0.05, 0.6), mu_fraction=st.floats(0.01, 0.99),
+           log_d=st.floats(-8.0, 0.0), log_vartheta=st.floats(-4.0, -0.05))
+    def test_endpoints_equal_dense_grid_on_drawn_constants(
+            self, p1, p2, alpha1_bar, alpha2, l_bar, sigma, mu_fraction, log_d,
+            log_vartheta):
+        c = derive_constants(QuadraticLyapunovData(
+            p1=np.diag(p1), p2=[[p2]], alpha1_bar=alpha1_bar, alpha2=alpha2, l_bar=l_bar))
+        verdicts = endpoint_and_grid_verdicts(c, sigma, mu_fraction * c.alpha1,
+                                              10.0 ** log_d, 10.0 ** log_vartheta)
+        assert all(ends == grid for ends, grid in verdicts)
 
 
 class TestValidateAssumptions:
@@ -516,6 +601,24 @@ DEMO_THETA = 76.0
 def demo_case():
     data = demo_lyapunov_data()
     return demo_plant(0.03).as_plant_spec(), data, derive_constants(data)
+
+
+@pytest.mark.parametrize("n_samples", [2.5, -1, True])
+@pytest.mark.parametrize("check, error", [
+    (lambda spec, data, consts, n: validate_assumptions(spec, data, consts, n_samples=n),
+     CertificateError),
+    (lambda spec, data, consts, n: trigger_slope_bound(
+        spec, data, consts, theta=DEMO_THETA, rho=0.02, delta=1.0, n_samples=n),
+     CertificateError),
+    (lambda spec, data, consts, n: check_root_consistency(spec, n_samples=n),
+     ConfigurationError),
+], ids=["validate_assumptions", "trigger_slope_bound", "check_root_consistency"])
+def test_sample_count_is_a_nonnegative_integer(demo_case, check, error, n_samples):
+    # a fractional count ended in a bare TypeError, a negative slope-bound
+    # count in a misleading "supremum nonpositive", and True ran one sample
+    with pytest.raises(error, match=f"field 'n_samples' must be an integer in \\[0, inf\\), "
+                                    f"got n_samples {n_samples!r}$"):
+        check(*demo_case, n_samples)
 
 
 @pytest.fixture(scope="module")

@@ -1,13 +1,18 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import etcsim
 from etcsim.cli import main
-from etcsim.demo import demo_lyapunov_data, demo_plant
+from etcsim.demo import demo_certification, demo_lyapunov_data, demo_plant
 from etcsim.errors import ConfigurationError
 from etcsim.scenario import (
     build_initial_state,
@@ -363,3 +368,29 @@ def test_bad_input_is_a_typed_error_naming_section_and_key(
     assert payload["error"] == "ConfigurationError"
     assert section in payload["message"].lower()
     assert repr(key) in payload["message"]
+
+
+def test_runs_without_scipy(tmp_path):
+    # scipy is a test dependency only: with every scipy import blocked, the
+    # package imports, certifies the demo and runs `etcsim certify` in dwell
+    # mode, and loads no scipy module
+    path = tmp_path / "lyapunov.json"
+    path.write_text(json.dumps(_lyapunov_file(
+        sigma=0.15, mode="dwell", t_star=demo_certification().dwell.t_star)))
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None
+        import etcsim.cli
+        from etcsim import demo
+        demo.demo_certification()
+        assert etcsim.cli.main(["certify", {str(path)!r}]) == 0
+        loaded = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+        assert loaded == ["scipy"] and sys.modules["scipy"] is None, loaded
+        """)
+    src = str(Path(etcsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["parameters"]["mode"] == "dwell"

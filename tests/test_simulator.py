@@ -1,10 +1,10 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from etcsim.certificates import DwellComparison
 from etcsim.demo import demo_certification, demo_plant, demo_scenario
 from etcsim.errors import ConfigurationError, DimensionError, OrderingError
 from etcsim.hybrid import HybridArc, HybridState, Termination
@@ -303,14 +303,9 @@ class TestMonitors:
         assert monitor_r(q, certn.cert, certn.dwell) == 0.0
 
     def test_negative_comparison_value_drops_error_term(self, certn):
-        params = replace(
-            certn.dwell,
-            dwell_ode=DwellComparison(
-                transit_time=1.0,
-                tau_grid=np.array([0.0, 1.0]),
-                values=np.array([-0.5, -1.0]),
-            ),
-        )
+        # a stand-in comparison solution whose value is negative
+        params = replace(certn.dwell,
+                         dwell_ode=SimpleNamespace(evaluate=lambda tau: -0.75))
         q = HybridState(x=np.ones(2), y=np.ones(1), e=np.ones(2), tau=0.5)
         expected = (certn.cert.v_x(q.x)
                     + params.d_weight * certn.cert.v_y(q.y))
