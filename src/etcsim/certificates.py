@@ -17,6 +17,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,7 +52,9 @@ __all__ = [
 
 SLACK_TOL = -1e-9
 # Rows drawn and evaluated at once by the sampled checks: bounds their
-# memory, and every result equals the one-draw result bitwise.
+# memory. validate_assumptions equals its one-draw result bitwise;
+# trigger_slope_bound draws each chunk ball by ball, so its value at a
+# seed depends on this size.
 _SAMPLE_CHUNK = 2048
 _SYM_TOL = 1e-12  # largest asymmetry of P1 and P2, relative to max(1, norm)
 _N_VARTHETA = 10  # vartheta floors scanned, log-spaced in [1e-4, 0.9]
@@ -68,19 +71,25 @@ def sample_in_ball(rng: np.random.Generator, dim: int, radius: float) -> np.ndar
 
 def _draw_in_balls(rng: np.random.Generator, n_samples: int,
                    balls: tuple[tuple[int, float], ...]) -> list[np.ndarray]:
-    """(n_samples, dim) uniform rows per (dim, radius) ball, drawn sample by
-    sample and ball by ball: a standard normal direction v, then, unless v
-    is zero, the scale radius * random() ** (1 / dim) / |v|. Only the
-    scaling of each row is done per batch; a zero v stays a zero row."""
-    raw = [np.zeros((n_samples, dim)) for dim, _ in balls]
-    scale = [np.zeros(n_samples) for _ in balls]
-    for i in range(n_samples):
-        for rows, factor, (dim, radius) in zip(raw, scale, balls):
-            v = rows[i] = rng.standard_normal(dim)
-            norm = math.sqrt(v.dot(v))
-            if norm != 0.0:
-                factor[i] = radius * rng.random() ** (1.0 / dim) / norm
-    return [np.multiply(rows, factor[:, None], out=rows) for rows, factor in zip(raw, scale)]
+    """(n_samples, dim) uniform rows per (dim, radius) ball, drawn ball by
+    ball: the standard normal directions v of all rows in one call, then
+    one random() per row whose v is nonzero, in one call, which scales the
+    row by radius * random() ** (1 / dim) / |v|; a zero v stays a zero row.
+    One row of one ball (sample_in_ball) reads the stream as a single
+    sample drawn alone. Several rows do not read it sample by sample, so
+    rows drawn in chunks depend on the chunk size."""
+    out = []
+    for dim, radius in balls:
+        v = rng.standard_normal((n_samples, dim))
+        norm = np.sqrt(_dot_rows(v, v))
+        moved = norm != 0.0
+        u = rng.random(np.count_nonzero(moved))
+        # the power per sample, in libm's pow: numpy's ** rounds otherwise
+        scale = np.zeros(n_samples)
+        scale[moved] = (radius * np.fromiter(map(pow, u.tolist(), repeat(1.0 / dim)), float, u.size)
+                        / norm[moved])
+        out.append(np.multiply(v, scale[:, None], out=v))
+    return out
 
 
 # Per-row products of (N, dim) sample rows. Each row goes through a stacked
@@ -860,10 +869,18 @@ def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
     with |e| at most twice the largest |x| in that region. The sampled
     supremum of gamma1'(|e|) * |f_x| is inflated by 10% to compensate the
     sampling gap; rho divided by this bound lower-bounds inter-event times.
-    n_samples is a nonnegative integer, else a CertificateError.
+    The samples are drawn in chunks of _SAMPLE_CHUNK rows, each chunk ball
+    by ball (_draw_in_balls), so the value at a seed depends on the chunk
+    size. n_samples is a nonnegative integer, theta and rho are positive
+    numbers, delta a nonnegative number and inflation a number of at least
+    1, else a CertificateError.
     """
     check_numbers("trigger_slope_bound", SampleArgs(n_samples),
                   {"n_samples": "[0, inf)"}, CertificateError)
+    check_numbers("trigger_slope_bound",
+                  {"theta": theta, "rho": rho, "delta": delta, "inflation": inflation},
+                  {"theta": "(0, inf)", "rho": "(0, inf)", "delta": "[0, inf)",
+                   "inflation": "[1, inf)"}, CertificateError)
     rng = np.random.default_rng(seed)
     p1, p2 = data.p1, data.p2
     lmax1 = float(np.max(np.linalg.eigvalsh(p1)))

@@ -497,13 +497,55 @@ class TestTriggerSlopeBound:
         assert hi == pytest.approx(1.1 * lo)
         assert lo > 0.0
 
+    @pytest.mark.parametrize("field, value, interval", [
+        ("theta", -5.0, "(0, inf)"), ("theta", 0.0, "(0, inf)"),
+        ("theta", math.nan, "(0, inf)"), ("rho", 0.0, "(0, inf)"),
+        ("rho", math.inf, "(0, inf)"), ("delta", -1.0, "[0, inf)"),
+        ("delta", math.nan, "[0, inf)"), ("inflation", -1.0, "[1, inf)"),
+        ("inflation", 0.5, "[1, inf)"), ("inflation", "1.1", "[1, inf)"),
+    ])
+    def test_scalar_arguments_checked(self, field, value, interval):
+        # a negative delta was squared, a NaN theta dropped by max(), a
+        # negative inflation gave a negative bound, and an infinite rho or
+        # a NaN delta ended in "supremum nonpositive"
+        data = demo_lyapunov_data()
+        args = dict(theta=76.0, rho=0.02, delta=1.0, n_samples=500, inflation=1.1)
+        args[field] = value
+        interval = interval.replace("(", r"\(").replace(")", r"\)").replace("[", r"\[")
+        with pytest.raises(CertificateError, match=f"trigger_slope_bound field '{field}' "
+                                                   f"must be a number in {interval}, "
+                                                   f"got {field} "):
+            trigger_slope_bound(demo_plant(0.05).as_plant_spec(), data,
+                                derive_constants(data), **args)
+
+    def test_sampled_supremum_below_linear_bound(self):
+        # for the LTI demo f_x = A_cl x + A12 y + B_s K e exactly, and
+        # gamma1's slope grows with |e|: the triangle bound over the three
+        # balls caps every sample
+        lin, data = demo_plant(0.03), demo_lyapunov_data()
+        consts = derive_constants(data)
+        theta, rho, delta = 2.0, 0.02, 1.0
+        eig1, eig2 = np.linalg.eigvalsh(data.p1), np.linalg.eigvalsh(data.p2)
+        level = max((eig1.max() + eig2.max()) * delta**2, theta * rho)
+        x_max, y_max = math.sqrt(level / eig1.min()), math.sqrt(level / eig2.min())
+        e_max = 2.0 * x_max
+        bound = consts.gamma1.slope(e_max) * (
+            np.linalg.norm(lin.a_closed, 2) * x_max + np.linalg.norm(lin.a12, 2) * y_max
+            + np.linalg.norm(lin.b_slow @ lin.k_gain, 2) * e_max)
+        assert bound == pytest.approx(17.8077, abs=1e-4)
+        spec = lin.as_plant_spec()
+        for seed in range(20):
+            assert trigger_slope_bound(spec, data, consts, theta=theta, rho=rho,
+                                       delta=delta, n_samples=25_000, seed=seed,
+                                       inflation=1.0) <= bound, seed
+
 
 # -- Batched sampling against the one-sample-at-a-time loops -----------------
 #
 # scalar_validate and scalar_slope_bound are reference loops that draw and
-# evaluate one sample at a time, with scalar_sample_in_ball and 1-D
-# arithmetic. They live only here, as oracles: the batched samplers must
-# equal them bitwise.
+# evaluate one sample at a time, with scalar_sample_in_ball, scalar_draw_chunk
+# and 1-D arithmetic. They live only here, as oracles: the batched samplers
+# must equal them bitwise.
 
 def scalar_sample_in_ball(rng, dim, radius):
     v = rng.standard_normal(dim)
@@ -512,6 +554,20 @@ def scalar_sample_in_ball(rng, dim, radius):
         return np.zeros(dim)
     r = radius * rng.uniform() ** (1.0 / dim)
     return v * (r / norm)
+
+
+def scalar_draw_chunk(rng, rows, balls):
+    """One chunk of ball samples, one draw call at a time: per ball, a
+    standard normal per row, then a uniform per row whose normal is
+    nonzero. A list of rows, each a tuple with one sample per ball."""
+    per_ball = []
+    for dim, radius in balls:
+        vs = [rng.standard_normal(dim) for _ in range(rows)]
+        norms = [float(np.linalg.norm(v)) for v in vs]
+        per_ball.append([v * (radius * rng.uniform() ** (1.0 / dim) / norm)
+                         if norm != 0.0 else np.zeros(dim)
+                         for v, norm in zip(vs, norms)])
+    return list(zip(*per_ball))
 
 
 def scalar_validate(spec, data, consts, n_samples, box, seed):
@@ -578,11 +634,12 @@ def scalar_slope_bound(spec, data, consts, theta, rho, delta, n_samples, seed,
     x_max = math.sqrt(level / lmin1)
     y_max = math.sqrt(level / lmin2)
     e_max = 2.0 * x_max
+    balls = ((spec.n_x, x_max), (spec.n_y, y_max), (spec.n_x, e_max))
+    chunk = certificates._SAMPLE_CHUNK  # read per call: a test may patch it
+    samples = [sample for start in range(0, n_samples, chunk)
+               for sample in scalar_draw_chunk(rng, min(chunk, n_samples - start), balls)]
     sup = 0.0
-    for _ in range(n_samples):
-        x = scalar_sample_in_ball(rng, spec.n_x, x_max)
-        y = scalar_sample_in_ball(rng, spec.n_y, y_max)
-        e = scalar_sample_in_ball(rng, spec.n_x, e_max)
+    for x, y, e in samples:
         if float(x @ p1 @ x) > level or float(y @ p2 @ y) > level:
             continue
         u = np.asarray(spec.k(x + e), dtype=float).reshape(-1)
@@ -651,19 +708,20 @@ def assert_report_equals_oracle(report, oracle):
 
 
 class RecordingGenerator:
-    """Stub generator that logs its calls; its normal draws come from `normal`."""
+    """Stub generator that logs its calls and their sizes; its normal draws
+    come from `normal`, and every uniform draw is 0.75."""
 
     def __init__(self, normal):
         self.normal = normal
         self.calls = []
 
-    def standard_normal(self, dim):
-        self.calls.append(("standard_normal", dim))
-        return self.normal(dim)
+    def standard_normal(self, size):
+        self.calls.append(("standard_normal", size))
+        return self.normal(size)
 
-    def random(self):
-        self.calls.append(("random",))
-        return 0.75
+    def random(self, size):
+        self.calls.append(("random", size))
+        return np.full(size, 0.75)
 
 
 class TestBatchedSampling:
@@ -694,7 +752,7 @@ class TestBatchedSampling:
         spec, data, consts = demo_case
         assert trigger_slope_bound(spec, data, consts, theta=2, rho=0.02,
                                    delta=1, n_samples=100_000,
-                                   seed=11) == 18.523360549710752
+                                   seed=11) == 18.067551829754187
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_validate_equals_scalar_loop_on_demo(self, demo_case, batched):
@@ -802,15 +860,33 @@ class TestBatchedSampling:
             report, scalar_validate(spec, data, consts, 1, 1e-30, 0))
 
     def test_draws_equal_sample_in_ball(self):
-        # random() returns the doubles uniform() does, one call faster
+        # random(k) returns the doubles k uniform() calls do, and
+        # standard_normal((rows, dim)) those of rows standard_normal(dim) calls
         balls = ((2, 1.3), (1, 2.7), (3, 0.4))
         rows = _draw_in_balls(np.random.default_rng(5), 500, balls)
-        ours, oracle = np.random.default_rng(5), np.random.default_rng(5)
+        oracle = scalar_draw_chunk(np.random.default_rng(5), 500, balls)
         for i in range(500):
-            for sample, (dim, radius) in zip(rows, balls):
-                want = scalar_sample_in_ball(oracle, dim, radius)
+            for sample, want in zip(rows, oracle[i], strict=True):
                 assert np.array_equal(sample[i], want)
-                assert np.array_equal(sample_in_ball(ours, dim, radius), want)
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        for _ in range(500):
+            for dim, radius in balls:
+                assert np.array_equal(sample_in_ball(ours, dim, radius),
+                                      scalar_sample_in_ball(theirs, dim, radius))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5])
+    def test_draws_uniform_in_ball(self, dim):
+        # inside the ball, radial CDF (|v| / radius) ** dim uniform (KS at
+        # about the 1% level), and each coordinate centred
+        n, radius = 50_000, 1.7
+        (rows,) = _draw_in_balls(np.random.default_rng(dim), n, ((dim, radius),))
+        r = np.sqrt(_dot_rows(rows, rows)) / radius
+        assert np.all(r <= 1.0)
+        cdf = np.sort(r ** dim)
+        i = np.arange(1, n + 1)
+        ks = max(np.max(i / n - cdf), np.max(cdf - (i - 1) / n))
+        assert ks < 1.63 / math.sqrt(n)
+        assert np.all(np.abs(rows.mean(axis=0) / radius) < 4.0 / math.sqrt(n))
 
     def test_level_filter_and_norms_round_as_scalar_loop(self, demo_case):
         # the level filter compares x @ p @ x with the level, and the slope
@@ -827,20 +903,26 @@ class TestBatchedSampling:
 
     @pytest.mark.parametrize("normal", [np.zeros, np.ones])
     def test_draw_calls_equal_sample_in_ball(self, normal):
-        # a zero normal draw skips random(), as sample_in_ball does
+        # one normal call per ball, then one random(k) for the k rows whose
+        # normal is nonzero: a zero normal draws random(0), which reads
+        # nothing from the stream, as sample_in_ball's skipped draw did
         balls = ((2, 1.0), (1, 3.0))
         ours, theirs = RecordingGenerator(normal), RecordingGenerator(normal)
         rows = _draw_in_balls(ours, 3, balls)
         expected = [[sample_in_ball(theirs, dim, radius) for dim, radius in balls]
                     for _ in range(3)]
-        one_sample = [("standard_normal", 2), ("random",),
-                      ("standard_normal", 1), ("random",)]
-        if normal is np.zeros:
-            one_sample = [("standard_normal", 2), ("standard_normal", 1)]
-        assert ours.calls == theirs.calls == 3 * one_sample
+        k = 0 if normal is np.zeros else 3
+        assert ours.calls == [("standard_normal", (3, 2)), ("random", k),
+                              ("standard_normal", (3, 1)), ("random", k)]
+        assert theirs.calls == 3 * [("standard_normal", (1, 2)), ("random", k // 3),
+                                    ("standard_normal", (1, 1)), ("random", k // 3)]
         for i in range(3):
-            for sample, want in zip(rows, expected[i]):
+            for sample, want in zip(rows, expected[i], strict=True):
                 assert np.array_equal(sample[i], want)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        rng.random(0)
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("name, bad", [
         ("k", lambda spec: lambda xs: spec.k(xs).ravel()),
