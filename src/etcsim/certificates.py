@@ -29,7 +29,7 @@ from .errors import (
     InfeasibleDwellError,
 )
 from .hybrid import SampleArgs, check_numbers, field_keys, read_section, record_dict
-from .plant import PlantSpec, _batch_map, _held_rows, _jump_rows
+from .plant import _SAMPLE_CHUNK, PlantSpec, _batch_map, _held_rows, _jump_rows
 from .triggers import GammaForm
 
 __all__ = [
@@ -51,11 +51,6 @@ __all__ = [
 ]
 
 SLACK_TOL = -1e-9
-# Rows drawn and evaluated at once by the sampled checks: bounds their
-# memory. validate_assumptions equals its one-draw result bitwise;
-# trigger_slope_bound draws each chunk ball by ball, so its value at a
-# seed depends on this size.
-_SAMPLE_CHUNK = 2048
 _SYM_TOL = 1e-12  # largest asymmetry of P1 and P2, relative to max(1, norm)
 _N_VARTHETA = 10  # vartheta floors scanned, log-spaced in [1e-4, 0.9]
 _MU_BISECT_ITERS = 28  # bisection steps for the largest mu whose transit covers t_star
@@ -873,7 +868,7 @@ def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
     by ball (_draw_in_balls), so the value at a seed depends on the chunk
     size. n_samples is a nonnegative integer, theta and rho are positive
     numbers, delta a nonnegative number and inflation a number of at least
-    1, else a CertificateError.
+    1, else a CertificateError; so is a level whose ball radii are not finite.
     """
     check_numbers("trigger_slope_bound", SampleArgs(n_samples),
                   {"n_samples": "[0, inf)"}, CertificateError)
@@ -887,10 +882,14 @@ def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
     lmax2 = float(np.max(np.linalg.eigvalsh(p2)))
     lmin1 = float(np.min(np.linalg.eigvalsh(p1)))
     lmin2 = float(np.min(np.linalg.eigvalsh(p2)))
-    level = max((lmax1 + lmax2) * delta**2, theta * rho)
+    level = max((lmax1 + lmax2) * delta * delta, theta * rho)
     x_max = math.sqrt(level / lmin1)
     y_max = math.sqrt(level / lmin2)
     e_max = 2.0 * x_max
+    if not math.isfinite(e_max + y_max):
+        raise CertificateError(
+            f"trigger slope level {level:.3e} (from delta or theta * rho) gives "
+            f"ball radii that are not finite: x {x_max:.3e}, y {y_max:.3e}, e {e_max:.3e}")
 
     balls = ((spec.n_x, x_max), (spec.n_y, y_max), (spec.n_x, e_max))
     sup = 0.0

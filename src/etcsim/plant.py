@@ -40,6 +40,12 @@ __all__ = [
 ]
 
 ROOT_CONSISTENCY_TOL = 1e-9
+# Rows drawn and evaluated at once by the sampled checks (check_root_consistency
+# here, validate_assumptions and trigger_slope_bound in certificates): bounds
+# their memory. check_root_consistency and validate_assumptions equal their
+# one-draw results bitwise; trigger_slope_bound draws each chunk ball by
+# ball, so its value at a seed depends on this size.
+_SAMPLE_CHUNK = 2048
 _FD_STEP_SCALE = 1e-6  # finite-difference step per unit of 1 + |x|
 
 
@@ -174,8 +180,12 @@ def closed_loop_flow_vector(x, y, e, spec: PlantSpec) -> np.ndarray:
     g_val = _vec(spec.g(x, z, u), spec.n_z, "map g")
     jac = _vec(spec.dh_dx(x, u), spec.n_z * spec.n_x, "map dh_dx").reshape(spec.n_z, spec.n_x)
     y_dot = g_val / spec.epsilon - jac @ fx
-    out = np.concatenate([fx, y_dot, -fx])
-    if not np.all(np.isfinite(out)):
+    return _finite_flow(np.concatenate([fx, y_dot, -fx]))
+
+
+def _finite_flow(out: np.ndarray) -> np.ndarray:
+    """The closed-loop derivative out, or a DivergenceError if an entry is not finite."""
+    if not np.isfinite(out).all():
         raise DivergenceError("closed-loop flow produced non-finite derivative")
     return out
 
@@ -247,14 +257,20 @@ def check_root_consistency(spec: PlantSpec, box: float = 1.0,
 
     Returns the worst |g| found; raises ConfigurationError above tol, and
     when n_samples is not a nonnegative integer or box not a positive number.
+    Samples are drawn and evaluated in chunks of _SAMPLE_CHUNK rows, in the
+    order one draw would give.
     """
     check_numbers("check_root_consistency", SampleArgs(n_samples, box),
                   {"n_samples": "[0, inf)", "box": "(0, inf)"})
-    draws = np.random.default_rng(seed).uniform(-box, box, (n_samples, spec.n_x + spec.n_u))
-    x, u = draws[:, :spec.n_x], draws[:, spec.n_x:]
-    resid = _batch_map(spec, "g", x, _batch_map(spec, "h", x, u), u)
-    # fmax skips a sample whose residual has a NaN, as max(worst, nan) does
-    worst = float(np.fmax.reduce(np.abs(resid).max(axis=1), initial=0.0))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for start in range(0, n_samples, _SAMPLE_CHUNK):
+        rows = min(_SAMPLE_CHUNK, n_samples - start)
+        draws = rng.uniform(-box, box, (rows, spec.n_x + spec.n_u))
+        x, u = draws[:, :spec.n_x], draws[:, spec.n_x:]
+        resid = _batch_map(spec, "g", x, _batch_map(spec, "h", x, u), u)
+        # fmax skips a sample whose residual has a NaN, as max(worst, nan) does
+        worst = float(np.fmax.reduce(np.abs(resid).max(axis=1), initial=worst))
     if worst > tol:
         raise ConfigurationError(
             f"selected root is inconsistent: max |g(x, h(x,u), u)| = {worst:.3e} > {tol}"
@@ -360,6 +376,8 @@ class LinearPlantSpec:
         Assembled from the defining maps: x' = A_cl x + A12 y + B_s K e,
         y' = A22 y / eps - Hx x', e' = -x'. The clock row (rate 1, no
         state dependence) is excluded; callers append the affine rate.
+        The reference integrator flows a LinearPlantSpec by this matrix,
+        built once per arc.
         """
         n_x, n_z = self.n_x, self.n_z
         n = 2 * n_x + n_z

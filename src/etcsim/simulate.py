@@ -37,6 +37,7 @@ from .hybrid import (
 from .plant import (
     LinearPlantSpec,
     PlantSpec,
+    _finite_flow,
     apply_jump,
     closed_loop_flow,
     closed_loop_flow_vector,
@@ -257,11 +258,17 @@ class _DenseSegment:
         return self.y0 + self.h * (self.q @ p)
 
 
+def _step_floor(t: float) -> float:
+    """Smallest step the integrator takes at time t: 16 ulps of max(1, |t|)."""
+    return 16.0 * np.finfo(float).eps * max(1.0, abs(t))
+
+
 def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                       cfg: SolverConfig, cert: Optional[LyapunovCertificate],
                       params: Optional[AnalysisParameters]) -> HybridArc:
-    """Reference integration of plant; a LinearPlantSpec flows through
-    as_plant_spec(), and every jump is apply_jump(q_pre, plant).
+    """Reference integration of plant. A LinearPlantSpec flows by the one
+    product flow_matrix() @ s, built once per arc; a PlantSpec flows through
+    closed_loop_flow_vector. Every jump is apply_jump(q_pre, plant).
 
     Each accepted step lands on one point: the localized event, or else the
     step end. Both go through the same block: fast_floor snaps the point,
@@ -269,21 +276,31 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     margin m is evaluated once. m decides the eager jump, starts the next
     event bracket and is stored. A landed point is stored if it is an
     event, the stride is reached, it is on the horizon or a clock boundary,
-    m >= 0, or the step end diverged. Flow rows go straight to
+    m >= 0, or the step end diverged. The horizon counts as reached once
+    it is closer than the step floor. Flow rows go straight to
     arc._append_row (no HybridState); the arc's (t, j) ordering is checked
     once, at the end.
     """
-    spec = plant.as_plant_spec() if isinstance(plant, LinearPlantSpec) else plant
-    n_x, n_y = spec.n_x, spec.n_z
+    n_x, n_y = plant.n_x, plant.n_z
     has_clock = policy.requires_clock
     ev = _PolicyEval(policy, cert, n_x, n_y)
     arc = HybridArc(n_x, n_y, has_clock)
-    eps = spec.epsilon
+    eps = plant.epsilon
     max_step = cfg.max_step_factor * eps
 
-    def rhs(s: np.ndarray) -> np.ndarray:
-        return closed_loop_flow_vector(s[:n_x], s[n_x:n_x + n_y],
-                                       s[n_x + n_y:], spec)
+    if isinstance(plant, LinearPlantSpec):
+        flow = plant.flow_matrix()
+        flow.flags.writeable = False
+
+        def rhs(s: np.ndarray) -> np.ndarray:
+            return _finite_flow(flow @ s)
+    else:
+        def rhs(s: np.ndarray) -> np.ndarray:
+            return closed_loop_flow_vector(s[:n_x], s[n_x:n_x + n_y],
+                                           s[n_x + n_y:], plant)
+
+    def at_horizon(t_now: float) -> bool:
+        return cfg.horizon - t_now <= _step_floor(t_now)
 
     def monitors(s_now: np.ndarray, tau_now: Optional[float], m: float) -> tuple:
         x, y, e = s_now[:n_x], s_now[n_x:n_x + n_y], s_now[n_x + n_y:]
@@ -342,7 +359,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         if jumped:
             h = min(h, eps)  # the jump re-excites the fast layer
             k1 = rhs(s)
-        if t >= cfg.horizon:
+        if at_horizon(t):
             termination = Termination.HORIZON
             break
         if diverged(s):
@@ -356,20 +373,20 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             if ceiling is not None and tau < ceiling and tau + h >= ceiling:
                 h = ceiling - tau
                 clamped_clock = True
-            if h <= 16.0 * np.finfo(float).eps * max(1.0, abs(t)):
+            if h <= _step_floor(t):
                 raise DivergenceError(f"step size underflow at t={t!r}")
             stages = np.empty((7, s.size))
             stages[0] = k1
             failed = False
             for i in range(1, 6):
                 si = s + h * (RK_A[i, :i] @ stages[:i])
-                if not np.all(np.isfinite(si)):
+                if not np.isfinite(si).all():
                     failed = True
                     break
                 stages[i] = rhs(si)
             if not failed:
                 s1 = s + h * (RK_B @ stages[:6])
-                failed = not np.all(np.isfinite(s1))
+                failed = not np.isfinite(s1).all()
             if failed:
                 h *= _MIN_FACTOR
                 continue
@@ -419,7 +436,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         blown_up = t_event is None and diverged(s)
         steps_since_store += 1
         if (t_event is not None or steps_since_store >= cfg.store_stride
-                or blown_up or t >= cfg.horizon or clamped_clock or m >= 0.0):
+                or blown_up or at_horizon(t) or clamped_clock or m >= 0.0):
             store(t, s, tau, m)
             steps_since_store = 0
         if blown_up:
@@ -436,12 +453,13 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
                   params: Optional[AnalysisParameters] = None) -> HybridArc:
     """Integrate the hybrid closed loop from q0 under the given policy.
 
-    Every plant runs the reference integrator below, and every jump goes
-    through apply_jump: a LinearPlantSpec jumps with its closed-form map
-    y+ = y + (Hu K) e, a PlantSpec with the generic map, so passing
-    plant.as_plant_spec() runs a linear plant with the generic jump. Each
-    path is bitwise reproducible. If q0 lies in the jump set, the first
-    action is a jump.
+    Every plant runs the reference integrator below. A LinearPlantSpec
+    flows by flow_matrix() @ s and jumps with its closed-form map
+    y+ = y + (Hu K) e through apply_jump; a PlantSpec flows through
+    closed_loop_flow_vector and jumps with the generic map, so passing
+    plant.as_plant_spec() runs a linear plant with the generic flow and
+    jump. Each path is bitwise reproducible. If q0 lies in the jump set,
+    the first action is a jump.
     """
     if policy.requires_clock != q0.has_clock:
         raise ConfigurationError(

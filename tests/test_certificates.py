@@ -518,6 +518,17 @@ class TestTriggerSlopeBound:
             trigger_slope_bound(demo_plant(0.05).as_plant_spec(), data,
                                 derive_constants(data), **args)
 
+    @pytest.mark.parametrize("theta, rho, delta", [
+        (76.0, 0.02, 1e200), (1e300, 1e10, 1.0)])
+    def test_level_that_overflows_rejected(self, theta, rho, delta):
+        # delta**2 raised a bare OverflowError; theta * rho = inf sampled
+        # NaN rows and ended in "supremum nonpositive"
+        data = demo_lyapunov_data()
+        with pytest.raises(CertificateError, match="trigger slope level inf"):
+            trigger_slope_bound(demo_plant(0.05).as_plant_spec(), data,
+                                derive_constants(data), theta=theta, rho=rho,
+                                delta=delta, n_samples=10)
+
     def test_sampled_supremum_below_linear_bound(self):
         # for the LTI demo f_x = A_cl x + A12 y + B_s K e exactly, and
         # gamma1's slope grows with |e|: the triangle bound over the three

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from etcsim import plant as plant_module
 from etcsim.errors import ConfigurationError, DimensionError
 from etcsim.hybrid import HybridState
 from etcsim.plant import (
@@ -132,6 +133,31 @@ class TestClosedLoopFlow:
             s = rng.uniform(-3, 3, 5)
             lhs = closed_loop_flow_vector(s[:2], s[2:3], s[3:], spec)
             assert np.allclose(lhs, mat @ s, rtol=0, atol=1e-12)
+
+    def test_flow_matrix_equals_generic_flow_on_random_plants(self):
+        # the integrator flows a LinearPlantSpec by flow_matrix() @ s and its
+        # as_plant_spec() by closed_loop_flow_vector: both must agree
+        gen = np.random.default_rng(20260)
+        worst = 0.0
+        for _ in range(300):
+            n_x, n_z, n_u = (int(v) for v in gen.integers(1, (4, 3, 3)))
+            a22 = gen.standard_normal((n_z, n_z))
+            a22 -= (max(np.linalg.eigvals(a22).real) + 0.5) * np.eye(n_z)
+            base = LinearPlantSpec(
+                a11=gen.standard_normal((n_x, n_x)), a12=gen.standard_normal((n_x, n_z)),
+                a21=gen.standard_normal((n_z, n_x)), a22=a22,
+                b1=gen.standard_normal((n_x, n_u)), b2=gen.standard_normal((n_z, n_u)),
+                k_gain=gen.standard_normal((n_u, n_x)), epsilon=1.0)
+            assert base.a22_hurwitz and np.all(base.a21 != 0.0)
+            s = gen.uniform(-3, 3, 2 * n_x + n_z)
+            x, y, e = s[:n_x], s[n_x:n_x + n_z], s[n_x + n_z:]
+            for eps in (1.0, 1e-3, 1e-10):
+                lin = base.with_epsilon(eps)
+                mat = lin.flow_matrix()
+                generic = closed_loop_flow_vector(x, y, e, lin.as_plant_spec())
+                scale = np.abs(mat).max() * np.abs(s).max()
+                worst = max(worst, np.abs(mat @ s - generic).max() / scale)
+        assert worst <= 1e-12
 
     def test_clock_rate_is_one(self, spec):
         q = HybridState(x=np.ones(2), y=np.ones(1), e=np.zeros(2), tau=0.3)
@@ -273,6 +299,15 @@ def scalar_root_consistency(spec, box, n_samples, seed):
     return worst
 
 
+def _two_fast_spec():
+    """A two-state fast block, whose solved root leaves rounding residuals."""
+    return LinearPlantSpec(
+        a11=[[0.0, 1.0], [-1.0, -1.0]], a12=[[0.3, 0.1], [0.2, 0.5]],
+        a21=[[1.0, 0.3], [-0.7, 0.2]], a22=[[-3.0, 0.7], [0.4, -2.0]],
+        b1=[[0.0], [1.0]], b2=[[1.0], [0.3]], k_gain=[[-1.0, -0.5]],
+        epsilon=0.05).as_plant_spec()
+
+
 class TestInvariants:
     def test_root_consistency_sampled(self, spec):
         worst = check_root_consistency(spec, box=10.0, n_samples=10_000, seed=3)
@@ -280,19 +315,35 @@ class TestInvariants:
 
     @pytest.mark.parametrize("batched", [True, False])
     def test_root_consistency_equals_scalar_loop(self, spec, batched):
-        # a two-state fast block, whose solved root leaves rounding residuals
-        two_fast = LinearPlantSpec(
-            a11=[[0.0, 1.0], [-1.0, -1.0]], a12=[[0.3, 0.1], [0.2, 0.5]],
-            a21=[[1.0, 0.3], [-0.7, 0.2]], a22=[[-3.0, 0.7], [0.4, -2.0]],
-            b1=[[0.0], [1.0]], b2=[[1.0], [0.3]], k_gain=[[-1.0, -0.5]],
-            epsilon=0.05)
-        for plant in (spec, two_fast.as_plant_spec()):
+        for plant in (spec, _two_fast_spec()):
             plant = replace(plant, batched=batched)
             worst = check_root_consistency(plant, box=10.0, n_samples=10_000,
                                            seed=3)
             assert worst == scalar_root_consistency(plant, 10.0, 10_000, 3)
             assert check_root_consistency(plant, n_samples=0) == 0.0
         assert worst > 0.0
+
+    def test_root_consistency_draws_in_chunks(self, monkeypatch):
+        # the rows of one uniform draw, in C order, are the rows of its
+        # chunks: chunks of 3 see 3, 3, 3 and 1 samples and the same worst
+        # residual as one call on all ten
+        two_fast = _two_fast_spec()
+        whole = check_root_consistency(two_fast, box=10.0, n_samples=10, seed=3)
+        assert whole > 0.0
+        sizes = []
+
+        def g(x, z, u):
+            sizes.append(x.shape[1])
+            return two_fast.g(x, z, u)
+
+        monkeypatch.setattr(plant_module, "_SAMPLE_CHUNK", 3)
+        chunked = replace(two_fast, g=g)
+        assert check_root_consistency(chunked, box=10.0, n_samples=10, seed=3) == whole
+        assert sizes == [3, 3, 3, 1]
+        draws = np.random.default_rng(3).uniform(-1.0, 1.0, (5000, 3))
+        gen = np.random.default_rng(3)
+        assert np.array_equal(draws, np.vstack([gen.uniform(-1.0, 1.0, (rows, 3))
+                                                for rows in (2048, 2048, 904)]))
 
     def test_root_consistency_skips_nan_samples_as_scalar_loop(self):
         # residual 0.1 on x < 0, NaN on x > 0.5: the NaN samples never count

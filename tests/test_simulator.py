@@ -89,9 +89,10 @@ class TestZeno:
 
     @pytest.mark.parametrize("window, tripped", [(0.06, True), (0.04, False)])
     def test_guard_trips_only_within_window(self, window, tripped):
-        # six periodic jumps span 0.05
+        # six periodic jumps span 0.05; the horizon sits half a period past
+        # the 19th boundary, so no boundary ties with it within rounding
         policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.01)
-        cfg = SolverConfig(horizon=0.2, zeno_max_jumps=5, zeno_window=window)
+        cfg = SolverConfig(horizon=0.195, zeno_max_jumps=5, zeno_window=window)
         arc = integrate_arc(demo_plant(0.05), policy, _q0(), cfg)
         if tripped:
             assert arc.termination is Termination.ZENO_GUARD
@@ -240,6 +241,21 @@ class TestPeriodic:
         assert arc.jump_count == math.floor(5.25 / 0.5)
         periods = np.diff(arc.jump_times())
         assert periods == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("period", [0.01, 0.03])
+    def test_horizon_on_a_period_boundary_ends_the_arc(self, period):
+        # the last boundary may land a few ulps short of the horizon; the
+        # remnant is below the step floor and must end the arc, not raise
+        # a step-size underflow (horizon 0.27 at period 0.03 did)
+        plant = demo_plant(0.05)
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=period)
+        for k in range(2, 40):
+            horizon = k * period
+            arc = integrate_arc(plant, policy, _q0(), SolverConfig(horizon=horizon))
+            assert arc.termination is Termination.HORIZON, k
+            floor = 16.0 * np.finfo(float).eps * max(1.0, horizon)
+            assert abs(horizon - arc.t[-1]) <= floor, k
+            assert arc.jump_count in (k - 1, k), k
 
 
 class TestInitialStateSize:
