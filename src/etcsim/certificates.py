@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Callable, Optional
@@ -304,11 +303,10 @@ def max_dwell_time(m_err: float, n_err: float, gamma1_bar: float,
     With ratio = gamma1_bar * N^2 / (alpha1 * M^2) and
     r = sqrt(|ratio - 1|): arctan(r)/(M r) above the boundary, 1/M on it,
     artanh(r)/(M r) below. The three branches join continuously at r = 0.
+    Each argument is a positive number, else a CertificateError.
     """
-    for name, val in (("m_err", m_err), ("n_err", n_err),
-                      ("gamma1_bar", gamma1_bar), ("alpha1", alpha1)):
-        if val <= 0.0 or not math.isfinite(val):
-            raise CertificateError(f"{name} must be > 0, got {val}")
+    args = {"m_err": m_err, "n_err": n_err, "gamma1_bar": gamma1_bar, "alpha1": alpha1}
+    check_numbers("max_dwell_time", args, dict.fromkeys(args, "(0, inf)"), CertificateError)
     ratio = gamma1_bar * n_err**2 / (alpha1 * m_err**2)
     r = math.sqrt(abs(ratio - 1.0))
     if r < 1e-9:
@@ -483,10 +481,11 @@ def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
     in _MU_BISECT_ITERS (28) steps for the largest mu whose comparison-ODE
     transit still covers t_star, and keeps the candidate with the largest
     certified hybrid rate psi. The transit times and the returned
-    dwell_ode are the closed form of dwell_time_ode.
+    dwell_ode are the closed form of dwell_time_ode. sigma is a number in
+    (0, 1) and a dwell t_star a positive number, else a CertificateError.
     """
-    if not 0.0 < sigma < 1.0:
-        raise CertificateError(f"sigma must lie in (0,1), got {sigma}")
+    check_numbers("select_analysis_parameters", {"sigma": sigma}, {"sigma": "(0, 1)"},
+                  CertificateError)
     dwell = max_dwell_time(consts.m_err, consts.n_err, consts.gamma1_bar,
                            consts.alpha1)
     lam_jump_free = consts.lambda_jump(sigma)
@@ -507,7 +506,9 @@ def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
         raise CertificateError(f"unknown analysis mode {mode!r}")
     if t_star is None:
         raise CertificateError("dwell mode needs the requested dwell time t_star")
-    if not 0.0 < t_star < dwell:
+    check_numbers("select_analysis_parameters", {"t_star": t_star}, {"t_star": "(0, inf)"},
+                  CertificateError)
+    if not t_star < dwell:
         raise InfeasibleDwellError(t_star, dwell)
 
     def comparison(mu: float, vartheta: float) -> DwellComparison:
@@ -557,18 +558,43 @@ def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
 # ---------------------------------------------------------------------------
 
 
+def _minors_nonnegative(a11: float, d2: float, b: float, w33: Optional[float] = None,
+                        c: Optional[float] = None) -> bool:
+    """Whether the 1x1, 2x2 and, given w33 and c, 3x3 leading minors of
+    [[a11, -b, -c], [-b, d2, -c], [-c, -c, w33]] are all >= 0, decided
+    exactly on the float entries; a non-finite entry is not certified.
+
+    Each minor is a homogeneous polynomial in the entries, so scaling every
+    entry by one power of two (the largest denominator of their
+    as_integer_ratio) keeps its sign and makes it an integer. What stays
+    inexact is the entries themselves, rounded where they are computed.
+    """
+    entries = (a11, d2, b) if w33 is None else (a11, d2, b, w33, c)
+    try:
+        ratios = [v.as_integer_ratio() for v in entries]
+    except (OverflowError, ValueError):  # an infinity or a NaN
+        return False
+    scale = max([q for _, q in ratios])
+    a11, d2, b, *rest = [p * (scale // q) for p, q in ratios]
+    minor2 = a11 * d2 - b * b
+    if a11 < 0 or minor2 < 0:
+        return False
+    if not rest:
+        return True
+    w33, c = rest
+    return minor2 * w33 >= c * c * (a11 + 2 * b + d2)  # the determinant, expanded
+
+
 def _practical_feasible(eps: float, consts: AssumptionConstants, sigma: float,
                    mu: float, rho: Optional[float],
                    xi_delta: Optional[float]) -> bool:
+    """The dead-zone flow form's 2x2 minors at eps, then the rho/xi_delta log condition."""
     if eps > 1.0:  # sqrt(eps) <= eps**0.25 needs eps <= 1
         return False
     se = math.sqrt(eps)
     slow = consts.alpha1 * (1.0 - sigma * (1.0 + se * consts.l_link))
-    if slow < mu:
-        return False
     fast = consts.alpha2 / se - se * (consts.beta3 + mu)
-    cross = (consts.beta1 + se * consts.beta2) ** 2 / 4.0
-    if (slow - mu) * fast < cross:
+    if not _minors_nonnegative(slow - mu, fast, 0.5 * (consts.beta1 + se * consts.beta2)):
         return False
     if rho is not None:  # epsilon_star_search takes rho and xi_delta together
         lam = consts.lambda_practical(sigma)
@@ -579,7 +605,7 @@ def _practical_feasible(eps: float, consts: AssumptionConstants, sigma: float,
 
 def _a1_entries(eps: float, consts: AssumptionConstants, mu: float, d: float,
                 w: float) -> tuple[float, float, float, float, float]:
-    """(a11, d2, w33, b, c) of A1 - mu * diag(1, d, g1*w) = [[a11, -b, -c], [-b, d2, -c],
+    """(a11, d2, b, w33, c) of A1 - mu * diag(1, d, g1*w) = [[a11, -b, -c], [-b, d2, -c],
     [-c, -c, w33]], with A1 the flow form in (sqrt(Vx), sqrt(Vy), |e|) while w > 0."""
     g1 = consts.gamma1_bar
     b = 0.5 * (consts.beta1 + d * consts.beta2)
@@ -590,62 +616,32 @@ def _a1_entries(eps: float, consts: AssumptionConstants, mu: float, d: float,
     # ODE rate, which collapses to mu*g1*(1 + w) - d*g2 + g1^2 N^2 w^2/(alpha1-mu).
     upsilon = (mu * g1 * (1.0 + w) - d * consts.gamma2_bar
                + g1 * _comparison_coeff(mu, consts.n_err, g1, consts.alpha1) * w * w)
-    return a11, d2, upsilon - mu * g1 * w, b, c
-
-
-def _a1_scalar_conditions(a11: float, d2: float, w33: float, b: float, c: float) -> bool:
-    """Leading-principal-minor conditions for A1 >= mu * diag(1, d, g1*w), on its entries."""
-    if a11 < 0.0 or a11 * d2 < b * b:  # the 1x1 and 2x2 leading minors
-        return False
-    det = (a11 * (d2 * w33 - c * c)
-           + b * (-b * w33 - c * c)
-           - c * (b * c + d2 * c))
-    return det >= 0.0
-
-
-def _a1_eigen_conditions(a11: float, d2: float, w33: float, b: float, c: float) -> bool:
-    mat = np.array([[a11, -b, -c], [-b, d2, -c], [-c, -c, w33]])
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    return float(np.min(np.linalg.eigvalsh(mat))) >= -1e-10 * scale
+    return a11, d2, b, upsilon - mu * g1 * w, c
 
 
 def _dwell_feasible(eps: float, consts: AssumptionConstants, sigma: float,
-                   mu: float, d: float, vartheta: float,
-                   warn_mismatch: bool = False) -> bool:
+                   mu: float, d: float, vartheta: float) -> bool:
     """The dwell certificate's flow-form conditions at eps, for the comparison
     solution that falls from 1/vartheta to vartheta.
 
-    While w > 0 the form is checked at the trajectory's two ends only, which
-    covers every clock value: its 1x1 and 2x2 leading minors do not depend
-    on w, and with w33 = p + q w^2 and c^2 = r w^2 its determinant is
+    While w > 0 the 3x3 form is checked at the trajectory's two ends only,
+    which covers every clock value: its 1x1 and 2x2 leading minors do not
+    depend on w, and with w33 = p + q w^2 and c^2 = r w^2 its determinant is
     (a11 d2 - b^2) w33 - c^2 (a11 + 2b + d2), affine in w^2. w falls
     monotonically, so the determinant's minimum over the trajectory sits at
-    w = 1/vartheta or at w = vartheta.
+    w = 1/vartheta or at w = vartheta. Both ends are checked, since the
+    entries are rounded. Once the comparison value has gone negative, the
+    form is the 2x2 of (sqrt(Vx), sqrt(Vy)).
     """
     if eps > 1.0:
         return False
-    for w in (1.0 / vartheta, vartheta):
-        entries = _a1_entries(eps, consts, mu, d, w)
-        scalar_ok = _a1_scalar_conditions(*entries)
-        if warn_mismatch:
-            eigen_ok = _a1_eigen_conditions(*entries)
-            if scalar_ok != eigen_ok:
-                warnings.warn(
-                    "scalar principal-minor and eigenvalue tests disagree for "
-                    f"the 3x3 flow form at w={w:.6g}, eps={eps:.3e} "
-                    f"(scalar={scalar_ok}, eigen={eigen_ok})",
-                    stacklevel=2,
-                )
-        if not scalar_ok:
-            return False
-    # Flow form once the comparison value has gone negative.
+    if not all(_minors_nonnegative(*_a1_entries(eps, consts, mu, d, w))
+               for w in (1.0 / vartheta, vartheta)):
+        return False
     g1, g2 = consts.gamma1_bar, consts.gamma2_bar
     slow = consts.alpha1 * (1.0 - sigma * (1.0 + (d * g2 / g1 if g1 > 0 else 0.0)))
-    if slow < mu:
-        return False
     fast = d * (consts.alpha2 / eps - consts.beta3) - mu * d
-    cross = (consts.beta1 + d * consts.beta2) ** 2 / 4.0
-    return (slow - mu) * fast >= cross
+    return _minors_nonnegative(slow - mu, fast, 0.5 * (consts.beta1 + d * consts.beta2))
 
 
 def _bisect_largest(ok: Callable[[float], bool], lo: float, hi: float,
@@ -693,14 +689,17 @@ def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
 
     Bisects in log-eps from _EPS_FLOOR; all certificate inequalities are
     monotone (they only get harder as eps grows), and the returned value is
-    re-checked against every defining inequality; dwell mode checks its flow
-    form at the two ends, 1/vartheta and vartheta, of the comparison
-    solution dwell_ode, which covers every clock value (see
-    _dwell_feasible). Only practical mode takes rho with xi_delta, only
-    dwell mode d and dwell_ode.
+    re-checked against every defining inequality. One test,
+    _minors_nonnegative, decides the sign of every minor of the flow forms,
+    exactly on their float entries; practical mode's rho/xi_delta log
+    condition stays in float. Dwell mode checks its 3x3 form at the two
+    ends, 1/vartheta and vartheta, of the comparison solution dwell_ode,
+    which covers every clock value (see _dwell_feasible). Only practical
+    mode takes rho with xi_delta, only dwell mode d and dwell_ode. sigma is
+    a number in (0, 1) and mu a positive number, else a CertificateError.
     """
-    if not 0.0 < sigma < 1.0:
-        raise CertificateError(f"sigma must lie in (0,1), got {sigma}")
+    check_numbers("epsilon_star_search", {"sigma": sigma, "mu": mu},
+                  {"sigma": "(0, 1)", "mu": "(0, inf)"}, CertificateError)
     if mode not in _MODE_TAKES:
         raise CertificateError(f"unknown analysis mode {mode!r}")
     for name, value in (("d", d), ("dwell_ode", dwell_ode), ("rho", rho), ("xi_delta", xi_delta)):
@@ -709,7 +708,7 @@ def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
     if (rho is None) != (xi_delta is None):
         raise CertificateError("rho and xi_delta are given together or not at all")
     if mode == "practical":
-        if not 0.0 < mu < consts.alpha1 * (1.0 - sigma):
+        if not mu < consts.alpha1 * (1.0 - sigma):
             raise CertificateError(
                 f"practical mode needs mu in (0, alpha1*(1-sigma)), got {mu}"
             )
@@ -718,18 +717,13 @@ def epsilon_star_search(consts: AssumptionConstants, sigma: float, mu: float,
             return _practical_feasible(eps, consts, sigma, mu, rho, xi_delta)
 
     else:
-        if not 0.0 < mu < consts.alpha1:
+        if not mu < consts.alpha1:
             raise CertificateError(f"dwell mode needs mu in (0, alpha1), got {mu}")
         if d is None or dwell_ode is None:
             raise CertificateError("dwell mode needs d and the stored comparison ODE")
 
         def feasible(eps: float) -> bool:
             return _dwell_feasible(eps, consts, sigma, mu, d, dwell_ode.vartheta)
-
-        # One-time cross-check of the two positivity tests (reported, never
-        # silently resolved).
-        _dwell_feasible(min(1.0, 1e-3), consts, sigma, mu, d, dwell_ode.vartheta,
-                       warn_mismatch=True)
 
     eps_star = _log_eps_bisect(feasible, 80)
     if eps_star is None:

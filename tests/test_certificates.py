@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from etcsim.certificates import (
     QuadraticLyapunovData,
     _dot_rows,
     _draw_in_balls,
+    _minors_nonnegative,
     _quad_rows,
     derive_constants,
     dwell_time_ode,
@@ -22,7 +24,7 @@ from etcsim.certificates import (
     trigger_slope_bound,
     validate_assumptions,
 )
-from etcsim.demo import demo_lyapunov_data, demo_plant
+from etcsim.demo import demo_certification, demo_lyapunov_data, demo_plant
 from etcsim.errors import (
     CertificateError,
     CertificateInfeasibleError,
@@ -369,6 +371,13 @@ class TestEpsilonStar:
         with pytest.raises(CertificateError, match=message):
             epsilon_star_search(c, dwell.sigma, mu, mode, **{n: values[n] for n in names})
 
+    def test_overflowing_constant_is_a_certificate_error(self, certification):
+        # the dwell flow form's comparison coefficient squares n_err
+        c, dwell = certification.cert.constants, certification.dwell
+        with pytest.raises(CertificateError, match="overflows in epsilon_star_search"):
+            epsilon_star_search(replace(c, n_err=1e200), dwell.sigma, dwell.mu, "dwell",
+                                d=dwell.d_weight, dwell_ode=dwell.dwell_ode)
+
     def test_demo_chain_pinned(self, certification):
         # the parameters and epsilon* of both demo analyses, bitwise
         assert certification.practical.to_dict() == {
@@ -379,7 +388,7 @@ class TestEpsilonStar:
         assert certification.dwell.to_dict() == {
             "mode": "dwell", "sigma": 0.15, "mu": 0.08730302688628569,
             "dwell_bound": 0.9266585607027892, "lambda_jump": 1.2642784503423288,
-            "lambda_practical": 2.0634784503423287, "epsilon_star": 1.2133523112123186e-10,
+            "lambda_practical": 2.0634784503423287, "epsilon_star": 1.21335231120515e-10,
             "vartheta": 0.015732632357860408, "t_star": 0.8339927046325103,
             "dwell_bound_ode": 0.8352451112791504, "d_weight": 2.906517332371021e-05,
             "psi": 0.017998222486270563}
@@ -394,14 +403,12 @@ def grid_dwell_feasible(eps, c, sigma, mu, d, w_grid):
     if eps > 1.0:
         return False
     for w in w_grid:
-        if not certificates._a1_scalar_conditions(
-                *certificates._a1_entries(eps, c, mu, d, float(w))):
+        if not _minors_nonnegative(*certificates._a1_entries(eps, c, mu, d, float(w))):
             return False
     g1, g2 = c.gamma1_bar, c.gamma2_bar
     slow = c.alpha1 * (1.0 - sigma * (1.0 + (d * g2 / g1 if g1 > 0 else 0.0)))
     fast = d * (c.alpha2 / eps - c.beta3) - mu * d
-    cross = (c.beta1 + d * c.beta2) ** 2 / 4.0
-    return slow >= mu and (slow - mu) * fast >= cross
+    return _minors_nonnegative(slow - mu, fast, 0.5 * (c.beta1 + d * c.beta2))
 
 
 def endpoint_and_grid_verdicts(c, sigma, mu, d, vartheta):
@@ -410,6 +417,127 @@ def endpoint_and_grid_verdicts(c, sigma, mu, d, vartheta):
     return [(certificates._dwell_feasible(eps, c, sigma, mu, d, vartheta),
              grid_dwell_feasible(eps, c, sigma, mu, d, w_grid))
             for eps in np.geomspace(1e-12, 1.0, 61)]
+
+
+def _chain_argument_cases():
+    """(call, function, argument, interval, bad values): each call passes its
+    value as the one argument of a chain function that a check covers."""
+    c = derive_constants(demo_lyapunov_data())
+    mu = 0.25 * c.alpha1
+    positive = ("1", math.nan, math.inf, -math.inf, 0.0, -1.0, -5e-324)
+    unit = ("0.3", math.nan, math.inf, -math.inf, 0.0, 1.0, -0.3, 1.5)
+    yield (lambda v: select_analysis_parameters(c, v, mode="practical"),
+           "select_analysis_parameters", "sigma", "(0, 1)", unit)
+    yield (lambda v: select_analysis_parameters(c, 0.15, t_star=v, mode="dwell"),
+           "select_analysis_parameters", "t_star", "(0, inf)", positive)
+    yield (lambda v: epsilon_star_search(c, v, mu, "practical"),
+           "epsilon_star_search", "sigma", "(0, 1)", unit)
+    yield (lambda v: epsilon_star_search(c, 0.3, v, "practical"),
+           "epsilon_star_search", "mu", "(0, inf)", positive)
+    for i, name in enumerate(("m_err", "n_err", "gamma1_bar", "alpha1")):
+        yield (lambda v, i=i: max_dwell_time(*(v if j == i else 1.0 for j in range(4))),
+               "max_dwell_time", name, "(0, inf)", positive)
+
+
+@pytest.mark.parametrize("call, function, name, interval, value", [
+    pytest.param(call, function, name, interval, value, id=f"{function}-{name}-{value!r}")
+    for call, function, name, interval, bad in _chain_argument_cases() for value in bad])
+def test_chain_argument_is_a_typed_certificate_error(call, function, name, interval, value):
+    with pytest.raises(CertificateError) as exc:
+        call(value)
+    assert type(exc.value) is CertificateError
+    assert str(exc.value).startswith(
+        f"{function} field {name!r} must be a number in {interval}, got {name} {value!r}")
+
+
+def test_chain_arguments_take_any_real_number_inside_their_interval():
+    c = derive_constants(demo_lyapunov_data())
+    assert max_dwell_time(1, 1, 1, 1) == max_dwell_time(1.0, 1.0, 1.0, 1.0) == 1.0
+    params = select_analysis_parameters(c, np.float64(0.3), mode="practical")
+    assert params == select_analysis_parameters(c, 0.3, mode="practical")
+    assert (epsilon_star_search(c, np.float64(0.3), np.float64(params.mu), "practical")
+            == epsilon_star_search(c, 0.3, params.mu, "practical"))
+    dwell = max_dwell_time(c.m_err, c.n_err, c.gamma1_bar, c.alpha1)
+    with pytest.raises(InfeasibleDwellError):  # the data-dependent bound stays
+        select_analysis_parameters(c, 0.15, t_star=dwell, mode="dwell")
+
+
+def fraction_minors_nonnegative(a11, d2, b, w33=None, c=None):
+    """The 1x1, 2x2 and (given w33, c) 3x3 leading minors of
+    [[a11, -b, -c], [-b, d2, -c], [-c, -c, w33]], each >= 0 in Fraction
+    arithmetic by cofactor expansion; a non-finite entry is not certified."""
+    entries = (a11, d2, b) if w33 is None else (a11, d2, b, w33, c)
+    if not all(map(math.isfinite, entries)):
+        return False
+    a11, d2, b, *rest = map(Fraction, entries)
+    if a11 < 0 or a11 * d2 - b * b < 0:
+        return False
+    if not rest:
+        return True
+    w33, c = rest
+    return a11 * (d2 * w33 - c * c) + b * (-b * w33 - c * c) - c * (b * c + d2 * c) >= 0
+
+
+def _scaled(mantissa, exponents):
+    return st.builds(math.ldexp, mantissa, st.integers(*exponents))
+
+
+def _nudged(value, ulps):
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+# any finite float (subnormals and the largest included), or one of a wide
+# exponent spread whose products leave the float range
+_ENTRY = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   _scaled(st.floats(-1.0, 1.0), (-400, 400)))
+_POSITIVE = _scaled(st.floats(0.5, 1.0), (-60, 60))
+
+
+class TestMinorsNonnegative:
+    @settings(derandomize=True, max_examples=400, database=None, deadline=None)
+    @given(entries=st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY, _ENTRY), full=st.booleans())
+    def test_equals_fraction_on_wide_exponents(self, entries, full):
+        entries = entries if full else entries[:3]
+        assert _minors_nonnegative(*entries) == fraction_minors_nonnegative(*entries)
+
+    @settings(derandomize=True, max_examples=400, database=None, deadline=None)
+    @given(a11=_POSITIVE, d2=_POSITIVE, c=_scaled(st.floats(-1.0, 1.0), (-60, 60)),
+           gap=st.floats(0.0, 1e-6), b_ulps=st.integers(-3, 3), w_ulps=st.integers(-3, 3))
+    def test_equals_fraction_near_singular(self, a11, d2, c, gap, b_ulps, w_ulps):
+        # b cancels a11 d2 in the 2x2 minor to the last bits, and w33 cancels
+        # the rest of the determinant (a11 d2 - b^2) w33 - c^2 (a11 + 2b + d2)
+        b = _nudged(math.sqrt(a11) * math.sqrt(d2) * (1.0 - gap), b_ulps)
+        assert _minors_nonnegative(a11, d2, b) == fraction_minors_nonnegative(a11, d2, b)
+        minor2 = a11 * d2 - b * b
+        if minor2 > 0.0:
+            w33 = _nudged(c * c * (a11 + 2.0 * b + d2) / minor2, w_ulps)
+            assert (_minors_nonnegative(a11, d2, b, w33, c)
+                    == fraction_minors_nonnegative(a11, d2, b, w33, c))
+
+    def test_demo_chain_calls_equal_fraction(self, monkeypatch):
+        calls = []
+
+        def recorded(*entries):
+            calls.append(entries)
+            return _minors_nonnegative(*entries)
+
+        monkeypatch.setattr(certificates, "_minors_nonnegative", recorded)
+        demo_certification.__wrapped__()
+        assert {len(entries) for entries in calls} == {3, 5}
+        assert all(_minors_nonnegative(*entries) == fraction_minors_nonnegative(*entries)
+                   for entries in calls)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(5))
+    def test_non_finite_entry_not_certified(self, index, bad):
+        entries = [1.0, 1.0, 0.0, 1.0, 0.0]
+        assert _minors_nonnegative(*entries) and _minors_nonnegative(*entries[:3])
+        entries[index] = bad
+        assert not _minors_nonnegative(*entries)
+        if index < 3:
+            assert not _minors_nonnegative(*entries[:3])
 
 
 class TestDwellFlowFormEndpoints:

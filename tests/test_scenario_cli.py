@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,13 +275,31 @@ class TestCli:
         assert "l_bar" in payload["message"]
 
     def test_error_json_on_overflowing_epsilon_star_search(self, tmp_path, capsys):
-        # derive_constants takes l_bar 1e100; the eps* inequalities square beta1
+        # derive_constants takes l_bar 1e100, whose beta2 (about 1e200) squares
+        # past the float range; the exact minor test squares it in integers
         path = tmp_path / "lyap.json"
         path.write_text(json.dumps(_lyapunov_file(l_bar=1e100)))
         assert main(["certify", str(path)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload == {"error": "CertificateError", "message": "a certificate constant "
-                           "overflows in epsilon_star_search"}
+        assert payload == {"error": "CertificateInfeasibleError", "message": "no eps above "
+                           "1.0e-12 passes the certificate inequalities"}
+
+    def test_dwell_certify_on_data_a_float_test_disputed_is_quiet(self, tmp_path, capsys):
+        # at w = 1e4 and eps = 1e-3 a float eigenvalue test passed this flow
+        # form while its exact 2x2 leading minor is negative: one exact test
+        # decides, with no second opinion to report
+        path = tmp_path / "lyap.json"
+        path.write_text(json.dumps({
+            "p1": [[1, 0], [0, 1.4707842673613751]], "p2": [[1.3461546895181316]],
+            "alpha1_bar": 0.37646311209275, "alpha2": 0.6355648465488226,
+            "l_bar": 1.4071239464485346, "sigma": 0.3, "mode": "dwell",
+            "t_star": 0.0576252634122167}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["certify", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert json.loads(out)["error"] == "CertificateInfeasibleError"
+        assert (err, caught) == ("", [])
 
     def test_error_json_on_unknown_solver_field(self, tmp_path, capsys):
         cfg = scenario_dict()
