@@ -235,8 +235,10 @@ def derive_constants(data: QuadraticLyapunovData) -> AssumptionConstants:
     """Derive all assumption constants from quadratic data.
 
     Matrix norms are spectral norms; the bounds trace the globally
-    Lipschitz construction, so they certify any plant whose maps respect
-    l_bar and whose quadratic functions satisfy the two decay conditions.
+    Lipschitz construction from l_bar and the two decay conditions. That
+    per-map construction does not bound composed maps such as Hu K, so
+    the constants hold for a given plant only where validate_assumptions
+    finds no violated inequality.
     """
     p1, p2 = data.p1, data.p2
     lbar = data.l_bar
@@ -482,10 +484,13 @@ def select_analysis_parameters(consts: AssumptionConstants, sigma: float,
     transit still covers t_star, and keeps the candidate with the largest
     certified hybrid rate psi. The transit times and the returned
     dwell_ode are the closed form of dwell_time_ode. sigma is a number in
-    (0, 1) and a dwell t_star a positive number, else a CertificateError.
+    (0, 1) and a dwell t_star a positive number, else a CertificateError;
+    so is any t_star in practical mode, as in epsilon_star_search.
     """
     check_numbers("select_analysis_parameters", {"sigma": sigma}, {"sigma": "(0, 1)"},
                   CertificateError)
+    if mode == "practical" and t_star is not None:
+        raise CertificateError("practical analysis does not take t_star")
     dwell = max_dwell_time(consts.m_err, consts.n_err, consts.gamma1_bar,
                            consts.alpha1)
     lam_jump_free = consts.lambda_jump(sigma)

@@ -180,11 +180,7 @@ def closed_loop_flow_vector(x, y, e, spec: PlantSpec) -> np.ndarray:
     g_val = _vec(spec.g(x, z, u), spec.n_z, "map g")
     jac = _vec(spec.dh_dx(x, u), spec.n_z * spec.n_x, "map dh_dx").reshape(spec.n_z, spec.n_x)
     y_dot = g_val / spec.epsilon - jac @ fx
-    return _finite_flow(np.concatenate([fx, y_dot, -fx]))
-
-
-def _finite_flow(out: np.ndarray) -> np.ndarray:
-    """The closed-loop derivative out, or a DivergenceError if an entry is not finite."""
+    out = np.concatenate([fx, y_dot, -fx])
     if not np.isfinite(out).all():
         raise DivergenceError("closed-loop flow produced non-finite derivative")
     return out
@@ -376,8 +372,8 @@ class LinearPlantSpec:
         Assembled from the defining maps: x' = A_cl x + A12 y + B_s K e,
         y' = A22 y / eps - Hx x', e' = -x'. The clock row (rate 1, no
         state dependence) is excluded; callers append the affine rate.
-        The reference integrator flows a LinearPlantSpec by this matrix,
-        built once per arc.
+        The reference integrator builds a LinearPlantSpec's Runge-Kutta
+        step matrices from it (simulate._step_matrix).
         """
         n_x, n_z = self.n_x, self.n_z
         n = 2 * n_x + n_z

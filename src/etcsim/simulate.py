@@ -37,7 +37,6 @@ from .hybrid import (
 from .plant import (
     LinearPlantSpec,
     PlantSpec,
-    _finite_flow,
     apply_jump,
     closed_loop_flow,
     closed_loop_flow_vector,
@@ -87,6 +86,7 @@ RK_A.flags.writeable = False
 RK_B.flags.writeable = False
 RK_E.flags.writeable = False
 RK_P.flags.writeable = False
+_RK_A_ROWS = tuple((i, RK_A[i, :i]) for i in range(1, 6))
 
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -239,18 +239,20 @@ def build_hybrid_system(spec: PlantSpec, policy: TriggerPolicy,
 
 def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
                 rtol: float, atol: float) -> float:
+    """RMS of err scaled by atol + rtol * max(|y0|, |y1|)."""
     scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    r = err / scale
+    return math.sqrt(float(np.add.reduce(r * r)) / r.size)
 
 
 class _DenseSegment:
-    """Quartic dense output of one accepted step."""
+    """Quartic dense output of one accepted step: y0 + h * (q @ theta powers)."""
 
-    def __init__(self, t0: float, h: float, y0: np.ndarray, k_stages: np.ndarray):
+    def __init__(self, t0: float, h: float, y0: np.ndarray, q: np.ndarray):
         self.t0 = t0
         self.h = h
         self.y0 = y0
-        self.q = k_stages.T @ RK_P
+        self.q = q
 
     def __call__(self, t: float) -> np.ndarray:
         theta = (t - self.t0) / self.h
@@ -258,24 +260,138 @@ class _DenseSegment:
         return self.y0 + self.h * (self.q @ p)
 
 
+_STEP_ULPS = 16.0 * np.finfo(float).eps
+
+
 def _step_floor(t: float) -> float:
     """Smallest step the integrator takes at time t: 16 ulps of max(1, |t|)."""
-    return 16.0 * np.finfo(float).eps * max(1.0, abs(t))
+    return _STEP_ULPS * max(1.0, abs(t))
+
+
+def _rk_stages(rhs: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
+               k1: np.ndarray, h: float) -> Optional[tuple]:
+    """The Dormand-Prince stage loop of one trial step from s: (s1, stages),
+    stages holding all seven (the last is FSAL), or None when a stage point
+    or s1 is not finite. s is any flat vector: a state, or the flattened
+    identity from which _step_matrix builds the linear step."""
+    stages = np.empty((7, s.size))
+    stages[0] = k1
+    for i, a_row in _RK_A_ROWS:
+        si = s + h * (a_row @ stages[:i])
+        if not np.isfinite(si).all():
+            return None
+        stages[i] = rhs(si)
+    s1 = s + h * (RK_B @ stages[:6])
+    if not np.isfinite(s1).all():
+        return None
+    stages[6] = rhs(s1)
+    return s1, stages
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _step_matrix(flow: np.ndarray, h: float) -> Optional[np.ndarray]:
+    """The Dormand-Prince step of s' = flow @ s with step h as one matrix.
+
+    W_h (6n x n) stacks three linear maps of s: the step s -> s1 (rows
+    0..n), the embedded error estimate (rows n..2n) and the four
+    dense-output coefficient columns q[:, c] (rows (2 + c) n..(3 + c) n).
+    It is _rk_stages run once on the identity, whose first stage is flow
+    itself. None when an entry is not finite: an overflow rejects the
+    step, so it is not a warning.
+    """
+    n = flow.shape[0]
+
+    def rhs(cols: np.ndarray) -> np.ndarray:
+        return (flow @ cols.reshape(n, n)).ravel()
+
+    built = _rk_stages(rhs, np.eye(n).ravel(), flow.ravel(), h)
+    if built is None:
+        return None
+    w = np.empty((6, n * n))
+    w[0], stages = built
+    w[1] = h * (RK_E @ stages)
+    w[2:] = RK_P.T @ stages
+    return w.reshape(6 * n, n) if np.isfinite(w).all() else None
+
+
+class _StagedStep:
+    """Trial steps of a PlantSpec: the stage loop on s every step, with
+    every stage through closed_loop_flow_vector."""
+
+    def __init__(self, plant: PlantSpec):
+        self.plant = plant
+        self.n_x = plant.n_x
+        self.n_y = plant.n_z
+
+    def first_stage(self, s: np.ndarray) -> np.ndarray:
+        n_x, n_y = self.n_x, self.n_y
+        return closed_loop_flow_vector(s[:n_x], s[n_x:n_x + n_y], s[n_x + n_y:],
+                                       self.plant)
+
+    def __call__(self, s: np.ndarray, k1: np.ndarray, h: float) -> Optional[tuple]:
+        """(s1, error estimate, dense coefficients q, FSAL stage), or None
+        when the step is not finite."""
+        staged = _rk_stages(self.first_stage, s, k1, h)
+        if staged is None:
+            return None
+        s1, stages = staged
+        return s1, h * (RK_E @ stages), stages.T @ RK_P, stages[6]
+
+
+_MAX_BUILDS = 16
+
+
+class _LinearStep:
+    """Trial steps of a LinearPlantSpec: one product W_h @ s per step.
+
+    W_h is _step_matrix(flow_matrix(), h), built the first time the arc
+    meets the exact float h and kept in builds, at most _MAX_BUILDS of
+    them (the oldest is dropped first). Where most steps take h = max_step
+    few are built; where error control picks a new h at every step (the
+    fast transient after each jump of the dwell demo) each such step
+    builds one, at about the cost of a staged step. The step needs no
+    first stage.
+    """
+
+    def __init__(self, flow: np.ndarray):
+        self.flow = flow
+        self.builds: dict[float, np.ndarray] = {}
+
+    def first_stage(self, s: np.ndarray) -> None:
+        return None
+
+    def __call__(self, s: np.ndarray, k1: None, h: float) -> Optional[tuple]:
+        """As _StagedStep.__call__, with no FSAL stage."""
+        w = self.builds.get(h)
+        if w is None:
+            w = _step_matrix(self.flow, h)
+            if w is None:
+                return None
+            if len(self.builds) >= _MAX_BUILDS:
+                del self.builds[next(iter(self.builds))]
+            self.builds[h] = w
+        v = w @ s
+        if not np.isfinite(v).all():
+            return None
+        n = s.size
+        return v[:n], v[n:2 * n], v[2 * n:].reshape(4, n).T, None
 
 
 def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                       cfg: SolverConfig, cert: Optional[LyapunovCertificate],
                       params: Optional[AnalysisParameters]) -> HybridArc:
-    """Reference integration of plant. A LinearPlantSpec flows by the one
-    product flow_matrix() @ s, built once per arc; a PlantSpec flows through
-    closed_loop_flow_vector. Every jump is apply_jump(q_pre, plant).
+    """Reference integration of plant. A LinearPlantSpec takes each trial
+    step as one cached product W_h @ s (_LinearStep); a PlantSpec runs the
+    stage loop through closed_loop_flow_vector (_StagedStep). Every jump is
+    apply_jump(q_pre, plant).
 
     Each accepted step lands on one point: the localized event, or else the
     step end. Both go through the same block: fast_floor snaps the point,
     k1 is recomputed unless it is the unsnapped step end (FSAL), and the
-    margin m is evaluated once. m decides the eager jump, starts the next
-    event bracket and is stored. A landed point is stored if it is an
-    event, the stride is reached, it is on the horizon or a clock boundary,
+    margin m is evaluated once: at an unsnapped step end it is the
+    bracket's end probe. m decides the eager jump, starts the next event
+    bracket and is stored. A landed point is stored if it is an event, the
+    stride is reached, it is on the horizon or a clock boundary,
     m >= 0, or the step end diverged. The horizon counts as reached once
     it is closer than the step floor. Flow rows go straight to
     arc._append_row (no HybridState); the arc's (t, j) ordering is checked
@@ -288,16 +404,8 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     eps = plant.epsilon
     max_step = cfg.max_step_factor * eps
 
-    if isinstance(plant, LinearPlantSpec):
-        flow = plant.flow_matrix()
-        flow.flags.writeable = False
-
-        def rhs(s: np.ndarray) -> np.ndarray:
-            return _finite_flow(flow @ s)
-    else:
-        def rhs(s: np.ndarray) -> np.ndarray:
-            return closed_loop_flow_vector(s[:n_x], s[n_x:n_x + n_y],
-                                           s[n_x + n_y:], plant)
+    step = (_LinearStep(plant.flow_matrix()) if isinstance(plant, LinearPlantSpec)
+            else _StagedStep(plant))
 
     def at_horizon(t_now: float) -> bool:
         return cfg.horizon - t_now <= _step_floor(t_now)
@@ -338,7 +446,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
 
     termination: Optional[Termination] = None
     h = min(max_step, eps, cfg.horizon)
-    k1 = rhs(s)
+    k1 = step.first_stage(s)
     ceiling = policy.clock_ceiling
 
     while termination is None:
@@ -358,7 +466,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             break
         if jumped:
             h = min(h, eps)  # the jump re-excites the fast layer
-            k1 = rhs(s)
+            k1 = step.first_stage(s)
         if at_horizon(t):
             termination = Termination.HORIZON
             break
@@ -375,23 +483,11 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                 clamped_clock = True
             if h <= _step_floor(t):
                 raise DivergenceError(f"step size underflow at t={t!r}")
-            stages = np.empty((7, s.size))
-            stages[0] = k1
-            failed = False
-            for i in range(1, 6):
-                si = s + h * (RK_A[i, :i] @ stages[:i])
-                if not np.isfinite(si).all():
-                    failed = True
-                    break
-                stages[i] = rhs(si)
-            if not failed:
-                s1 = s + h * (RK_B @ stages[:6])
-                failed = not np.isfinite(s1).all()
-            if failed:
+            trial = step(s, k1, h)
+            if trial is None:
                 h *= _MIN_FACTOR
                 continue
-            stages[6] = rhs(s1)
-            err = h * (RK_E @ stages)
+            s1, err, q, k_end = trial
             norm = _error_norm(err, s, s1, cfg.rel_tol, cfg.abs_tol)
             if norm <= 1.0:
                 factor = _MAX_FACTOR if norm == 0.0 else min(
@@ -400,39 +496,44 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 
         t1 = min(t + h, cfg.horizon)
-        dense = _DenseSegment(t, h, s, stages)
+        tau1 = ceiling if clamped_clock else tau + h
+        dense = _DenseSegment(t, h, s, q)
 
-        # Event bracketing on the accepted step: endpoints plus midpoint.
+        # Event bracketing on the accepted step: start, midpoint and end.
+        # The end probe is the step end s1 with its landed clock tau1.
         def margin_at(tq: float) -> float:
             return ev.margin(dense(tq), tau + (tq - t))
 
-        t_event = None
+        t_event = m_end = None
         if m < 0.0:
-            for t_probe in (t + 0.5 * h, t1):
-                if margin_at(t_probe) >= 0.0:
-                    t_event = locate_event(margin_at, t, t_probe, cfg.event_tol)
-                    break
+            t_mid = t + 0.5 * h
+            if margin_at(t_mid) >= 0.0:
+                t_event = locate_event(margin_at, t, t_mid, cfg.event_tol)
+            else:
+                m_end = ev.margin(s1, tau1)
+                if m_end >= 0.0:
+                    t_event = locate_event(margin_at, t, t1, cfg.event_tol)
 
         # Land on the event point or the step end. A localized event at the
         # end of a clock-clamped step IS the boundary; its clock is assigned
         # exactly so the jump test cannot miss it by one rounding.
         if t_event is None:
-            tau = ceiling if clamped_clock else tau + h
-            s, t, k1 = s1, t1, stages[6]
+            tau = tau1
+            s, t, k1 = s1, t1, k_end
             h *= factor
         else:
             at_ceiling = clamped_clock and t_event == t1
             tau = ceiling if at_ceiling else tau + (t_event - t)
-            s, t, k1 = dense(t_event), t_event, None
+            s, t, k1, m_end = dense(t_event), t_event, None, None
         if cfg.fast_floor > 0.0:  # s is a fresh array: snap it in place
             y_part = s[n_x:n_x + n_y]
             small = np.abs(y_part) < cfg.fast_floor
             if np.any(small & (y_part != 0.0)):
                 y_part[small] = 0.0
-                k1 = None
+                k1 = m_end = None
         if k1 is None:
-            k1 = rhs(s)
-        m = ev.margin(s, tau)
+            k1 = step.first_stage(s)
+        m = ev.margin(s, tau) if m_end is None else m_end
         blown_up = t_event is None and diverged(s)
         steps_since_store += 1
         if (t_event is not None or steps_since_store >= cfg.store_stride
@@ -454,11 +555,11 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
     """Integrate the hybrid closed loop from q0 under the given policy.
 
     Every plant runs the reference integrator below. A LinearPlantSpec
-    flows by flow_matrix() @ s and jumps with its closed-form map
-    y+ = y + (Hu K) e through apply_jump; a PlantSpec flows through
-    closed_loop_flow_vector and jumps with the generic map, so passing
-    plant.as_plant_spec() runs a linear plant with the generic flow and
-    jump. Each path is bitwise reproducible. If q0 lies in the jump set,
+    takes each RK step as one product of a cached step matrix with s and
+    jumps with its closed-form map y+ = y + (Hu K) e through apply_jump; a
+    PlantSpec flows through closed_loop_flow_vector and jumps with the
+    generic map, so passing plant.as_plant_spec() runs a linear plant with
+    the generic flow and jump. Each path is bitwise reproducible. If q0 lies in the jump set,
     the first action is a jump.
     """
     if policy.requires_clock != q0.has_clock:

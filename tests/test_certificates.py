@@ -242,6 +242,14 @@ class TestSelectParameters:
                            match="overflows in select_analysis_parameters"):
             select_analysis_parameters(c, 0.3, mode="practical")
 
+    @pytest.mark.parametrize("t_star", ["x", math.nan, 0.5])
+    def test_practical_t_star_is_a_certificate_error(self, t_star):
+        # as epsilon_star_search rejects a keyword its mode does not take
+        c = derive_constants(demo_lyapunov_data())
+        with pytest.raises(CertificateError,
+                           match="practical analysis does not take t_star"):
+            select_analysis_parameters(c, 0.3, t_star=t_star, mode="practical")
+
 
 class TestJsonRecords:
     def test_practical_parameters_keys_in_field_order(self):

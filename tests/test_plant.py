@@ -135,8 +135,9 @@ class TestClosedLoopFlow:
             assert np.allclose(lhs, mat @ s, rtol=0, atol=1e-12)
 
     def test_flow_matrix_equals_generic_flow_on_random_plants(self):
-        # the integrator flows a LinearPlantSpec by flow_matrix() @ s and its
-        # as_plant_spec() by closed_loop_flow_vector: both must agree
+        # the integrator steps a LinearPlantSpec by matrices built from
+        # flow_matrix() and its as_plant_spec() by closed_loop_flow_vector:
+        # both must agree
         gen = np.random.default_rng(20260)
         worst = 0.0
         for _ in range(300):

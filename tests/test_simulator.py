@@ -5,12 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import etcsim.simulate as simulate
 from etcsim.demo import demo_certification, demo_plant, demo_scenario
 from etcsim.errors import ConfigurationError, DimensionError, OrderingError
 from etcsim.hybrid import HybridArc, HybridState, Termination
-from etcsim.plant import apply_jump
+from etcsim.plant import LinearPlantSpec, apply_jump
 from etcsim.simulate import (
     DIVERGENCE_NORM,
+    RK_E,
+    RK_P,
     SolverConfig,
     build_hybrid_system,
     integrate_arc,
@@ -421,6 +424,123 @@ class TestDivergence:
         assert arc.is_jump[-1] == 0
         assert np.linalg.norm(arc.states[-1]) > DIVERGENCE_NORM
         assert arc.t[-1] < cfg.horizon
+
+
+def _random_plants(count, seed):
+    """test_plant's recipe for random Hurwitz-A22 plants of up to 3+2+3 states."""
+    gen = np.random.default_rng(seed)
+    for _ in range(count):
+        n_x, n_z, n_u = (int(v) for v in gen.integers(1, (4, 3, 3)))
+        a22 = gen.standard_normal((n_z, n_z))
+        a22 -= (max(np.linalg.eigvals(a22).real) + 0.5) * np.eye(n_z)
+        base = LinearPlantSpec(
+            a11=gen.standard_normal((n_x, n_x)), a12=gen.standard_normal((n_x, n_z)),
+            a21=gen.standard_normal((n_z, n_x)), a22=a22,
+            b1=gen.standard_normal((n_x, n_u)), b2=gen.standard_normal((n_z, n_u)),
+            k_gain=gen.standard_normal((n_u, n_x)), epsilon=1.0)
+        yield base, gen.uniform(-3, 3, 2 * n_x + n_z), gen.uniform(0.05, 1.0)
+
+
+class _CountedBuilds:
+    def __init__(self, monkeypatch):
+        self.hs = []
+        build = simulate._step_matrix
+
+        def counted(flow, h):
+            self.hs.append(h)
+            return build(flow, h)
+
+        monkeypatch.setattr(simulate, "_step_matrix", counted)
+
+
+class TestStepMatrix:
+    """A LinearPlantSpec takes each trial step as W_h @ s (_LinearStep)."""
+
+    def test_step_matrix_equals_the_staged_step_on_random_plants(self):
+        # the oracle is the stage loop on s with the linear flow, as the
+        # integrator ran it before the step became one matrix
+        worst = 0.0
+        for base, s, frac in _random_plants(300, 20260):
+            for eps in (1.0, 1e-3, 1e-10):
+                flow = base.with_epsilon(eps).flow_matrix()
+                h = frac * 0.5 * eps
+                s1, stages = simulate._rk_stages(lambda v: flow @ v, s, flow @ s, h)
+                staged = (s1, h * (RK_E @ stages), stages.T @ RK_P)
+                trial = simulate._LinearStep(flow)(s, None, h)
+                assert trial[3] is None
+                scale = np.abs(flow).max() * np.abs(s).max()
+                for want, got in zip(staged, trial[:3]):
+                    assert got.shape == want.shape
+                    worst = max(worst, np.abs(got - want).max() / scale)
+        assert worst <= 1e-12
+
+    def test_repeated_h_reuses_the_build(self, monkeypatch):
+        builds = _CountedBuilds(monkeypatch)
+        step = simulate._LinearStep(demo_plant(0.05).flow_matrix())
+        s = np.linspace(-1.0, 1.0, 5)
+        first = step(s, None, 0.01)
+        again = step(2.0 * s, None, 0.01)
+        assert builds.hs == [0.01] and list(step.builds) == [0.01]
+        assert np.array_equal(again[0], step.builds[0.01][:5] @ (2.0 * s))
+        assert np.array_equal(again[0], 2.0 * first[0])
+
+    def test_at_most_sixteen_builds_are_kept(self, monkeypatch):
+        builds = _CountedBuilds(monkeypatch)
+        step = simulate._LinearStep(demo_plant(0.05).flow_matrix())
+        s = np.ones(5)
+        hs = [0.001 * (k + 1) for k in range(20)]
+        for h in hs:
+            step(s, None, h)
+        assert list(step.builds) == hs[4:]  # the oldest go first
+        step(s, None, hs[-1])
+        step(s, None, hs[0])
+        assert builds.hs == hs + [hs[0]]
+        assert len(step.builds) == 16 and hs[0] in step.builds and hs[4] not in step.builds
+
+    def test_overflowing_build_rejects_the_step(self):
+        # flow @ flow overflows at h = 1: no step, nothing kept, no raise
+        flow = np.full((3, 3), 1e200)
+        step = simulate._LinearStep(flow)
+        s = np.array([1.0, 0.0, -1.0])
+        assert simulate._step_matrix(flow, 1.0) is None
+        assert step(s, None, 1.0) is None and not step.builds
+        assert all(np.isfinite(part).all() for part in step(s, None, 1e-210)[:3])
+
+    def test_overflowing_build_rejects_the_step_in_the_arc(self, monkeypatch):
+        # the first step's build overflows: the integrator retries at
+        # h * _MIN_FACTOR instead of raising
+        plant = demo_plant(0.05)
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.1)
+        cfg = SolverConfig(horizon=0.5)
+        h0 = min(cfg.max_step_factor * plant.epsilon, plant.epsilon, cfg.horizon)
+        build = simulate._step_matrix
+        built = []
+
+        def overflowing_at_h0(flow, h):
+            built.append((h, build(1e200 * flow if h == h0 else flow, h)))
+            return built[-1][1]
+
+        monkeypatch.setattr(simulate, "_step_matrix", overflowing_at_h0)
+        arc = integrate_arc(plant, policy, _q0(), cfg)
+        assert built[0][0] == h0 and built[0][1] is None
+        assert built[1][0] == 0.2 * h0 and built[1][1] is not None
+        assert arc.termination is Termination.HORIZON
+        assert arc.jump_times()[:4] == pytest.approx([0.1, 0.2, 0.3, 0.4], abs=1e-12)
+
+
+class TestStepHelpers:
+    def test_error_norm_and_step_floor_equal_the_old_expressions_bitwise(self):
+        gen = np.random.default_rng(7)
+        for _ in range(2000):
+            n = int(gen.integers(1, 12))
+            err, y0, y1 = (gen.standard_normal(n) * 10.0 ** gen.uniform(-12, 3, n)
+                           for _ in range(3))
+            rtol, atol = 10.0 ** gen.uniform(-12, -3), 10.0 ** gen.uniform(-14, -6)
+            scale = atol + rtol * np.maximum(np.abs(y0), np.abs(y1))
+            old = float(np.sqrt(np.mean((err / scale) ** 2)))
+            assert simulate._error_norm(err, y0, y1, rtol, atol) == old
+            t = float(gen.choice([-1.0, 1.0]) * 10.0 ** gen.uniform(-5, 8))
+            assert simulate._step_floor(t) == 16.0 * np.finfo(float).eps * max(1.0, abs(t))
 
 
 class TestFastFloor:
