@@ -372,8 +372,8 @@ class LinearPlantSpec:
         Assembled from the defining maps: x' = A_cl x + A12 y + B_s K e,
         y' = A22 y / eps - Hx x', e' = -x'. The clock row (rate 1, no
         state dependence) is excluded; callers append the affine rate.
-        The reference integrator builds a LinearPlantSpec's Runge-Kutta
-        step matrices from it (simulate._step_matrix).
+        The reference integrator stacks a LinearPlantSpec's Runge-Kutta
+        step from its scaled powers (simulate._LinearStep).
         """
         n_x, n_z = self.n_x, self.n_z
         n = 2 * n_x + n_z

@@ -272,8 +272,8 @@ def _rk_stages(rhs: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
                k1: np.ndarray, h: float) -> Optional[tuple]:
     """The Dormand-Prince stage loop of one trial step from s: (s1, stages),
     stages holding all seven (the last is FSAL), or None when a stage point
-    or s1 is not finite. s is any flat vector: a state, or the flattened
-    identity from which _step_matrix builds the linear step."""
+    or s1 is not finite. s is any flat vector: a state, or the coefficients
+    over the powers of a linear flow from which _LINEAR_TABLE is built."""
     stages = np.empty((7, s.size))
     stages[0] = k1
     for i, a_row in _RK_A_ROWS:
@@ -288,30 +288,24 @@ def _rk_stages(rhs: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
     return s1, stages
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _step_matrix(flow: np.ndarray, h: float) -> Optional[np.ndarray]:
-    """The Dormand-Prince step of s' = flow @ s with step h as one matrix.
+def _linear_table() -> np.ndarray:
+    """The Dormand-Prince step of s' = F s as a fixed polynomial in hF:
+    column m holds the coefficient of h^m F^m s in the step end s1 (row 0)
+    and the error estimate (row 1), and of h^m F^(m+1) s in the dense
+    column q[:, c] (row 2 + c). It is _rk_stages at h = 1 on coefficients
+    over the powers of F, on which F acts as the shift; each stage is F
+    times a vector, so rolling its coefficients down by one gives that
+    vector. The FSAL stage F s1 makes the degree 7."""
+    def shift(c: np.ndarray) -> np.ndarray:  # F v for v = sum_m c[m] F^m s
+        return np.concatenate(((0.0,), c[:-1]))
 
-    W_h (6n x n) stacks three linear maps of s: the step s -> s1 (rows
-    0..n), the embedded error estimate (rows n..2n) and the four
-    dense-output coefficient columns q[:, c] (rows (2 + c) n..(3 + c) n).
-    It is _rk_stages run once on the identity, whose first stage is flow
-    itself. None when an entry is not finite: an overflow rejects the
-    step, so it is not a warning.
-    """
-    n = flow.shape[0]
+    one = np.eye(8)[0]
+    s1, stages = _rk_stages(shift, one, shift(one), 1.0)
+    return np.vstack([s1, RK_E @ stages, RK_P.T @ np.roll(stages, -1, axis=1)])
 
-    def rhs(cols: np.ndarray) -> np.ndarray:
-        return (flow @ cols.reshape(n, n)).ravel()
 
-    built = _rk_stages(rhs, np.eye(n).ravel(), flow.ravel(), h)
-    if built is None:
-        return None
-    w = np.empty((6, n * n))
-    w[0], stages = built
-    w[1] = h * (RK_E @ stages)
-    w[2:] = RK_P.T @ stages
-    return w.reshape(6 * n, n) if np.isfinite(w).all() else None
+_LINEAR_TABLE = _linear_table()
+_LINEAR_TABLE.flags.writeable = False
 
 
 class _StagedStep:
@@ -338,39 +332,41 @@ class _StagedStep:
         return s1, h * (RK_E @ stages), stages.T @ RK_P, stages[6]
 
 
-_MAX_BUILDS = 16
-
-
 class _LinearStep:
-    """Trial steps of a LinearPlantSpec: one product W_h @ s per step.
+    """Trial steps of a LinearPlantSpec: the polynomial _LINEAR_TABLE in hF.
 
-    W_h is _step_matrix(flow_matrix(), h), built the first time the arc
-    meets the exact float h and kept in builds, at most _MAX_BUILDS of
-    them (the oldest is dropped first). Where most steps take h = max_step
-    few are built; where error control picks a new h at every step (the
-    fast transient after each jump of the dwell demo) each such step
-    builds one, at about the cost of a staged step. The step needs no
-    first stage.
+    F = flow_matrix() is scaled exactly by the power of two 2^-k that
+    brings its infinity norm to at most one, so no power of G = 2^-k F
+    overflows at any epsilon. With u = h 2^k, h^m F^m = u^m G^m and
+    h^m F^(m+1) = u^m F G^m: blocks stacks the (6n x n) block of u^m,
+    m = 0..7, and a step is one product blocks @ s and one weighted sum
+    over the powers of u, at the same cost for every h. No first stage.
     """
 
     def __init__(self, flow: np.ndarray):
-        self.flow = flow
-        self.builds: dict[float, np.ndarray] = {}
+        k = max(0, math.frexp(float(np.abs(flow).sum(axis=1).max()))[1])
+        g = np.ldexp(flow, -k)
+        powers = [np.eye(flow.shape[0])]
+        for _ in range(7):
+            powers.append(g @ powers[-1])
+        self.blocks = np.vstack([np.vstack([np.kron(_LINEAR_TABLE[:2, m, None], p),
+                                            np.kron(_LINEAR_TABLE[2:, m, None], flow @ p)])
+                                 for m, p in enumerate(powers)])
+        self.unscale = math.ldexp(1.0, k)
 
     def first_stage(self, s: np.ndarray) -> None:
         return None
 
     def __call__(self, s: np.ndarray, k1: None, h: float) -> Optional[tuple]:
-        """As _StagedStep.__call__, with no FSAL stage."""
-        w = self.builds.get(h)
-        if w is None:
-            w = _step_matrix(self.flow, h)
-            if w is None:
-                return None
-            if len(self.builds) >= _MAX_BUILDS:
-                del self.builds[next(iter(self.builds))]
-            self.builds[h] = w
-        v = w @ s
+        """As _StagedStep.__call__, with no FSAL stage. None also when a
+        power of u overflows, which rejects the step without a warning."""
+        u = h * self.unscale
+        u2 = u * u
+        u4 = u2 * u2
+        weights = (1.0, u, u2, u2 * u, u4, u4 * u, u4 * u2, u4 * u2 * u)
+        if not math.isfinite(weights[7]):  # the largest power once u >= 1
+            return None
+        v = np.array(weights) @ (self.blocks @ s).reshape(8, -1)
         if not np.isfinite(v).all():
             return None
         n = s.size
@@ -381,15 +377,16 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                       cfg: SolverConfig, cert: Optional[LyapunovCertificate],
                       params: Optional[AnalysisParameters]) -> HybridArc:
     """Reference integration of plant. A LinearPlantSpec takes each trial
-    step as one cached product W_h @ s (_LinearStep); a PlantSpec runs the
-    stage loop through closed_loop_flow_vector (_StagedStep). Every jump is
-    apply_jump(q_pre, plant).
+    step as the fixed polynomial _LINEAR_TABLE in hF (_LinearStep); a
+    PlantSpec runs the stage loop through closed_loop_flow_vector
+    (_StagedStep). Every jump is apply_jump(q_pre, plant).
 
     Each accepted step lands on one point: the localized event, or else the
-    step end. Both go through the same block: fast_floor snaps the point,
-    k1 is recomputed unless it is the unsnapped step end (FSAL), and the
-    margin m is evaluated once: at an unsnapped step end it is the
-    bracket's end probe. m decides the eager jump, starts the next event
+    step end; a clock-clamped step, whose clocked margin is negative before
+    the boundary, is not bracketed. Both go through the same block:
+    fast_floor snaps the point, k1 is recomputed unless it is the unsnapped
+    step end (FSAL), and the margin m is evaluated once: at an unsnapped
+    step end it is the bracket's end probe. m decides the eager jump, starts the next event
     bracket and is stored. A landed point is stored if it is an event, the
     stride is reached, it is on the horizon or a clock boundary,
     m >= 0, or the step end diverged. The horizon counts as reached once
@@ -505,7 +502,9 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             return ev.margin(dense(tq), tau + (tq - t))
 
         t_event = m_end = None
-        if m < 0.0:
+        if clamped_clock:
+            m_end = ev.margin(s1, tau1)
+        elif m < 0.0:
             t_mid = t + 0.5 * h
             if margin_at(t_mid) >= 0.0:
                 t_event = locate_event(margin_at, t, t_mid, cfg.event_tol)
@@ -514,16 +513,15 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                 if m_end >= 0.0:
                     t_event = locate_event(margin_at, t, t1, cfg.event_tol)
 
-        # Land on the event point or the step end. A localized event at the
-        # end of a clock-clamped step IS the boundary; its clock is assigned
-        # exactly so the jump test cannot miss it by one rounding.
+        # Land on the event point or the step end. The step end of a
+        # clock-clamped step takes the boundary's clock exactly, so the jump
+        # test cannot miss it by one rounding.
         if t_event is None:
             tau = tau1
             s, t, k1 = s1, t1, k_end
             h *= factor
         else:
-            at_ceiling = clamped_clock and t_event == t1
-            tau = ceiling if at_ceiling else tau + (t_event - t)
+            tau += t_event - t
             s, t, k1, m_end = dense(t_event), t_event, None, None
         if cfg.fast_floor > 0.0:  # s is a fresh array: snap it in place
             y_part = s[n_x:n_x + n_y]
@@ -555,11 +553,12 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
     """Integrate the hybrid closed loop from q0 under the given policy.
 
     Every plant runs the reference integrator below. A LinearPlantSpec
-    takes each RK step as one product of a cached step matrix with s and
-    jumps with its closed-form map y+ = y + (Hu K) e through apply_jump; a
-    PlantSpec flows through closed_loop_flow_vector and jumps with the
-    generic map, so passing plant.as_plant_spec() runs a linear plant with
-    the generic flow and jump. Each path is bitwise reproducible. If q0 lies in the jump set,
+    takes each RK step as one fixed polynomial in hF applied to s, the same
+    for every step size h, and jumps with its closed-form map
+    y+ = y + (Hu K) e through apply_jump; a PlantSpec flows through
+    closed_loop_flow_vector and jumps with the generic map, so passing
+    plant.as_plant_spec() runs a linear plant with the generic flow and
+    jump. Each path is bitwise reproducible. If q0 lies in the jump set,
     the first action is a jump.
     """
     if policy.requires_clock != q0.has_clock:

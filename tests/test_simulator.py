@@ -1,5 +1,7 @@
 import math
+import warnings
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +14,8 @@ from etcsim.hybrid import HybridArc, HybridState, Termination
 from etcsim.plant import LinearPlantSpec, apply_jump
 from etcsim.simulate import (
     DIVERGENCE_NORM,
+    RK_A,
+    RK_B,
     RK_E,
     RK_P,
     SolverConfig,
@@ -260,6 +264,21 @@ class TestPeriodic:
             assert abs(horizon - arc.t[-1]) <= floor, k
             assert arc.jump_count in (k - 1, k), k
 
+    def test_clock_boundary_jumps_are_not_bracketed(self, monkeypatch):
+        # every periodic jump is at a clock boundary, where the clamped step
+        # ends: it lands there without a bisection
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return locate_event(*args)
+
+        monkeypatch.setattr(simulate, "locate_event", counted)
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.1)
+        arc = integrate_arc(demo_plant(0.05), policy, _q0(), SolverConfig(horizon=1.05))
+        assert arc.jump_count == 10 and not calls
+        assert np.diff(arc.jump_times()) == pytest.approx(0.1, abs=1e-12)
+
 
 class TestInitialStateSize:
     def test_each_block_checked_against_the_plant(self, certn):
@@ -441,89 +460,97 @@ def _random_plants(count, seed):
         yield base, gen.uniform(-3, 3, 2 * n_x + n_z), gen.uniform(0.05, 1.0)
 
 
-class _CountedBuilds:
-    def __init__(self, monkeypatch):
-        self.hs = []
-        build = simulate._step_matrix
+def _exact_linear_table():
+    """_LINEAR_TABLE in exact rational arithmetic on the float tableau: the
+    stage loop at h = 1 on coefficients over the powers of F."""
+    a = [[Fraction(v) for v in row] for row in RK_A]
+    b, e = [Fraction(v) for v in RK_B], [Fraction(v) for v in RK_E]
+    p = [[Fraction(v) for v in row] for row in RK_P]
 
-        def counted(flow, h):
-            self.hs.append(h)
-            return build(flow, h)
+    def shift(c):
+        return [Fraction(0)] + c[:-1]
 
-        monkeypatch.setattr(simulate, "_step_matrix", counted)
+    def combine(weights, vectors):
+        return [sum((w * v[m] for w, v in zip(weights, vectors)), Fraction(0))
+                for m in range(8)]
+
+    one = [Fraction(1)] + [Fraction(0)] * 7
+    stages = [shift(one)]
+    for i in range(1, 6):
+        stages.append(shift([o + d for o, d in zip(one, combine(a[i][:i], stages))]))
+    s1 = [o + d for o, d in zip(one, combine(b[:6], stages))]
+    stages.append(shift(s1))
+    shifted = [stage[1:] + [Fraction(0)] for stage in stages]  # stage = F times this
+    dense = [combine([row[c] for row in p], shifted) for c in range(4)]
+    return np.array([[float(v) for v in row] for row in [s1, combine(e, stages)] + dense])
 
 
 class TestStepMatrix:
-    """A LinearPlantSpec takes each trial step as W_h @ s (_LinearStep)."""
+    """A LinearPlantSpec takes each trial step as the polynomial
+    _LINEAR_TABLE in hF (_LinearStep)."""
+
+    def test_table_equals_the_exact_evaluation_of_the_tableau(self):
+        # the float loop rounds sums of terms up to max|RK_P| ~ 10 in size
+        exact = _exact_linear_table()
+        assert simulate._LINEAR_TABLE.shape == (6, 8)
+        assert np.abs(simulate._LINEAR_TABLE - exact).max() <= 1e-14
 
     def test_step_matrix_equals_the_staged_step_on_random_plants(self):
         # the oracle is the stage loop on s with the linear flow, as the
-        # integrator ran it before the step became one matrix
+        # integrator ran it before the step became one polynomial; the steps
+        # are a fraction of the cap 0.5 eps, the stability edge
+        # h ||F||_inf = 3 and 1e-8 of the cap
         worst = 0.0
         for base, s, frac in _random_plants(300, 20260):
             for eps in (1.0, 1e-3, 1e-10):
                 flow = base.with_epsilon(eps).flow_matrix()
-                h = frac * 0.5 * eps
-                s1, stages = simulate._rk_stages(lambda v: flow @ v, s, flow @ s, h)
-                staged = (s1, h * (RK_E @ stages), stages.T @ RK_P)
-                trial = simulate._LinearStep(flow)(s, None, h)
-                assert trial[3] is None
-                scale = np.abs(flow).max() * np.abs(s).max()
-                for want, got in zip(staged, trial[:3]):
-                    assert got.shape == want.shape
-                    worst = max(worst, np.abs(got - want).max() / scale)
+                step = simulate._LinearStep(flow)
+                cap = 0.5 * eps
+                for h in (frac * cap, 3.0 / np.abs(flow).sum(axis=1).max(), 1e-8 * cap):
+                    s1, stages = simulate._rk_stages(lambda v: flow @ v, s, flow @ s, h)
+                    staged = (s1, h * (RK_E @ stages), stages.T @ RK_P)
+                    trial = step(s, None, h)
+                    assert trial[3] is None
+                    scale = np.abs(flow).max() * np.abs(s).max()
+                    for want, got in zip(staged, trial[:3]):
+                        assert got.shape == want.shape
+                        worst = max(worst, np.abs(got - want).max() / scale)
         assert worst <= 1e-12
 
-    def test_repeated_h_reuses_the_build(self, monkeypatch):
-        builds = _CountedBuilds(monkeypatch)
-        step = simulate._LinearStep(demo_plant(0.05).flow_matrix())
-        s = np.linspace(-1.0, 1.0, 5)
-        first = step(s, None, 0.01)
-        again = step(2.0 * s, None, 0.01)
-        assert builds.hs == [0.01] and list(step.builds) == [0.01]
-        assert np.array_equal(again[0], step.builds[0.01][:5] @ (2.0 * s))
-        assert np.array_equal(again[0], 2.0 * first[0])
-
-    def test_at_most_sixteen_builds_are_kept(self, monkeypatch):
-        builds = _CountedBuilds(monkeypatch)
-        step = simulate._LinearStep(demo_plant(0.05).flow_matrix())
-        s = np.ones(5)
-        hs = [0.001 * (k + 1) for k in range(20)]
-        for h in hs:
-            step(s, None, h)
-        assert list(step.builds) == hs[4:]  # the oldest go first
-        step(s, None, hs[-1])
-        step(s, None, hs[0])
-        assert builds.hs == hs + [hs[0]]
-        assert len(step.builds) == 16 and hs[0] in step.builds and hs[4] not in step.builds
-
     def test_overflowing_build_rejects_the_step(self):
-        # flow @ flow overflows at h = 1: no step, nothing kept, no raise
-        flow = np.full((3, 3), 1e200)
-        step = simulate._LinearStep(flow)
+        # (h 2^k)^7 overflows at h = 1: no step, no warning, no raise; the
+        # scaled powers keep a tiny step finite
         s = np.array([1.0, 0.0, -1.0])
-        assert simulate._step_matrix(flow, 1.0) is None
-        assert step(s, None, 1.0) is None and not step.builds
-        assert all(np.isfinite(part).all() for part in step(s, None, 1e-210)[:3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            step = simulate._LinearStep(np.full((3, 3), 1e200))
+            assert step(s, None, 1.0) is None
+            assert all(np.isfinite(part).all() for part in step(s, None, 1e-210)[:3])
 
     def test_overflowing_build_rejects_the_step_in_the_arc(self, monkeypatch):
-        # the first step's build overflows: the integrator retries at
+        # the first trial step overflows: the integrator retries at
         # h * _MIN_FACTOR instead of raising
         plant = demo_plant(0.05)
         policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.1)
         cfg = SolverConfig(horizon=0.5)
         h0 = min(cfg.max_step_factor * plant.epsilon, plant.epsilon, cfg.horizon)
-        build = simulate._step_matrix
-        built = []
+        tried = []
+        linear = simulate._LinearStep
 
-        def overflowing_at_h0(flow, h):
-            built.append((h, build(1e200 * flow if h == h0 else flow, h)))
-            return built[-1][1]
+        class OverflowingAtH0(linear):
+            def __init__(self, flow):
+                super().__init__(flow)
+                self.huge = linear(1e200 * flow)
 
-        monkeypatch.setattr(simulate, "_step_matrix", overflowing_at_h0)
+            def __call__(self, s, k1, h):
+                step = self.huge if h == h0 else super().__call__
+                tried.append((h, step(s, k1, h)))
+                return tried[-1][1]
+
+        monkeypatch.setattr(simulate, "_LinearStep", OverflowingAtH0)
         arc = integrate_arc(plant, policy, _q0(), cfg)
-        assert built[0][0] == h0 and built[0][1] is None
-        assert built[1][0] == 0.2 * h0 and built[1][1] is not None
+        assert tried[0][0] == h0 and tried[0][1] is None
+        assert tried[1][0] == 0.2 * h0 and tried[1][1] is not None
         assert arc.termination is Termination.HORIZON
         assert arc.jump_times()[:4] == pytest.approx([0.1, 0.2, 0.3, 0.4], abs=1e-12)
 
