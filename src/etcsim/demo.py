@@ -13,10 +13,11 @@ Scenario notes:
   transmissions the shifted fast state decays autonomously and the root
   Jacobian term vanishes; transmissions re-excite it through the jump map.
 * The dwell-clock scenario runs at the certified singular-perturbation
-  bound, which is extremely small. There the fast layer after each
-  transmission is resolved adaptively, and two solver options keep the
-  run finite: the hard step cap is lifted in favor of embedded error
-  control, and fast-state values below the absolute tolerance are snapped
+  bound, which is extremely small. The linear plant flows by its exact
+  propagator, so the hard step cap is lifted and the cell is set by the
+  slow block; as_plant_spec() runs it by RK45 instead, where the fast layer
+  after each transmission is resolved adaptively under embedded error
+  control and fast-state values below the absolute tolerance are snapped
   to zero once the layer has decayed (see SolverConfig.fast_floor).
 """
 
@@ -182,7 +183,8 @@ def demo_scenario(name: str) -> DemoScenario:
             rel_tol=1e-8,
             abs_tol=1e-12,
             # The certified epsilon is far below the desk scale the default
-            # cap was written for; rely on embedded error control instead.
+            # cap was written for: the slow block sets the propagator's cell,
+            # and the generic path relies on embedded error control.
             max_step_factor=1e15,
             fast_floor=1e-12,
             store_stride=8,

@@ -47,6 +47,10 @@ ROOT_CONSISTENCY_TOL = 1e-9
 # ball, so its value at a seed depends on this size.
 _SAMPLE_CHUNK = 2048
 _FD_STEP_SCALE = 1e-6  # finite-difference step per unit of 1 + |x|
+# LinearPlantSpec.decoupling's fixed points stop on a relative step, not on a
+# repeated float, which may never come: rounding can cycle near the solution.
+_DECOUPLE_RTOL = 1e-14
+_DECOUPLE_ITERS = 1000
 
 
 def finite_difference_dh_dx(h: Callable) -> Callable:
@@ -372,8 +376,8 @@ class LinearPlantSpec:
         Assembled from the defining maps: x' = A_cl x + A12 y + B_s K e,
         y' = A22 y / eps - Hx x', e' = -x'. The clock row (rate 1, no
         state dependence) is excluded; callers append the affine rate.
-        The reference integrator stacks a LinearPlantSpec's Runge-Kutta
-        step from its scaled powers (simulate._LinearStep).
+        The integrator flows a LinearPlantSpec by expm(F h), built from the
+        blocks of F through `decoupling`.
         """
         n_x, n_z = self.n_x, self.n_z
         n = 2 * n_x + n_z
@@ -388,6 +392,47 @@ class LinearPlantSpec:
         mat[n_x:n_x + n_z, n_x:n_x + n_z] += self.a22 / self.epsilon
         mat[n_x + n_z:, :] = -fx_block
         return mat
+
+    @cached_property
+    def decoupling(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Chang decoupling (L, H, A_s, A_f) of flow_matrix(), solved once
+        per instance and read-only (Kokotovic, Khalil & O'Reilly 1986, ch. 2).
+
+        With F = [[A, B], [C, D]] in the order slow (x, e), fast y, L solves
+        L = D^-1 (C + L A - L B L) and H = (A_s H + B) A_f^-1, by fixed-point
+        iteration from zero, for A_s = A - B L and A_f = D + L B. Then
+        expm(F h) = T^-1 diag(expm(A_s h), expm(A_f h)) T with
+        T = [[I - H L, -H], [L, I]] and T^-1 = [[I, H], [-L, I - L H]]. The
+        iterations contract when D^-1 ~ eps A22^-1 is small; one that does
+        not converge is a ConfigurationError naming epsilon, and
+        as_plant_spec() still runs the plant by the generic flow.
+        """
+        n_x, n_z = self.n_x, self.n_z
+        slow, fast = np.r_[0:n_x, n_x + n_z:2 * n_x + n_z], np.r_[n_x:n_x + n_z]
+        flow = self.flow_matrix()
+        a, b = flow[np.ix_(slow, slow)], flow[np.ix_(slow, fast)]
+        c, d = flow[np.ix_(fast, slow)], flow[np.ix_(fast, fast)]
+
+        def solve(update, shape, name):
+            m = np.zeros(shape)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for _ in range(_DECOUPLE_ITERS):
+                    try:
+                        new = update(m)
+                    except np.linalg.LinAlgError:  # D or A_f is singular
+                        break
+                    if not np.isfinite(new).all():
+                        break
+                    if np.abs(new - m).max() <= _DECOUPLE_RTOL * np.abs(new).max():
+                        return _matrix(new, shape, name)
+                    m = new
+            raise ConfigurationError(f"the linear plant's decoupling ({name}) does not converge "
+                                     f"at epsilon={self.epsilon!r}; run as_plant_spec() instead")
+
+        l_mat = solve(lambda m: np.linalg.solve(d, c + m @ a - m @ b @ m), c.shape, "L")
+        a_s, a_f = _matrix(a - b @ l_mat, a.shape, "A_s"), _matrix(d + l_mat @ b, d.shape, "A_f")
+        h_mat = solve(lambda m: np.linalg.solve(a_f.T, (a_s @ m + b).T).T, b.shape, "H")
+        return l_mat, h_mat, a_s, a_f
 
     def jump_gain(self) -> np.ndarray:
         """Jump increment matrix: y+ = y + (Hu K) e."""

@@ -1,9 +1,10 @@
-"""Hybrid closed-loop integration: adaptive flow, event localization, jumps.
+"""Hybrid closed-loop integration: flow, event localization, jumps.
 
-The integrator is an explicit embedded Runge-Kutta 5(4) pair with dense
-output. Flow proceeds while the policy's flow condition holds; the signed
-event margin is bracketed on each accepted step (endpoints plus midpoint)
-and bisected on the dense output to the configured time tolerance. Jumps
+A generic plant flows by an embedded Runge-Kutta 5(4) pair with dense
+output, a linear plant by its exact propagator on fixed cells. Flow goes on
+while the policy's flow condition holds; the signed event margin is
+bracketed on each step (ends plus midpoint) and bisected to the configured
+time tolerance. Jumps
 are eager: whenever the state sits in the jump set, the transmission fires
 immediately (post-jump states are strictly interior for the implementable
 policies, so this never masks a real event; for the naive policy it turns
@@ -97,18 +98,19 @@ _SAFETY = 0.9
 class SolverConfig:
     """Integrator and run configuration.
 
-    The same fields drive the one reference integrator for every plant.
     max_step_factor caps the step at factor * epsilon so the fast layer is
-    resolved; scenarios with extremely small certified epsilon may relax it
-    and rely on the embedded error control instead. fast_floor >= 0 snaps
-    nonzero fast-state components below it to zero at every landed point
-    (event point or step end), and 0, the default, turns the snap off: used
-    when the boundary layer decays below the absolute tolerance, where the
-    error controller would otherwise keep the step size pinned to the fast
-    scale forever (the committed error is below abs_tol by construction).
-    store_stride thins stored flow samples; both sides of every jump and
-    the final state are always stored. The first step is min(max_step,
-    epsilon, horizon). _BOUNDS declares each numeric field's range.
+    resolved; with a tiny certified epsilon a PlantSpec may relax it and rely
+    on its error control (rel_tol, abs_tol), while a LinearPlantSpec's cells
+    are min(max_step, 1/(8 |A_s|_inf)). fast_floor >= 0 snaps nonzero
+    fast-state components below it to zero at every landed point (event
+    point or step end), and 0, the default, turns the snap off: used when
+    the boundary layer decays below the absolute tolerance, where the error
+    controller would otherwise keep the step size pinned to the fast scale
+    forever (the committed error is below abs_tol by construction).
+    store_stride thins stored flow samples, counting steps or cells; both
+    sides of every jump and the final state are always stored. A PlantSpec's
+    first step is min(max_step, epsilon, horizon). _BOUNDS declares each
+    numeric field's range.
     """
 
     rel_tol: float = 1e-8
@@ -136,11 +138,11 @@ class SolverConfig:
 
 def monitor_v(q: HybridState, cert: LyapunovCertificate, epsilon: float) -> float:
     """Practical-stability composite: Vx(x) + sqrt(eps) * Vy(y)."""
-    return _monitor_v(q.x, q.y, cert, epsilon)
+    return _monitor_v(cert.v_x(q.x), q.y, cert, epsilon)
 
 
-def _monitor_v(x, y, cert: LyapunovCertificate, epsilon: float) -> float:
-    return cert.v_x(x) + math.sqrt(epsilon) * cert.v_y(y)
+def _monitor_v(v_x: float, y, cert: LyapunovCertificate, epsilon: float) -> float:
+    return v_x + math.sqrt(epsilon) * cert.v_y(y)
 
 
 def monitor_r(q: HybridState, cert: LyapunovCertificate,
@@ -151,15 +153,15 @@ def monitor_r(q: HybridState, cert: LyapunovCertificate,
     comparison value w(tau) is the closed-form solution params.dwell_ode,
     held at its floor vartheta from its transit time on.
     """
-    return _monitor_r(q.x, q.y, q.e, q.tau, cert, params)
+    return _monitor_r(cert.v_x(q.x), q.y, q.e, q.tau, cert, params)
 
 
-def _monitor_r(x, y, e, tau, cert: LyapunovCertificate, params) -> float:
+def _monitor_r(v_x: float, y, e, tau, cert: LyapunovCertificate, params) -> float:
     if tau is None or params.dwell_ode is None or params.d_weight is None:
         return math.nan
     w = params.dwell_ode.evaluate(tau)
     e_sq = float(np.dot(e, e))
-    return (cert.v_x(x) + params.d_weight * cert.v_y(y)
+    return (v_x + params.d_weight * cert.v_y(y)
             + max(0.0, cert.gamma1.coeff * w * e_sq))
 
 
@@ -180,22 +182,29 @@ class _PolicyEval:
         self.n_x = n_x
         self.n_y = n_y
 
-    def margin(self, s: np.ndarray, tau: float) -> float:
-        """Signed event function; >= 0 on the jump set."""
-        return self.policy.margin(self.cert, s[: self.n_x],
-                                  s[self.n_x + self.n_y:], tau)
+    def v_x(self, s: np.ndarray) -> Optional[float]:
+        """cert.v_x of s's x, or None without a certificate."""
+        return None if self.cert is None else self.cert.v_x(s[: self.n_x])
+
+    def margin(self, s: np.ndarray, tau: float, v_x: Optional[float] = None) -> float:
+        """Signed event function; >= 0 on the jump set. v_x, if given, is
+        self.v_x(s), which the integrator shares with its V monitor."""
+        return self.policy._margin(self.cert, self.v_x(s) if v_x is None else v_x,
+                                   s[self.n_x + self.n_y:], tau)
 
 
 def locate_event(margin_at: Callable[[float], float], t_lo: float, t_hi: float,
-                 event_tol: float) -> Optional[float]:
+                 event_tol: float, *, m_lo: Optional[float] = None,
+                 m_hi: Optional[float] = None) -> Optional[float]:
     """Bisect a sign change of the margin to within event_tol in time.
 
     Requires margin_at(t_lo) < 0 <= margin_at(t_hi); returns the accepted
     crossing time (the nonnegative side), or None when the bracket carries
-    no sign change.
+    no sign change. m_lo and m_hi are the bracket ends' margins when the
+    caller holds them; each one not given is evaluated.
     """
-    m_lo = margin_at(t_lo)
-    m_hi = margin_at(t_hi)
+    m_lo = margin_at(t_lo) if m_lo is None else m_lo
+    m_hi = margin_at(t_hi) if m_hi is None else m_hi
     if not (m_lo < 0.0 <= m_hi):
         return None
     while t_hi - t_lo > event_tol:
@@ -259,6 +268,9 @@ class _DenseSegment:
         p = np.array([theta, theta**2, theta**3, theta**4])
         return self.y0 + self.h * (self.q @ p)
 
+    def mid(self) -> np.ndarray:
+        return self(self.t0 + 0.5 * self.h)
+
 
 _STEP_ULPS = 16.0 * np.finfo(float).eps
 
@@ -268,125 +280,161 @@ def _step_floor(t: float) -> float:
     return _STEP_ULPS * max(1.0, abs(t))
 
 
-def _rk_stages(rhs: Callable[[np.ndarray], np.ndarray], s: np.ndarray,
-               k1: np.ndarray, h: float) -> Optional[tuple]:
-    """The Dormand-Prince stage loop of one trial step from s: (s1, stages),
-    stages holding all seven (the last is FSAL), or None when a stage point
-    or s1 is not finite. s is any flat vector: a state, or the coefficients
-    over the powers of a linear flow from which _LINEAR_TABLE is built."""
-    stages = np.empty((7, s.size))
-    stages[0] = k1
-    for i, a_row in _RK_A_ROWS:
-        si = s + h * (a_row @ stages[:i])
-        if not np.isfinite(si).all():
-            return None
-        stages[i] = rhs(si)
-    s1 = s + h * (RK_B @ stages[:6])
-    if not np.isfinite(s1).all():
-        return None
-    stages[6] = rhs(s1)
-    return s1, stages
-
-
-def _linear_table() -> np.ndarray:
-    """The Dormand-Prince step of s' = F s as a fixed polynomial in hF:
-    column m holds the coefficient of h^m F^m s in the step end s1 (row 0)
-    and the error estimate (row 1), and of h^m F^(m+1) s in the dense
-    column q[:, c] (row 2 + c). It is _rk_stages at h = 1 on coefficients
-    over the powers of F, on which F acts as the shift; each stage is F
-    times a vector, so rolling its coefficients down by one gives that
-    vector. The FSAL stage F s1 makes the degree 7."""
-    def shift(c: np.ndarray) -> np.ndarray:  # F v for v = sum_m c[m] F^m s
-        return np.concatenate(((0.0,), c[:-1]))
-
-    one = np.eye(8)[0]
-    s1, stages = _rk_stages(shift, one, shift(one), 1.0)
-    return np.vstack([s1, RK_E @ stages, RK_P.T @ np.roll(stages, -1, axis=1)])
-
-
-_LINEAR_TABLE = _linear_table()
-_LINEAR_TABLE.flags.writeable = False
-
-
 class _StagedStep:
-    """Trial steps of a PlantSpec: the stage loop on s every step, with
-    every stage through closed_loop_flow_vector."""
+    """Flow of a PlantSpec: Dormand-Prince trial steps under error control,
+    with every stage through closed_loop_flow_vector."""
 
-    def __init__(self, plant: PlantSpec):
+    def __init__(self, plant: PlantSpec, cfg: SolverConfig):
         self.plant = plant
         self.n_x = plant.n_x
         self.n_y = plant.n_z
+        self.cfg = cfg
 
     def first_stage(self, s: np.ndarray) -> np.ndarray:
         n_x, n_y = self.n_x, self.n_y
         return closed_loop_flow_vector(s[:n_x], s[n_x:n_x + n_y], s[n_x + n_y:],
                                        self.plant)
 
-    def __call__(self, s: np.ndarray, k1: np.ndarray, h: float) -> Optional[tuple]:
-        """(s1, error estimate, dense coefficients q, FSAL stage), or None
-        when the step is not finite."""
-        staged = _rk_stages(self.first_stage, s, k1, h)
-        if staged is None:
+    def _stages(self, s: np.ndarray, k1: np.ndarray, h: float) -> Optional[tuple]:
+        """(s1, seven stages, the last FSAL) of a trial step; None if not finite."""
+        stages = np.empty((7, s.size))
+        stages[0] = k1
+        for i, a_row in _RK_A_ROWS:
+            si = s + h * (a_row @ stages[:i])
+            if not np.isfinite(si).all():
+                return None
+            stages[i] = self.first_stage(si)
+        s1 = s + h * (RK_B @ stages[:6])
+        if not np.isfinite(s1).all():
             return None
-        s1, stages = staged
-        return s1, h * (RK_E @ stages), stages.T @ RK_P, stages[6]
+        stages[6] = self.first_stage(s1)
+        return s1, stages
+
+    def advance(self, s: np.ndarray, k1: np.ndarray, h: float, t: float,
+                clamp: Callable) -> tuple:
+        """One accepted step from (t, s), trying h first: (h, clamped, s1,
+        FSAL stage, dense output, next h). clamp(h) caps each trial h and
+        tells whether it was clamped onto a clock boundary."""
+        while True:
+            h, clamped = clamp(h)
+            staged = self._stages(s, k1, h)
+            if staged is None:
+                h *= _MIN_FACTOR
+                continue
+            s1, stages = staged
+            norm = _error_norm(h * (RK_E @ stages), s, s1, self.cfg.rel_tol, self.cfg.abs_tol)
+            if norm <= 1.0:
+                factor = _MAX_FACTOR if norm == 0.0 else min(
+                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
+                return (h, clamped, s1, stages[6],
+                        _DenseSegment(t, h, s, stages.T @ RK_P), h * factor)
+            h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 
 
-class _LinearStep:
-    """Trial steps of a LinearPlantSpec: the polynomial _LINEAR_TABLE in hF.
+# Higham (2005): the Pade-13 coefficients, and the 1-norm up to which the
+# approximant needs no scaling.
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+           33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
-    F = flow_matrix() is scaled exactly by the power of two 2^-k that
-    brings its infinity norm to at most one, so no power of G = 2^-k F
-    overflows at any epsilon. With u = h 2^k, h^m F^m = u^m G^m and
-    h^m F^(m+1) = u^m F G^m: blocks stacks the (6n x n) block of u^m,
-    m = 0..7, and a step is one product blocks @ s and one weighted sum
-    over the powers of u, at the same cost for every h. No first stage.
-    """
 
-    def __init__(self, flow: np.ndarray):
-        k = max(0, math.frexp(float(np.abs(flow).sum(axis=1).max()))[1])
-        g = np.ldexp(flow, -k)
-        powers = [np.eye(flow.shape[0])]
-        for _ in range(7):
-            powers.append(g @ powers[-1])
-        self.blocks = np.vstack([np.vstack([np.kron(_LINEAR_TABLE[:2, m, None], p),
-                                            np.kron(_LINEAR_TABLE[2:, m, None], flow @ p)])
-                                 for m, p in enumerate(powers)])
-        self.unscale = math.ldexp(1.0, k)
+def _expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring (Higham 2005)."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    squarings = max(0, math.frexp(norm / _THETA13)[1]) if norm > _THETA13 else 0
+    a = np.ldexp(a, -squarings)
+    b, ident = _PADE13, np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+class _Propagator:
+    """Flow of a LinearPlantSpec by its exact propagator expm(F h) =
+    T^-1 diag(expm(A_s h), expm(A_f h)) T from its decoupling, T in the
+    (x, y, e) order. Cells are min(max_step, 1/(8 |A_s|_inf)), clamped by
+    the loop, each one product, with no error control: the matrices of the
+    cell and the half cell are built once per arc, and the last other
+    length (a clock remainder repeats every interval) is kept."""
+
+    def __init__(self, plant: LinearPlantSpec, max_step: float):
+        l_mat, h_mat, self.a_s, self.a_f = plant.decoupling
+        n_x, n_z = plant.n_x, plant.n_z
+        self.n_s = n_s = 2 * n_x
+        eye_s, eye_f = np.eye(n_s), np.eye(n_z)
+        order = np.r_[0:n_x, n_s:n_s + n_z, n_x:n_s]  # (x, y, e) from (x, e, y)
+        self.left = np.block([[eye_s, h_mat], [-l_mat, eye_f - l_mat @ h_mat]])[order]
+        self.right = np.block([[eye_s - h_mat @ l_mat, -h_mat], [l_mat, eye_f]])[:, order]
+        slow_norm = float(np.abs(self.a_s).sum(axis=1).max())
+        self.cell = max_step if 8.0 * slow_norm * max_step <= 1.0 else 0.125 / slow_norm
+        self.built = {h: self.matrix(h) for h in (self.cell, 0.5 * self.cell)}
+        self.other = (None, None)
+
+    def matrix(self, h: float) -> np.ndarray:
+        """expm(F h); a DivergenceError if it overflows."""
+        n_s = self.n_s
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = (self.left[:, :n_s] @ _expm(h * self.a_s) @ self.right[:n_s]
+                 + self.left[:, n_s:] @ _expm(h * self.a_f) @ self.right[n_s:])
+        if not np.isfinite(m).all():
+            raise DivergenceError(f"the linear flow over a step of {h!r} overflows")
+        return m
+
+    def at(self, h: float) -> np.ndarray:
+        """expm(F h), not built again for the cell, half cell or last length."""
+        m = self.built.get(h)
+        if m is None:
+            if self.other[0] != h:
+                self.other = (h, self.matrix(h))
+            m = self.other[1]
+        return m
 
     def first_stage(self, s: np.ndarray) -> None:
         return None
 
-    def __call__(self, s: np.ndarray, k1: None, h: float) -> Optional[tuple]:
-        """As _StagedStep.__call__, with no FSAL stage. None also when a
-        power of u overflows, which rejects the step without a warning."""
-        u = h * self.unscale
-        u2 = u * u
-        u4 = u2 * u2
-        weights = (1.0, u, u2, u2 * u, u4, u4 * u, u4 * u2, u4 * u2 * u)
-        if not math.isfinite(weights[7]):  # the largest power once u >= 1
-            return None
-        v = np.array(weights) @ (self.blocks @ s).reshape(8, -1)
-        if not np.isfinite(v).all():
-            return None
-        n = s.size
-        return v[:n], v[n:2 * n], v[2 * n:].reshape(4, n).T, None
+    def advance(self, s: np.ndarray, k1: None, h: float, t: float,
+                clamp: Callable) -> tuple:
+        """As _StagedStep.advance, over one cell; h is not read."""
+        h, clamped = clamp(self.cell)
+        return h, clamped, self.at(h) @ s, None, _PropagatedSegment(t, h, s, self), self.cell
+
+
+class _PropagatedSegment(_DenseSegment):
+    """One cell's flow from (t0, y0) by the _Propagator q: expm(F (t - t0)) y0."""
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.q.matrix(t - self.t0) @ self.y0
+
+    def mid(self) -> np.ndarray:
+        return self.q.at(0.5 * self.h) @ self.y0
 
 
 def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                       cfg: SolverConfig, cert: Optional[LyapunovCertificate],
                       params: Optional[AnalysisParameters]) -> HybridArc:
-    """Reference integration of plant. A LinearPlantSpec takes each trial
-    step as the fixed polynomial _LINEAR_TABLE in hF (_LinearStep); a
-    PlantSpec runs the stage loop through closed_loop_flow_vector
-    (_StagedStep). Every jump is apply_jump(q_pre, plant).
+    """Integration of plant by one loop for both flow backends. A
+    LinearPlantSpec advances on the fixed cells of its exact propagator
+    (_Propagator); a PlantSpec takes Dormand-Prince steps under error
+    control through closed_loop_flow_vector (_StagedStep). Every jump is
+    apply_jump(q_pre, plant).
 
-    Each accepted step lands on one point: the localized event, or else the
-    step end; a clock-clamped step, whose clocked margin is negative before
-    the boundary, is not bracketed. Both go through the same block:
+    Each step lands on one point: the localized event, or else the step
+    end. A step is bracketed (start, midpoint and end) unless a clocked
+    margin is negative all along it: when it is clamped onto the clock
+    boundary, or ends before it. Both landings go through the same block:
     fast_floor snaps the point, k1 is recomputed unless it is the unsnapped
-    step end (FSAL), and the margin m is evaluated once: at an unsnapped
-    step end it is the bracket's end probe. m decides the eager jump, starts the next event
+    step end (FSAL), and the margin m is evaluated once, with Vx = cert.v_x(x)
+    shared with the V and R monitors: at an unsnapped step end it is the
+    bracket's end probe. m decides the eager jump, starts the next event
     bracket and is stored. A landed point is stored if it is an event, the
     stride is reached, it is on the horizon or a clock boundary,
     m >= 0, or the step end diverged. The horizon counts as reached once
@@ -401,32 +449,37 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     eps = plant.epsilon
     max_step = cfg.max_step_factor * eps
 
-    step = (_LinearStep(plant.flow_matrix()) if isinstance(plant, LinearPlantSpec)
-            else _StagedStep(plant))
+    step = (_Propagator(plant, max_step) if isinstance(plant, LinearPlantSpec)
+            else _StagedStep(plant, cfg))
 
     def at_horizon(t_now: float) -> bool:
         return cfg.horizon - t_now <= _step_floor(t_now)
 
-    def monitors(s_now: np.ndarray, tau_now: Optional[float], m: float) -> tuple:
-        x, y, e = s_now[:n_x], s_now[n_x:n_x + n_y], s_now[n_x + n_y:]
-        v = _monitor_v(x, y, cert, eps) if cert is not None else math.nan
-        r = (_monitor_r(x, y, e, tau_now, cert, params)
-             if (cert is not None and params is not None) else math.nan)
-        return v, r, m
+    def landed(s_now: np.ndarray, tau_now: float) -> tuple:
+        """(margin, Vx) of a point the arc may store."""
+        v_x = ev.v_x(s_now)
+        return ev.margin(s_now, tau_now, v_x), v_x
 
-    def store(t_now: float, s_now: np.ndarray, tau_now: float, m: float) -> None:
+    def monitors(s_now: np.ndarray, tau_now: Optional[float], m: float, v_x) -> tuple:
+        if cert is None:
+            return math.nan, math.nan, m
+        y, e = s_now[n_x:n_x + n_y], s_now[n_x + n_y:]
+        r = math.nan if params is None else _monitor_r(v_x, y, e, tau_now, cert, params)
+        return _monitor_v(v_x, y, cert, eps), r, m
+
+    def store(t_now: float, s_now: np.ndarray, tau_now: float, m: float, v_x) -> None:
         tau_row = tau_now if has_clock else None
         arc._append_row(t_now, arc.jump_count, s_now, tau_row,
-                        monitors(s_now, tau_row, m), is_jump=False)
+                        monitors(s_now, tau_row, m, v_x), is_jump=False)
 
     def record_jump(s_pre: np.ndarray, tau_pre: float, m_pre: float) -> tuple:
         q_pre = HybridState.from_vector(s_pre, n_x, n_y,
                                         tau=tau_pre if has_clock else None)
         q_post = apply_jump(q_pre, plant)
         s_post = q_post.as_vector()
-        m_post = ev.margin(s_post, 0.0)
+        m_post, v_x = landed(s_post, 0.0)
         arc.append_jump(q_pre, q_post, policy.jump_reason(m_pre, tau_pre),
-                        MonitorValues(*monitors(s_post, q_post.tau, m_post)))
+                        MonitorValues(*monitors(s_post, q_post.tau, m_post, v_x)))
         return s_post, m_post
 
     def diverged(s_now: np.ndarray) -> bool:
@@ -436,15 +489,29 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     s = q0.as_vector()
     tau = q0.tau if q0.tau is not None else 0.0
     t = 0.0
-    m = ev.margin(s, tau)
+    m, v_x = landed(s, tau)
     steps_since_store = 0
     jump_ring: deque[float] = deque(maxlen=cfg.zeno_max_jumps + 1)
-    store(t, s, tau, m)
+    store(t, s, tau, m, v_x)
+    reached, tested = at_horizon(t), False
 
     termination: Optional[Termination] = None
     h = min(max_step, eps, cfg.horizon)
     k1 = step.first_stage(s)
     ceiling = policy.clock_ceiling
+
+    def clamp(h_try: float) -> tuple:
+        """(h, clamped): h_try capped at max_step and the horizon, clamped onto
+        a clock boundary it reaches or, not past the horizon, misses by < floor."""
+        h_try, floor = min(h_try, max_step, cfg.horizon - t), _step_floor(t)
+        clamped = ceiling is not None and tau < ceiling and (
+            tau + h_try >= ceiling
+            or (tau + h_try >= ceiling - floor and ceiling - tau <= cfg.horizon - t))
+        if clamped:
+            h_try = ceiling - tau
+        if h_try <= floor:
+            raise DivergenceError(f"step size underflow at t={t!r}")
+        return h_try, clamped
 
     while termination is None:
         # Eager jumps: fire while the state sits in the jump set; the Zeno
@@ -464,79 +531,60 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         if jumped:
             h = min(h, eps)  # the jump re-excites the fast layer
             k1 = step.first_stage(s)
-        if at_horizon(t):
+        if reached:
             termination = Termination.HORIZON
             break
-        if diverged(s):
+        if (jumped or not tested) and diverged(s):  # a tested step end is not tested again
             termination = Termination.DIVERGENCE
             break
 
-        # One accepted step, clamped to the horizon and clock boundaries.
-        while True:
-            h = min(h, max_step, cfg.horizon - t)
-            clamped_clock = False
-            if ceiling is not None and tau < ceiling and tau + h >= ceiling:
-                h = ceiling - tau
-                clamped_clock = True
-            if h <= _step_floor(t):
-                raise DivergenceError(f"step size underflow at t={t!r}")
-            trial = step(s, k1, h)
-            if trial is None:
-                h *= _MIN_FACTOR
-                continue
-            s1, err, q, k_end = trial
-            norm = _error_norm(err, s, s1, cfg.rel_tol, cfg.abs_tol)
-            if norm <= 1.0:
-                factor = _MAX_FACTOR if norm == 0.0 else min(
-                    _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-                break
-            h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
-
+        # One step, clamped to the horizon and clock boundaries.
+        h, clamped_clock, s1, k_end, dense, h_next = step.advance(s, k1, h, t, clamp)
         t1 = min(t + h, cfg.horizon)
         tau1 = ceiling if clamped_clock else tau + h
-        dense = _DenseSegment(t, h, s, q)
 
-        # Event bracketing on the accepted step: start, midpoint and end.
-        # The end probe is the step end s1 with its landed clock tau1.
         def margin_at(tq: float) -> float:
             return ev.margin(dense(tq), tau + (tq - t))
 
-        t_event = m_end = None
-        if clamped_clock:
-            m_end = ev.margin(s1, tau1)
-        elif m < 0.0:
+        # Event bracketing: start (the held m), midpoint and end, whose
+        # probe is the step end s1 with its landed clock tau1.
+        t_event = end = None
+        if m < 0.0 and (ceiling is None or tau1 > ceiling):
             t_mid = t + 0.5 * h
-            if margin_at(t_mid) >= 0.0:
-                t_event = locate_event(margin_at, t, t_mid, cfg.event_tol)
+            m_mid = ev.margin(dense.mid(), tau + (t_mid - t))
+            if m_mid >= 0.0:
+                t_event = locate_event(margin_at, t, t_mid, cfg.event_tol, m_lo=m, m_hi=m_mid)
             else:
-                m_end = ev.margin(s1, tau1)
-                if m_end >= 0.0:
-                    t_event = locate_event(margin_at, t, t1, cfg.event_tol)
+                end = landed(s1, tau1)
+                if end[0] >= 0.0:
+                    t_event = locate_event(margin_at, t, t1, cfg.event_tol, m_lo=m,
+                                           m_hi=end[0])
 
         # Land on the event point or the step end. The step end of a
         # clock-clamped step takes the boundary's clock exactly, so the jump
         # test cannot miss it by one rounding.
         if t_event is None:
             tau = tau1
-            s, t, k1 = s1, t1, k_end
-            h *= factor
+            s, t, k1, h = s1, t1, k_end, h_next
         else:
             tau += t_event - t
-            s, t, k1, m_end = dense(t_event), t_event, None, None
+            s, t, k1, end = dense(t_event), t_event, None, None
         if cfg.fast_floor > 0.0:  # s is a fresh array: snap it in place
             y_part = s[n_x:n_x + n_y]
             small = np.abs(y_part) < cfg.fast_floor
-            if np.any(small & (y_part != 0.0)):
+            if (small & (y_part != 0.0)).any():
                 y_part[small] = 0.0
-                k1 = m_end = None
+                k1 = end = None
         if k1 is None:
             k1 = step.first_stage(s)
-        m = ev.margin(s, tau) if m_end is None else m_end
-        blown_up = t_event is None and diverged(s)
+        m, v_x = landed(s, tau) if end is None else end
+        tested = t_event is None
+        blown_up = tested and diverged(s)
+        reached = at_horizon(t)
         steps_since_store += 1
         if (t_event is not None or steps_since_store >= cfg.store_stride
-                or blown_up or at_horizon(t) or clamped_clock or m >= 0.0):
-            store(t, s, tau, m)
+                or blown_up or reached or clamped_clock or m >= 0.0):
+            store(t, s, tau, m, v_x)
             steps_since_store = 0
         if blown_up:
             termination = Termination.DIVERGENCE
@@ -552,14 +600,14 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
                   params: Optional[AnalysisParameters] = None) -> HybridArc:
     """Integrate the hybrid closed loop from q0 under the given policy.
 
-    Every plant runs the reference integrator below. A LinearPlantSpec
-    takes each RK step as one fixed polynomial in hF applied to s, the same
-    for every step size h, and jumps with its closed-form map
-    y+ = y + (Hu K) e through apply_jump; a PlantSpec flows through
-    closed_loop_flow_vector and jumps with the generic map, so passing
-    plant.as_plant_spec() runs a linear plant with the generic flow and
-    jump. Each path is bitwise reproducible. If q0 lies in the jump set,
-    the first action is a jump.
+    Every plant runs the one integrator loop below. A LinearPlantSpec flows
+    by its exact propagator expm(F h) on cells, built from its decoupling (a
+    ConfigurationError naming epsilon where that does not converge), and
+    jumps with its closed-form map y+ = y + (Hu K) e through apply_jump; a
+    PlantSpec takes RK45 steps through closed_loop_flow_vector and jumps
+    with the generic map, so plant.as_plant_spec() runs a linear plant with
+    the generic flow and jump. Each path is bitwise reproducible. If q0 lies
+    in the jump set, the first action is a jump.
     """
     if policy.requires_clock != q0.has_clock:
         raise ConfigurationError(

@@ -146,12 +146,17 @@ class TriggerPolicy:
         gamma1(|e|) - max{sigma * alpha1 * Vx(x), rho} (no floor when rho is
         None); with t_star, the max of that margin once tau >= t_star and of
         tau - t_star once that margin is >= 0, each branch -inf otherwise."""
+        return self._margin(cert, None if self.kind is PolicyKind.PERIODIC else cert.v_x(x),
+                            e, tau)
+
+    def _margin(self, cert, v_x: Optional[float], e: np.ndarray, tau: float) -> float:
+        """margin's arithmetic, on v_x = cert.v_x(x) (not read if periodic)."""
         if self.kind is PolicyKind.PERIODIC:
             return float(tau) - float(self.period)
-        thresh = self.sigma * cert.alpha1 * cert.v_x(x)
+        thresh = self.sigma * cert.alpha1 * v_x
         if self.rho is not None:
             thresh = max(thresh, self.rho)
-        margin = cert.gamma1(float(np.linalg.norm(e))) - thresh
+        margin = cert.gamma1(math.sqrt(float(np.dot(e, e)))) - thresh  # np.linalg.norm(e), bitwise
         if self.t_star is None:
             return margin
         branch_threshold = margin if tau >= self.t_star else -math.inf

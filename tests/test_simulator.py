@@ -1,7 +1,5 @@
 import math
-import warnings
 from dataclasses import replace
-from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,10 +12,6 @@ from etcsim.hybrid import HybridArc, HybridState, Termination
 from etcsim.plant import LinearPlantSpec, apply_jump
 from etcsim.simulate import (
     DIVERGENCE_NORM,
-    RK_A,
-    RK_B,
-    RK_E,
-    RK_P,
     SolverConfig,
     build_hybrid_system,
     integrate_arc,
@@ -74,6 +68,17 @@ class TestLocateEvent:
         # a restart exactly on the boundary is the jump loop's business
         # (eager selection), not the bracketing localizer's
         assert locate_event(lambda t: t, 0.0, 1.0, 1e-9) is None
+
+    def test_held_bracket_ends_are_not_evaluated_again(self):
+        probed = []
+
+        def margin(t):
+            probed.append(t)
+            return t - 0.3
+
+        t_event = locate_event(margin, 0.0, 1.0, 1e-9, m_lo=-0.3, m_hi=0.7)
+        assert t_event == locate_event(lambda t: t - 0.3, 0.0, 1.0, 1e-9)
+        assert 0.0 not in probed and 1.0 not in probed
 
 
 class TestZeno:
@@ -359,6 +364,27 @@ class TestMonitors:
         q = HybridState(x=np.ones(2), y=np.ones(1), e=np.zeros(2))
         assert math.isnan(monitor_r(q, certn.cert, certn.dwell))
 
+    def test_vx_evaluated_once_per_margin(self, certn, monkeypatch):
+        # a landed point's margin and its stored V and R share one Vx
+        counts = {"v_x": 0, "margin": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        data_cls = type(certn.cert.data)
+        monkeypatch.setattr(data_cls, "v_x", counted("v_x", data_cls.v_x))
+        monkeypatch.setattr(simulate._PolicyEval, "margin",
+                            counted("margin", simulate._PolicyEval.margin))
+        for name, params in (("deadzone", None), ("dwell", certn.dwell)):
+            sc = demo_scenario(name)
+            cfg = replace(sc.solver, horizon=4.0)
+            arc = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert, params=params)
+            assert arc.jump_count >= 1 and len(arc) > 10
+        assert counts["v_x"] == counts["margin"] > 0
+
     def test_stored_monitors_equal_public_functions(self, certn):
         # The integrator writes flow rows from raw slices of its state
         # vector; the stored V and R must still equal the public monitors on
@@ -460,99 +486,121 @@ def _random_plants(count, seed):
         yield base, gen.uniform(-3, 3, 2 * n_x + n_z), gen.uniform(0.05, 1.0)
 
 
-def _exact_linear_table():
-    """_LINEAR_TABLE in exact rational arithmetic on the float tableau: the
-    stage loop at h = 1 on coefficients over the powers of F."""
-    a = [[Fraction(v) for v in row] for row in RK_A]
-    b, e = [Fraction(v) for v in RK_B], [Fraction(v) for v in RK_E]
-    p = [[Fraction(v) for v in row] for row in RK_P]
-
-    def shift(c):
-        return [Fraction(0)] + c[:-1]
-
-    def combine(weights, vectors):
-        return [sum((w * v[m] for w, v in zip(weights, vectors)), Fraction(0))
-                for m in range(8)]
-
-    one = [Fraction(1)] + [Fraction(0)] * 7
-    stages = [shift(one)]
-    for i in range(1, 6):
-        stages.append(shift([o + d for o, d in zip(one, combine(a[i][:i], stages))]))
-    s1 = [o + d for o, d in zip(one, combine(b[:6], stages))]
-    stages.append(shift(s1))
-    shifted = [stage[1:] + [Fraction(0)] for stage in stages]  # stage = F times this
-    dense = [combine([row[c] for row in p], shifted) for c in range(4)]
-    return np.array([[float(v) for v in row] for row in [s1, combine(e, stages)] + dense])
+def _coupled_dwell_scenario():
+    """The dwell demo with its fast layer driven by x: A21 = [[0, 0.05]]."""
+    sc = demo_scenario("dwell")
+    return replace(sc, plant=replace(sc.plant, a21=np.array([[0.0, 0.05]])))
 
 
-class TestStepMatrix:
-    """A LinearPlantSpec takes each trial step as the polynomial
-    _LINEAR_TABLE in hF (_LinearStep)."""
+class TestPropagator:
+    """A LinearPlantSpec flows by expm(F h), built from its decoupling."""
 
-    def test_table_equals_the_exact_evaluation_of_the_tableau(self):
-        # the float loop rounds sums of terms up to max|RK_P| ~ 10 in size
-        exact = _exact_linear_table()
-        assert simulate._LINEAR_TABLE.shape == (6, 8)
-        assert np.abs(simulate._LINEAR_TABLE - exact).max() <= 1e-14
+    def test_equals_mpmath_expm_on_coupled_plants(self):
+        # 60-digit oracle; the bound is 128 u |T| |T^-1| (infinity norms)
+        # per unit of the largest entry of expm(F h), where T is the
+        # decoupling transform: the blocks' own Pade error is a few u
+        import mpmath
 
-    def test_step_matrix_equals_the_staged_step_on_random_plants(self):
-        # the oracle is the stage loop on s with the linear flow, as the
-        # integrator ran it before the step became one polynomial; the steps
-        # are a fraction of the cap 0.5 eps, the stability edge
-        # h ||F||_inf = 3 and 1e-8 of the cap
+        unit = np.finfo(float).eps / 2
         worst = 0.0
-        for base, s, frac in _random_plants(300, 20260):
-            for eps in (1.0, 1e-3, 1e-10):
-                flow = base.with_epsilon(eps).flow_matrix()
-                step = simulate._LinearStep(flow)
-                cap = 0.5 * eps
-                for h in (frac * cap, 3.0 / np.abs(flow).sum(axis=1).max(), 1e-8 * cap):
-                    s1, stages = simulate._rk_stages(lambda v: flow @ v, s, flow @ s, h)
-                    staged = (s1, h * (RK_E @ stages), stages.T @ RK_P)
-                    trial = step(s, None, h)
-                    assert trial[3] is None
-                    scale = np.abs(flow).max() * np.abs(s).max()
-                    for want, got in zip(staged, trial[:3]):
-                        assert got.shape == want.shape
-                        worst = max(worst, np.abs(got - want).max() / scale)
-        assert worst <= 1e-12
+        with mpmath.workdps(60):
+            for base, _, _ in _random_plants(8, 20260):
+                assert np.all(base.a21 != 0.0)
+                for eps in (1e-2, 1e-6, 1e-10):
+                    plant = base.with_epsilon(eps)
+                    prop = simulate._Propagator(plant, 0.5 * eps)
+                    t_norm = np.abs(prop.right).sum(axis=1).max()
+                    t_inv_norm = np.abs(prop.left).sum(axis=1).max()
+                    flow = mpmath.matrix(plant.flow_matrix().tolist())
+                    for h in (prop.cell, 0.834, 1e-8):
+                        exact = mpmath.expm(flow * h)
+                        want = np.array(exact.tolist(), dtype=float)
+                        err = np.abs(prop.matrix(h) - want).max()
+                        bound = unit * t_norm * t_inv_norm * max(1.0, np.abs(want).max())
+                        worst = max(worst, err / bound)
+        assert worst <= 128.0
 
-    def test_overflowing_build_rejects_the_step(self):
-        # (h 2^k)^7 overflows at h = 1: no step, no warning, no raise; the
-        # scaled powers keep a tiny step finite
-        s = np.array([1.0, 0.0, -1.0])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            step = simulate._LinearStep(np.full((3, 3), 1e200))
-            assert step(s, None, 1.0) is None
-            assert all(np.isfinite(part).all() for part in step(s, None, 1e-210)[:3])
-
-    def test_overflowing_build_rejects_the_step_in_the_arc(self, monkeypatch):
-        # the first trial step overflows: the integrator retries at
-        # h * _MIN_FACTOR instead of raising
-        plant = demo_plant(0.05)
+    def test_post_jump_states_equal_the_generic_path_on_coupled_plants(self):
+        # every jump is on the clock, so both paths jump at the same times;
+        # the generic path's RK45 error is relative to the state's size
         policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.1)
-        cfg = SolverConfig(horizon=0.5)
-        h0 = min(cfg.max_step_factor * plant.epsilon, plant.epsilon, cfg.horizon)
-        tried = []
-        linear = simulate._LinearStep
+        cfg = SolverConfig(horizon=1.05)
+        for base, s, _ in _random_plants(20, 20260):
+            plant = base.with_epsilon(1e-2)
+            n_x, n_z = plant.n_x, plant.n_z
+            q0 = HybridState(x=s[:n_x], y=s[n_x:n_x + n_z], e=s[n_x + n_z:])
+            a = integrate_arc(plant, policy, q0, cfg)
+            b = integrate_arc(plant.as_plant_spec(), policy, q0, cfg)
+            assert a.jump_count == b.jump_count == 10
+            for ev_a, ev_b in zip(a.events, b.events):
+                post_a, post_b = ev_a.post_state.as_vector(), ev_b.post_state.as_vector()
+                scale = max(1.0, np.abs(post_b).max())
+                assert np.abs(post_a - post_b).max() <= 1e-7 * scale
 
-        class OverflowingAtH0(linear):
-            def __init__(self, flow):
-                super().__init__(flow)
-                self.huge = linear(1e200 * flow)
-
-            def __call__(self, s, k1, h):
-                step = self.huge if h == h0 else super().__call__
-                tried.append((h, step(s, k1, h)))
-                return tried[-1][1]
-
-        monkeypatch.setattr(simulate, "_LinearStep", OverflowingAtH0)
-        arc = integrate_arc(plant, policy, _q0(), cfg)
-        assert tried[0][0] == h0 and tried[0][1] is None
-        assert tried[1][0] == 0.2 * h0 and tried[1][1] is not None
+    def test_coupled_dwell_variant_reaches_the_horizon(self, certn):
+        # the reference's stability limit pins its steps near eps here, so
+        # only the propagator can run it; criterion 6's checks hold
+        sc = _coupled_dwell_scenario()
+        params = certn.dwell
+        arc = integrate_arc(sc.plant, sc.policy, sc.q0, sc.solver, cert=certn.cert,
+                            params=params)
         assert arc.termination is Termination.HORIZON
-        assert arc.jump_times()[:4] == pytest.approx([0.1, 0.2, 0.3, 0.4], abs=1e-12)
+        assert arc.t[-1] == pytest.approx(50.0 / params.psi)
+        r = arc.r
+        assert np.all(np.isfinite(r)) and r[0] > 0.0
+        assert np.all(r <= 1.05 * np.exp(-params.psi * arc.hybrid_total_time) * r[0])
+        iets = np.diff(arc.jump_times())
+        assert iets.size > 100
+        assert iets.min() >= params.t_star - 2.0 * sc.solver.event_tol
+
+    def test_cell_matrices_built_once_per_arc(self, certn, monkeypatch):
+        # the cell, the half cell, the clock remainder and the horizon
+        # remainder: every dwell jump is on the clock, so nothing is bisected
+        built = []
+        matrix = simulate._Propagator.matrix
+        monkeypatch.setattr(simulate._Propagator, "matrix",
+                            lambda self, h: built.append(h) or matrix(self, h))
+        sc = _coupled_dwell_scenario()
+        cfg = replace(sc.solver, horizon=20.0)
+        arc = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert)
+        assert arc.jump_count >= 20
+        assert len(built) == len(set(built)) == 4
+
+    def test_decoupling_that_does_not_converge_is_a_configuration_error(self, certn):
+        plant = demo_plant(1.0)
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.5)
+        cfg = SolverConfig(horizon=2.0)
+        with pytest.raises(ConfigurationError, match="epsilon=1.0"):
+            plant.decoupling
+        with pytest.raises(ConfigurationError, match="epsilon=1.0"):
+            integrate_arc(plant, policy, _q0(), cfg)
+        arc = integrate_arc(plant.as_plant_spec(), policy, _q0(), cfg)
+        assert arc.termination is Termination.HORIZON and arc.jump_count == 3
+
+    def test_decoupling_stops_on_a_tolerance(self):
+        # at eps 1e-2 the plain float iteration of L on this plant cycles
+        # between neighbouring floats and never repeats one; the decoupling
+        # still converges, solves its equations, and is cached read-only
+        base, _, _ = list(_random_plants(11, 20260))[10]
+        plant = base.with_epsilon(1e-2)
+        n_x, n_z = plant.n_x, plant.n_z
+        flow = plant.flow_matrix()
+        slow, fast = np.r_[0:n_x, n_x + n_z:2 * n_x + n_z], np.r_[n_x:n_x + n_z]
+        a, b = flow[np.ix_(slow, slow)], flow[np.ix_(slow, fast)]
+        c, d = flow[np.ix_(fast, slow)], flow[np.ix_(fast, fast)]
+        d_inv, l_mat, seen = np.linalg.inv(d), np.zeros(c.shape), set()
+        while l_mat.tobytes() not in seen:
+            seen.add(l_mat.tobytes())
+            new = d_inv @ (c + l_mat @ a - l_mat @ b @ l_mat)
+            assert not np.array_equal(new, l_mat)
+            l_mat = new
+        l_mat, h_mat, a_s, a_f = plant.decoupling
+        assert plant.decoupling[0] is l_mat
+        assert np.allclose(d @ l_mat, c + l_mat @ a - l_mat @ b @ l_mat, rtol=0, atol=1e-12)
+        assert np.allclose(h_mat @ a_f, a_s @ h_mat + b, rtol=0, atol=1e-12)
+        for arr in (l_mat, h_mat, a_s, a_f):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
 
 
 class TestStepHelpers:
