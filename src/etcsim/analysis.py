@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificates import AnalysisParameters, LyapunovCertificate
 from .errors import ConfigurationError, EtcsimError, InsufficientDataError
-from .hybrid import HybridArc, HybridState, Termination, read_section, record_dict
+from .hybrid import HybridArc, HybridState, Termination, check_numbers, read_section, record_dict
 from .simulate import SolverConfig, integrate_arc
 from .triggers import TriggerPolicy
 
@@ -130,8 +130,11 @@ def certified_ball_radius(cert: LyapunovCertificate,
     Converts the composite-Lyapunov level theta * rho into a bound on
     |(x, y, e)|: the x and y extents come from the quadratic sandwich
     bounds (the fast part is weighted by sqrt(eps)), and the error extent
-    from the trigger threshold holding on the flow set.
+    from the trigger threshold holding on the flow set. rho and epsilon
+    are positive numbers, else a ConfigurationError naming the argument.
     """
+    check_numbers("certified_ball_radius", {"rho": rho, "epsilon": epsilon},
+                  dict.fromkeys(("rho", "epsilon"), "(0, inf)"))
     if params.theta is None:
         raise ConfigurationError("certified radius needs dead-zone parameters")
     level = params.theta * rho

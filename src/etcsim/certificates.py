@@ -877,13 +877,10 @@ def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
                    "inflation": "[1, inf)"}, CertificateError)
     rng = np.random.default_rng(seed)
     p1, p2 = data.p1, data.p2
-    lmax1 = float(np.max(np.linalg.eigvalsh(p1)))
-    lmax2 = float(np.max(np.linalg.eigvalsh(p2)))
-    lmin1 = float(np.min(np.linalg.eigvalsh(p1)))
-    lmin2 = float(np.min(np.linalg.eigvalsh(p2)))
-    level = max((lmax1 + lmax2) * delta * delta, theta * rho)
-    x_max = math.sqrt(level / lmin1)
-    y_max = math.sqrt(level / lmin2)
+    eig1, eig2 = np.linalg.eigvalsh(p1), np.linalg.eigvalsh(p2)
+    level = max(float(eig1.max() + eig2.max()) * delta * delta, theta * rho)
+    x_max = math.sqrt(level / float(eig1.min()))
+    y_max = math.sqrt(level / float(eig2.min()))
     e_max = 2.0 * x_max
     if not math.isfinite(e_max + y_max):
         raise CertificateError(

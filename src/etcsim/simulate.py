@@ -282,13 +282,16 @@ def _step_floor(t: float) -> float:
 
 class _StagedStep:
     """Flow of a PlantSpec: Dormand-Prince trial steps under error control,
-    with every stage through closed_loop_flow_vector."""
+    with every stage through closed_loop_flow_vector. The last accepted
+    step's end and its FSAL stage are kept, so a step from that same array
+    takes its first stage for free."""
 
     def __init__(self, plant: PlantSpec, cfg: SolverConfig):
         self.plant = plant
         self.n_x = plant.n_x
         self.n_y = plant.n_z
         self.cfg = cfg
+        self.fsal = (None, None)
 
     def first_stage(self, s: np.ndarray) -> np.ndarray:
         n_x, n_y = self.n_x, self.n_y
@@ -310,11 +313,13 @@ class _StagedStep:
         stages[6] = self.first_stage(s1)
         return s1, stages
 
-    def advance(self, s: np.ndarray, k1: np.ndarray, h: float, t: float,
-                clamp: Callable) -> tuple:
+    def advance(self, s: np.ndarray, h: float, t: float, clamp: Callable) -> tuple:
         """One accepted step from (t, s), trying h first: (h, clamped, s1,
-        FSAL stage, dense output, next h). clamp(h) caps each trial h and
-        tells whether it was clamped onto a clock boundary."""
+        dense output, next h). clamp(h) caps each trial h and tells whether
+        it was clamped onto a clock boundary. The first stage is the kept
+        FSAL stage if s is the last step's s1 itself, else evaluated."""
+        end, k_end = self.fsal
+        k1 = k_end if s is end else self.first_stage(s)
         while True:
             h, clamped = clamp(h)
             staged = self._stages(s, k1, h)
@@ -326,8 +331,8 @@ class _StagedStep:
             if norm <= 1.0:
                 factor = _MAX_FACTOR if norm == 0.0 else min(
                     _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-                return (h, clamped, s1, stages[6],
-                        _DenseSegment(t, h, s, stages.T @ RK_P), h * factor)
+                self.fsal = (s1, stages[6])
+                return h, clamped, s1, _DenseSegment(t, h, s, stages.T @ RK_P), h * factor
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 
 
@@ -398,14 +403,10 @@ class _Propagator:
             m = self.other[1]
         return m
 
-    def first_stage(self, s: np.ndarray) -> None:
-        return None
-
-    def advance(self, s: np.ndarray, k1: None, h: float, t: float,
-                clamp: Callable) -> tuple:
+    def advance(self, s: np.ndarray, h: float, t: float, clamp: Callable) -> tuple:
         """As _StagedStep.advance, over one cell; h is not read."""
         h, clamped = clamp(self.cell)
-        return h, clamped, self.at(h) @ s, None, _PropagatedSegment(t, h, s, self), self.cell
+        return h, clamped, self.at(h) @ s, _PropagatedSegment(t, h, s, self), self.cell
 
 
 class _PropagatedSegment(_DenseSegment):
@@ -431,8 +432,9 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     end. A step is bracketed (start, midpoint and end) unless a clocked
     margin is negative all along it: when it is clamped onto the clock
     boundary, or ends before it. Both landings go through the same block:
-    fast_floor snaps the point, k1 is recomputed unless it is the unsnapped
-    step end (FSAL), and the margin m is evaluated once, with Vx = cert.v_x(x)
+    fast_floor snaps a copy of the point (the loop never writes into an
+    array a backend returned, so only the unsnapped step end keeps its FSAL
+    stage), and the margin m is evaluated once, with Vx = cert.v_x(x)
     shared with the V and R monitors: at an unsnapped step end it is the
     bracket's end probe. m decides the eager jump, starts the next event
     bracket and is stored. A landed point is stored if it is an event, the
@@ -497,7 +499,6 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
 
     termination: Optional[Termination] = None
     h = min(max_step, eps, cfg.horizon)
-    k1 = step.first_stage(s)
     ceiling = policy.clock_ceiling
 
     def clamp(h_try: float) -> tuple:
@@ -530,7 +531,6 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             break
         if jumped:
             h = min(h, eps)  # the jump re-excites the fast layer
-            k1 = step.first_stage(s)
         if reached:
             termination = Termination.HORIZON
             break
@@ -539,7 +539,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             break
 
         # One step, clamped to the horizon and clock boundaries.
-        h, clamped_clock, s1, k_end, dense, h_next = step.advance(s, k1, h, t, clamp)
+        h, clamped_clock, s1, dense, h_next = step.advance(s, h, t, clamp)
         t1 = min(t + h, cfg.horizon)
         tau1 = ceiling if clamped_clock else tau + h
 
@@ -565,18 +565,17 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         # test cannot miss it by one rounding.
         if t_event is None:
             tau = tau1
-            s, t, k1, h = s1, t1, k_end, h_next
+            s, t, h = s1, t1, h_next
         else:
             tau += t_event - t
-            s, t, k1, end = dense(t_event), t_event, None, None
-        if cfg.fast_floor > 0.0:  # s is a fresh array: snap it in place
+            s, t, end = dense(t_event), t_event, None
+        if cfg.fast_floor > 0.0:  # snap a copy: the backend may hold s
             y_part = s[n_x:n_x + n_y]
             small = np.abs(y_part) < cfg.fast_floor
             if (small & (y_part != 0.0)).any():
-                y_part[small] = 0.0
-                k1 = end = None
-        if k1 is None:
-            k1 = step.first_stage(s)
+                s = s.copy()
+                s[n_x:n_x + n_y][small] = 0.0
+                end = None
         m, v_x = landed(s, tau) if end is None else end
         tested = t_event is None
         blown_up = tested and diverged(s)

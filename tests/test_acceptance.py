@@ -266,7 +266,7 @@ def test_criterion_8_transmission_economy(certn):
         assert arc_per.final_state().xy_norm() <= 1e-3 * initial
 
 
-def _kernel_jump_y(jump_gain, pre):
+def _closed_form_jump_y(jump_gain, pre):
     """The closed-form linear jump's arithmetic, reproduced operation for
     operation (accumulation in state order)."""
     y = pre.y.copy()
@@ -294,8 +294,8 @@ def test_criterion_9_jump_map_exactness(certn, gas_run, deadzone_runs):
             assert np.array_equal(ev.post_state.x, expected.x)
             assert np.array_equal(ev.post_state.y, expected.y)
             assert np.array_equal(ev.post_state.e, expected.e)
-        # default-path linear arcs: bitwise against the closed-form linear
-        # jump, recomputed operation for operation
+        # linear arcs (exact propagator): bitwise against the closed-form
+        # jump y + (Hu K) e, recomputed operation for operation
         for plant, arc in ((sc_dz.plant, dz_arcs[0]), (sc_gas.plant, gas_arc)):
             gain = plant.jump_gain()
             assert arc.jump_count >= 1
@@ -304,7 +304,7 @@ def test_criterion_9_jump_map_exactness(certn, gas_run, deadzone_runs):
                 assert np.array_equal(ev.post_state.e,
                                       np.zeros_like(ev.pre_state.e))
                 assert np.array_equal(ev.post_state.y,
-                                      _kernel_jump_y(gain, ev.pre_state))
+                                      _closed_form_jump_y(gain, ev.pre_state))
                 if ev.post_state.tau is not None:
                     assert ev.post_state.tau == 0.0
         # physical-state continuity across every jump

@@ -174,6 +174,16 @@ class TestCertifiedRadius:
         with pytest.raises(ConfigurationError):
             certified_ball_radius(certn.cert, certn.dwell, 0.02, 0.03)
 
+    @pytest.mark.parametrize("name, rho, epsilon", [
+        ("rho", -0.02, 0.03),
+        ("epsilon", 0.02, 0),
+        ("epsilon", 0.02, -1.0),
+        ("rho", math.nan, 0.03),
+    ])
+    def test_rho_and_epsilon_must_be_positive_numbers(self, certn, name, rho, epsilon):
+        with pytest.raises(ConfigurationError, match=f"certified_ball_radius field '{name}'"):
+            certified_ball_radius(certn.cert, certn.practical, rho, epsilon)
+
 
 class TestTransmissionComparison:
     def test_same_periodic_policies_equal_counts(self, certn):

@@ -173,7 +173,7 @@ class TestDeadzone:
         assert np.array_equal(a.t, b.t)
         assert np.array_equal(a.v, b.v)
 
-    def test_python_and_kernel_agree(self, certn):
+    def test_propagator_and_generic_path_agree(self, certn):
         sc = demo_scenario("deadzone")
         cfg = replace(sc.solver, horizon=5.0)
         a = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert)
@@ -183,7 +183,7 @@ class TestDeadzone:
         assert a.jump_times() == pytest.approx(b.jump_times(), abs=1e-7)
         assert a.final_state().x == pytest.approx(b.final_state().x, abs=1e-7)
 
-    def test_python_and_kernel_agree_on_dwell_policy(self, certn):
+    def test_propagator_and_generic_path_agree_on_dwell_policy(self, certn):
         sc = demo_scenario("dwell")
         cfg = replace(sc.solver, horizon=4.0)
         a = integrate_arc(sc.plant, sc.policy, sc.q0, cfg, cert=certn.cert,
@@ -616,6 +616,39 @@ class TestStepHelpers:
             assert simulate._error_norm(err, y0, y1, rtol, atol) == old
             t = float(gen.choice([-1.0, 1.0]) * 10.0 ** gen.uniform(-5, 8))
             assert simulate._step_floor(t) == 16.0 * np.finfo(float).eps * max(1.0, abs(t))
+
+
+class TestFirstStage:
+    def test_no_flow_evaluation_at_a_located_event_point(self, certn, monkeypatch):
+        # the eager jump leaves a located event point at once, so no first
+        # stage is evaluated there; a step from an unsnapped step end takes
+        # the last step's FSAL stage, so a step costs fewer than seven
+        points, steps, located = [], [], []
+        flow, advance = simulate.closed_loop_flow_vector, simulate._StagedStep.advance
+
+        def counted_flow(x, y, e, plant):
+            points.append(np.concatenate((x, y, e)).tobytes())
+            return flow(x, y, e, plant)
+
+        def counted_advance(step, *args):
+            steps.append(args)
+            return advance(step, *args)
+
+        def counted_locate(*args, **kwargs):
+            located.append(locate_event(*args, **kwargs))
+            return located[-1]
+
+        monkeypatch.setattr(simulate, "closed_loop_flow_vector", counted_flow)
+        monkeypatch.setattr(simulate._StagedStep, "advance", counted_advance)
+        monkeypatch.setattr(simulate, "locate_event", counted_locate)
+        sc = demo_scenario("deadzone")
+        arc = integrate_arc(sc.plant.as_plant_spec(), sc.policy, sc.q0,
+                            replace(sc.solver, horizon=8.0), cert=certn.cert)
+        assert arc.jump_count == sum(t is not None for t in located) >= 1
+        evaluated = set(points)
+        for ev in arc.events:
+            assert ev.pre_state.as_vector().tobytes() not in evaluated
+        assert len(points) < 7 * len(steps)
 
 
 class TestFastFloor:
