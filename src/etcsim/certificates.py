@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,9 +26,18 @@ from .errors import (
     ConfigurationError,
     InfeasibleDwellError,
 )
-from .hybrid import SampleArgs, check_numbers, field_keys, read_section, record_dict
+from .hybrid import (
+    SampleArgs,
+    _dot_rows,
+    _is_flat,
+    _quad_rows,
+    check_numbers,
+    field_keys,
+    read_section,
+    record_dict,
+)
 from .plant import _SAMPLE_CHUNK, PlantSpec, _batch_map, _held_rows, _jump_rows
-from .triggers import GammaForm
+from .triggers import GammaForm, _pow_rows
 
 __all__ = [
     "QuadraticLyapunovData",
@@ -78,28 +86,10 @@ def _draw_in_balls(rng: np.random.Generator, n_samples: int,
         norm = np.sqrt(_dot_rows(v, v))
         moved = norm != 0.0
         u = rng.random(np.count_nonzero(moved))
-        # the power per sample, in libm's pow: numpy's ** rounds otherwise
         scale = np.zeros(n_samples)
-        scale[moved] = (radius * np.fromiter(map(pow, u.tolist(), repeat(1.0 / dim)), float, u.size)
-                        / norm[moved])
+        scale[moved] = radius * _pow_rows(u, 1.0 / dim) / norm[moved]
         out.append(np.multiply(v, scale[:, None], out=v))
     return out
-
-
-# Per-row products of (N, dim) sample rows. Each row goes through a stacked
-# matmul of the 1-D expression's shapes, so it is rounded as x @ p @ x or
-# a @ b is; (a * b).sum(1) and np.linalg.norm(a, axis=1) differ in the last bit.
-def _quad_rows(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    return (a[:, None, :] @ p @ a[:, :, None])[:, 0, 0]
-
-
-def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
-def _gain_rows(gain: Callable[[float], float], s: np.ndarray) -> np.ndarray:
-    # per sample: numpy's power may round s ** power unlike the gain's libm pow
-    return np.fromiter(map(gain, s.tolist()), float, s.size)
 
 
 def _spectral_norm(p: np.ndarray) -> float:
@@ -149,11 +139,11 @@ class QuadraticLyapunovData:
             object.__setattr__(self, name, float(getattr(self, name)))
 
     def v_x(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=float).reshape(-1)
+        x = x if _is_flat(x) else np.asarray(x, dtype=float).reshape(-1)
         return float(x @ self.p1 @ x)
 
     def v_y(self, y: np.ndarray) -> float:
-        y = np.asarray(y, dtype=float).reshape(-1)
+        y = y if _is_flat(y) else np.asarray(y, dtype=float).reshape(-1)
         return float(y @ self.p2 @ y)
 
     @classmethod
@@ -278,11 +268,12 @@ class LyapunovCertificate:
     def derive(cls, data: QuadraticLyapunovData) -> "LyapunovCertificate":
         return cls(data=data, constants=derive_constants(data))
 
-    @property
+    # cached: the integrator reads both at every margin
+    @functools.cached_property
     def alpha1(self) -> float:
         return self.constants.alpha1
 
-    @property
+    @functools.cached_property
     def gamma1(self) -> GammaForm:
         return self.constants.gamma1
 
@@ -797,7 +788,7 @@ def _assumption_slacks(spec: PlantSpec, data: QuadraticLyapunovData,
     v_x = _quad_rows(x, p1)
     v_y = _quad_rows(y, p2)
     e_norm = np.sqrt(_dot_rows(e, e))
-    g1_e, g2_e = _gain_rows(consts.gamma1, e_norm), _gain_rows(consts.gamma2, e_norm)
+    g1_e, g2_e = consts.gamma1.rows(e_norm), consts.gamma2.rows(e_norm)
     grad_vx = 2.0 * (p1 @ x[:, :, None])[:, :, 0]
     grad_vy = 2.0 * (p2 @ y[:, :, None])[:, :, 0]
     sqrt_vxy = np.sqrt(np.maximum(v_x * v_y, 0.0))
@@ -895,7 +886,7 @@ def trigger_slope_bound(spec: PlantSpec, data: QuadraticLyapunovData,
         x, y, e = x[inside], y[inside], e[inside]
         u, h_held = _held_rows(spec, x, e)
         f_x = _batch_map(spec, "f", x, y + h_held, u)
-        val = (_gain_rows(consts.gamma1.slope, np.sqrt(_dot_rows(e, e)))
+        val = (consts.gamma1.slope_rows(np.sqrt(_dot_rows(e, e)))
                * np.sqrt(_dot_rows(f_x, f_x)))
         sup = float(np.fmax.reduce(val, initial=sup))  # a NaN never raises sup
     if sup <= 0.0:

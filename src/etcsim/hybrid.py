@@ -181,6 +181,33 @@ def _json_value(value):
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
+# Per-row products of (N, dim) rows. Each row goes through a stacked matmul
+# of the 1-D expression's shapes, so it is rounded as x @ p @ x or a @ b is;
+# (a * b).sum(1) and np.linalg.norm(a, axis=1) differ in the last bit.
+def _quad_rows(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    return (a[:, None, :] @ p @ a[:, :, None])[:, 0, 0]
+
+
+def _dot_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+_FLOAT = np.dtype(float)
+
+
+def _is_flat(a) -> bool:
+    """Whether a is a 1-D float64 ndarray, which needs no conversion."""
+    return type(a) is np.ndarray and a.ndim == 1 and a.dtype is _FLOAT
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """np.isfinite(a).all() of a 1-D array. A finite sum has finite entries;
+    only a sum that is not finite (an entry is not, or finite entries
+    overflow) takes the entrywise test. Python's float sum overflows
+    silently, where numpy's warns."""
+    return math.isfinite(sum(a.tolist())) or bool(np.isfinite(a).all())
+
+
 def _as_readonly_vector(a, name: str) -> np.ndarray:
     arr = np.array(a, dtype=float, copy=True).reshape(-1)
     if arr.size and not np.all(np.isfinite(arr)):
@@ -332,14 +359,27 @@ class HybridArc:
         if q.has_clock != self.has_clock:
             raise DimensionError("clock presence does not match the arc")
 
+    def _append_rows(self, rows) -> None:
+        """The one row writer; it checks nothing. rows is a (k, columns)
+        array, or a list of k row lists, in csv_header() order: the
+        integrator's runs write their stored rows at once, and _append_row
+        is the one-row case. A full table doubles, or grows to fit the rows."""
+        end = self._n + len(rows)
+        if end > len(self._table):
+            grown = np.empty((max(2 * len(self._table), end), self._table.shape[1]))
+            grown[: self._n] = self._table[: self._n]
+            self._table = grown
+        if end == self._n + 1:  # a row list is written faster by index than by slice
+            self._table[self._n] = rows[0]
+        else:
+            self._table[self._n:end] = rows
+        self._n = end
+
     def _append_row(self, t: float, j: int, s: np.ndarray, tau: Optional[float],
                     monitors: tuple[float, float, float], is_jump: bool) -> None:
-        """The one row writer; it checks nothing. tau None is stored as NaN."""
-        if self._n == len(self._table):
-            self._table = np.concatenate([self._table, np.empty_like(self._table)])
-        self._table[self._n] = [t, j, *s.tolist(), math.nan if tau is None else tau,
-                                *monitors, is_jump]
-        self._n += 1
+        """_append_rows of one row; tau None is stored as NaN."""
+        self._append_rows([[t, j, *s.tolist(), math.nan if tau is None else tau,
+                            *monitors, is_jump]])
 
     def append_flow_sample(self, t: float, q: HybridState,
                            monitors: Optional[MonitorValues] = None) -> "HybridArc":

@@ -23,7 +23,17 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DivergenceError
-from .hybrid import HybridState, SampleArgs, check_numbers, field_keys, read_section, record_dict
+from .hybrid import (
+    _FLOAT,
+    HybridState,
+    SampleArgs,
+    _all_finite,
+    _is_flat,
+    check_numbers,
+    field_keys,
+    read_section,
+    record_dict,
+)
 
 __all__ = [
     "PlantSpec",
@@ -125,7 +135,9 @@ class PlantSpec:
 
 
 def _vec(a, n: int, name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=float).reshape(-1)
+    """a flattened to a float vector of size n, else a DimensionError naming
+    it; a 1-D float64 array of that size is returned as it is."""
+    arr = a if _is_flat(a) else np.asarray(a, dtype=float).reshape(-1)
     if arr.size != n:
         raise DimensionError(f"{name} has size {arr.size}, expected {n}")
     return arr
@@ -182,10 +194,14 @@ def closed_loop_flow_vector(x, y, e, spec: PlantSpec) -> np.ndarray:
     z = y + _vec(spec.h(x, u), spec.n_z, "map h")
     fx = _vec(spec.f(x, z, u), spec.n_x, "map f")
     g_val = _vec(spec.g(x, z, u), spec.n_z, "map g")
-    jac = _vec(spec.dh_dx(x, u), spec.n_z * spec.n_x, "map dh_dx").reshape(spec.n_z, spec.n_x)
+    jac = spec.dh_dx(x, u)
+    shape = (spec.n_z, spec.n_x)
+    if not (type(jac) is np.ndarray and jac.shape == shape and jac.dtype is _FLOAT
+            and jac.flags.c_contiguous):
+        jac = _vec(jac, spec.n_z * spec.n_x, "map dh_dx").reshape(shape)
     y_dot = g_val / spec.epsilon - jac @ fx
     out = np.concatenate([fx, y_dot, -fx])
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise DivergenceError("closed-loop flow produced non-finite derivative")
     return out
 

@@ -31,6 +31,9 @@ from .hybrid import (
     HybridSystemInterface,
     MonitorValues,
     Termination,
+    _all_finite,
+    _dot_rows,
+    _quad_rows,
     check_numbers,
     field_keys,
     read_section,
@@ -138,11 +141,12 @@ class SolverConfig:
 
 def monitor_v(q: HybridState, cert: LyapunovCertificate, epsilon: float) -> float:
     """Practical-stability composite: Vx(x) + sqrt(eps) * Vy(y)."""
-    return _monitor_v(cert.v_x(q.x), q.y, cert, epsilon)
+    return _monitor_v(cert.v_x(q.x), cert.v_y(q.y), epsilon)
 
 
-def _monitor_v(v_x: float, y, cert: LyapunovCertificate, epsilon: float) -> float:
-    return v_x + math.sqrt(epsilon) * cert.v_y(y)
+def _monitor_v(v_x, v_y, epsilon: float):
+    """monitor_v of Vx and Vy: of one point, or of rows of them."""
+    return v_x + math.sqrt(epsilon) * v_y
 
 
 def monitor_r(q: HybridState, cert: LyapunovCertificate,
@@ -172,7 +176,8 @@ def _monitor_r(v_x: float, y, e, tau, cert: LyapunovCertificate, params) -> floa
 
 class _PolicyEval:
     """The integrator's binding of TriggerPolicy.margin to one certificate
-    and to the (x, y, e) slices of its stacked state vectors."""
+    and to the (x, y, e) slices of its stacked state vectors, on one point
+    or on rows of points."""
 
     def __init__(self, policy: TriggerPolicy, cert: Optional[LyapunovCertificate],
                  n_x: int, n_y: int):
@@ -181,16 +186,24 @@ class _PolicyEval:
         self.cert = cert
         self.n_x = n_x
         self.n_y = n_y
+        self._v_x = None if cert is None else cert.data.v_x
 
     def v_x(self, s: np.ndarray) -> Optional[float]:
         """cert.v_x of s's x, or None without a certificate."""
-        return None if self.cert is None else self.cert.v_x(s[: self.n_x])
+        return None if self._v_x is None else self._v_x(s[: self.n_x])
 
     def margin(self, s: np.ndarray, tau: float, v_x: Optional[float] = None) -> float:
         """Signed event function; >= 0 on the jump set. v_x, if given, is
         self.v_x(s), which the integrator shares with its V monitor."""
         return self.policy._margin(self.cert, self.v_x(s) if v_x is None else v_x,
                                    s[self.n_x + self.n_y:], tau)
+
+    def rows(self, states: np.ndarray, tau: np.ndarray) -> tuple:
+        """(margins, Vx) of (N, n) state rows at clocks tau, each entry
+        bitwise margin's and v_x's on that row (Vx None without a certificate)."""
+        v_x = None if self.cert is None else _quad_rows(states[:, : self.n_x], self.cert.data.p1)
+        e = states[:, self.n_x + self.n_y:]
+        return self.policy._margin(self.cert, v_x, e, tau, rows=True), v_x
 
 
 def locate_event(margin_at: Callable[[float], float], t_lo: float, t_hi: float,
@@ -273,6 +286,8 @@ class _DenseSegment:
 
 
 _STEP_ULPS = 16.0 * np.finfo(float).eps
+# The most plain cells a linear arc crosses in one run (see _integrate_python).
+_RUN_CELLS = 64
 
 
 def _step_floor(t: float) -> float:
@@ -304,11 +319,11 @@ class _StagedStep:
         stages[0] = k1
         for i, a_row in _RK_A_ROWS:
             si = s + h * (a_row @ stages[:i])
-            if not np.isfinite(si).all():
+            if not _all_finite(si):
                 return None
             stages[i] = self.first_stage(si)
         s1 = s + h * (RK_B @ stages[:6])
-        if not np.isfinite(s1).all():
+        if not _all_finite(s1):
             return None
         stages[6] = self.first_stage(s1)
         return s1, stages
@@ -369,7 +384,9 @@ class _Propagator:
     (x, y, e) order. Cells are min(max_step, 1/(8 |A_s|_inf)), clamped by
     the loop, each one product, with no error control: the matrices of the
     cell and the half cell are built once per arc, and the last other
-    length (a clock remainder repeats every interval) is kept."""
+    length (a clock remainder repeats every interval) is kept. advance
+    takes one cell; the loop's runs read cell and the two built matrices
+    and cross many cells at once."""
 
     def __init__(self, plant: LinearPlantSpec, max_step: float):
         l_mat, h_mat, self.a_s, self.a_f = plant.decoupling
@@ -419,6 +436,11 @@ class _PropagatedSegment(_DenseSegment):
         return self.q.at(0.5 * self.h) @ self.y0
 
 
+def _prefix(mask: np.ndarray) -> int:
+    """How many leading entries of a boolean row are True."""
+    return int(np.argmin(mask)) if not mask.all() else mask.size
+
+
 def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
                       cfg: SolverConfig, cert: Optional[LyapunovCertificate],
                       params: Optional[AnalysisParameters]) -> HybridArc:
@@ -440,9 +462,18 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     bracket and is stored. A landed point is stored if it is an event, the
     stride is reached, it is on the horizon or a clock boundary,
     m >= 0, or the step end diverged. The horizon counts as reached once
-    it is closer than the step floor. Flow rows go straight to
-    arc._append_row (no HybridState); the arc's (t, j) ordering is checked
+    it is closer than the step floor. Flow rows go straight to the arc's
+    row writer (no HybridState); the arc's (t, j) ordering is checked
     once, at the end.
+
+    A LinearPlantSpec crosses its plain cells in runs (run below): from a
+    landed point with m < 0 and more than _RUN_CELLS // 4 cells before the
+    horizon and the clock boundary, up to _RUN_CELLS cells at a time are
+    taken as the loop would take them, and the first cell that is not plain
+    (an event in it, a clamp, a snap, divergence or the horizon) is left to
+    the loop's own step, as is the cell after a snapped one. A run's states are
+    the same iterated products, and its margins, monitors, norms and stored
+    rows are bitwise the loop's; only the work is done on rows.
     """
     n_x, n_y = plant.n_x, plant.n_z
     has_clock = policy.requires_clock
@@ -453,6 +484,12 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
 
     step = (_Propagator(plant, max_step) if isinstance(plant, LinearPlantSpec)
             else _StagedStep(plant, cfg))
+    # a linear plant crosses plain cells in runs, whose cells are all the
+    # full cell (the clamp never cuts a cell to max_step: cell <= max_step)
+    linear_run = isinstance(step, _Propagator) and min(step.cell, max_step) == step.cell
+    if linear_run:
+        cell, m_cell, m_half = step.cell, step.built[step.cell], step.built[0.5 * step.cell]
+        run_room = (_RUN_CELLS // 4 + 1) * cell
 
     def at_horizon(t_now: float) -> bool:
         return cfg.horizon - t_now <= _step_floor(t_now)
@@ -467,7 +504,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             return math.nan, math.nan, m
         y, e = s_now[n_x:n_x + n_y], s_now[n_x + n_y:]
         r = math.nan if params is None else _monitor_r(v_x, y, e, tau_now, cert, params)
-        return _monitor_v(v_x, y, cert, eps), r, m
+        return _monitor_v(v_x, cert.v_y(y), eps), r, m
 
     def store(t_now: float, s_now: np.ndarray, tau_now: float, m: float, v_x) -> None:
         tau_row = tau_now if has_clock else None
@@ -514,6 +551,90 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             raise DivergenceError(f"step size underflow at t={t!r}")
         return h_try, clamped
 
+    @np.errstate(over="ignore", invalid="ignore")  # rows past where the loop stops may overflow
+    def run(s_now: np.ndarray, t_now: float, tau_now: float, m_now: float,
+            since_store: int) -> tuple:
+        """Cross the plain cells ahead of a landed point whose margin m_now
+        is negative, at most _RUN_CELLS of them and not past the horizon or
+        the clock boundary: (cells crossed, then the s, t, tau, m and stride
+        count the loop holds after them). A plain cell is one
+        the loop takes whole and lands on its end by no other rule: the full
+        cell, no clock or horizon clamp, no step underflow, its end not on
+        the horizon, not diverged and not snapped, and a negative margin at
+        its end and, where the loop brackets, at its midpoint. The cells'
+        ends are the loop's own products M @ s; their midpoints, margins, V,
+        R and squared norms are taken on rows, each row bitwise as the loop
+        takes it on its point. The rows the stride keeps go to the arc in one
+        write. The first cell that is not plain is left to the loop."""
+        unmoved = 0, s_now, t_now, tau_now, m_now, since_store
+        room = cfg.horizon - t_now
+        if ceiling is not None and tau_now < ceiling:
+            room = min(room, ceiling - tau_now)
+        n = int(min(room / cell + 1.0, _RUN_CELLS))  # the last cells tried may be clamped
+        grid = np.full(n + 1, cell)
+        grid[0] = t_now
+        t_all = np.add.accumulate(grid)
+        grid[0] = tau_now
+        tau_all = np.add.accumulate(grid)
+        t_start, t_end, tau_start = t_all[:-1], t_all[1:], tau_all[:-1]
+        floor_start = _STEP_ULPS * np.maximum(1.0, np.abs(t_start))
+        plain = ((cfg.horizon - t_start >= cell) & (cell > floor_start)
+                 & (cfg.horizon - t_end > _STEP_ULPS * np.maximum(1.0, np.abs(t_end))))
+        if ceiling is not None:  # clamp's test, on rows
+            reach = tau_start + cell
+            plain &= ~((tau_start < ceiling) & (
+                (reach >= ceiling) | ((reach >= ceiling - floor_start)
+                                      & (ceiling - tau_start <= cfg.horizon - t_start))))
+        n = _prefix(plain)
+        if n == 0:
+            return unmoved
+        states = [s_now]
+        for _ in range(n):
+            states.append(m_cell @ states[-1])
+        block = np.array(states)
+        ends = block[1:]
+        plain = _dot_rows(ends, ends) <= DIVERGENCE_NORM**2
+        if cfg.fast_floor > 0.0:
+            y_ends = ends[:, n_x:n_x + n_y]
+            plain &= ~((np.abs(y_ends) < cfg.fast_floor) & (y_ends != 0.0)).any(axis=1)
+        n = _prefix(plain)
+        if n == 0:
+            return unmoved
+        ends, t_start, t_end, tau_start = ends[:n], t_start[:n], t_end[:n], tau_start[:n]
+        tau_end = tau_all[1:n + 1]
+        bracketed = None if ceiling is None else tau_end > ceiling
+        try:
+            m_end, v_x = ev.rows(ends, tau_end)
+            plain = m_end < 0.0
+            if bracketed is None or bracketed.any():
+                mids = (m_half @ block[:n, :, None])[:, :, 0]
+                mid_ok = ev.rows(mids, tau_start + ((t_start + 0.5 * cell) - t_start))[0] < 0.0
+                plain &= mid_ok if bracketed is None else mid_ok | ~bracketed
+        except OverflowError:  # a gain past the float range: the loop raises it in turn
+            return unmoved
+        n = _prefix(plain)
+        if n == 0:
+            return unmoved
+        kept = np.arange(cfg.store_stride - 1 - since_store, n, cfg.store_stride)
+        if kept.size:
+            rows_kept = ends[kept]
+            tau_kept = tau_end[kept] if has_clock else np.full(kept.size, math.nan)
+            v = r = np.full(kept.size, math.nan)
+            if cert is not None:
+                y_kept = rows_kept[:, n_x:n_x + n_y]
+                v = _monitor_v(v_x[kept], _quad_rows(y_kept, cert.data.p2), eps)
+                if params is not None and has_clock:
+                    r = np.array([_monitor_r(vx, row[n_x:n_x + n_y], row[n_x + n_y:], tau_row,
+                                             cert, params)
+                                  for vx, row, tau_row in zip(v_x[kept].tolist(), rows_kept,
+                                                              tau_kept.tolist())])
+            arc._append_rows(np.column_stack([
+                t_end[kept], np.full(kept.size, arc.jump_count), rows_kept, tau_kept,
+                v, r, m_end[kept], np.zeros(kept.size)]))
+        return (n, states[n], float(t_end[n - 1]), float(tau_end[n - 1]),
+                float(m_end[n - 1]), (since_store + n) % cfg.store_stride)
+
+    snapped = False
     while termination is None:
         # Eager jumps: fire while the state sits in the jump set; the Zeno
         # guard stops after zeno_max_jumps + 1 jumps within zeno_window.
@@ -537,6 +658,15 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         if (jumped or not tested) and diverged(s):  # a tested step end is not tested again
             termination = Termination.DIVERGENCE
             break
+
+        # A run needs more than a quarter of its cells to repay its fixed
+        # cost before the horizon or the clock boundary; a snapped cell is
+        # likely followed by more, which the loop takes.
+        if (linear_run and not snapped and cfg.horizon - t > run_room
+                and (ceiling is None or tau >= ceiling or ceiling - tau > run_room)):
+            cells, s, t, tau, m, steps_since_store = run(s, t, tau, m, steps_since_store)
+            if 0 < cells == _RUN_CELLS:  # a whole run: the next cells may make another
+                continue
 
         # One step, clamped to the horizon and clock boundaries.
         h, clamped_clock, s1, dense, h_next = step.advance(s, h, t, clamp)
@@ -569,10 +699,12 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         else:
             tau += t_event - t
             s, t, end = dense(t_event), t_event, None
+        snapped = False
         if cfg.fast_floor > 0.0:  # snap a copy: the backend may hold s
             y_part = s[n_x:n_x + n_y]
             small = np.abs(y_part) < cfg.fast_floor
-            if (small & (y_part != 0.0)).any():
+            snapped = (small & (y_part != 0.0)).any()
+            if snapped:
                 s = s.copy()
                 s[n_x:n_x + n_y][small] = 0.0
                 end = None

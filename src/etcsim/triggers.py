@@ -21,12 +21,13 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass
 from enum import Enum
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .hybrid import HybridState, check_numbers, field_keys, read_section
+from .hybrid import HybridState, _dot_rows, check_numbers, field_keys, read_section
 
 __all__ = [
     "GammaForm",
@@ -62,6 +63,23 @@ class GammaForm:
     def slope(self, s: float) -> float:
         """Derivative gamma'(s)."""
         return self.coeff * self.power * float(s) ** (self.power - 1.0)
+
+    def rows(self, s: np.ndarray) -> np.ndarray:
+        """gamma on each entry of a 1-D array, bitwise as __call__ and, as
+        it, silent where the product overflows to inf."""
+        with np.errstate(over="ignore"):
+            return self.coeff * _pow_rows(s, self.power)
+
+    def slope_rows(self, s: np.ndarray) -> np.ndarray:
+        """gamma' on each entry of a 1-D array, bitwise and silent as rows."""
+        with np.errstate(over="ignore"):
+            return (self.coeff * self.power) * _pow_rows(s, self.power - 1.0)
+
+
+def _pow_rows(s: np.ndarray, p: float) -> np.ndarray:
+    """s ** p per entry by libm's pow, as float ** float is: numpy's power may
+    round otherwise."""
+    return np.fromiter(map(pow, s.tolist(), repeat(p)), float, s.size)
 
 
 class PolicyKind(str, Enum):
@@ -149,19 +167,25 @@ class TriggerPolicy:
         return self._margin(cert, None if self.kind is PolicyKind.PERIODIC else cert.v_x(x),
                             e, tau)
 
-    def _margin(self, cert, v_x: Optional[float], e: np.ndarray, tau: float) -> float:
-        """margin's arithmetic, on v_x = cert.v_x(x) (not read if periodic)."""
+    def _margin(self, cert, v_x, e: np.ndarray, tau, rows: bool = False):
+        """margin on v_x = cert.v_x(x) (not read if periodic). With rows, on
+        N points at once: v_x and tau of shape (N,) and e rows (N, n_x), each
+        entry bitwise the point's, apart from the sign of a zero."""
         if self.kind is PolicyKind.PERIODIC:
-            return float(tau) - float(self.period)
+            return tau - float(self.period) if rows else float(tau) - float(self.period)
+        if rows:
+            gain, maximum, pick = cert.gamma1.rows(np.sqrt(_dot_rows(e, e))), np.maximum, np.where
+        else:  # math.sqrt of np.dot is np.linalg.norm(e), bitwise
+            gain, maximum, pick = cert.gamma1(math.sqrt(np.dot(e, e))), max, _pick
         thresh = self.sigma * cert.alpha1 * v_x
         if self.rho is not None:
-            thresh = max(thresh, self.rho)
-        margin = cert.gamma1(math.sqrt(float(np.dot(e, e)))) - thresh  # np.linalg.norm(e), bitwise
+            thresh = maximum(thresh, self.rho)
+        margin = gain - thresh
         if self.t_star is None:
             return margin
-        branch_threshold = margin if tau >= self.t_star else -math.inf
-        branch_clock = (tau - self.t_star) if margin >= 0.0 else -math.inf
-        return max(branch_threshold, branch_clock)
+        branch_threshold = pick(tau >= self.t_star, margin, _NEG_INF)
+        branch_clock = pick(margin >= 0.0, tau - self.t_star, _NEG_INF)
+        return maximum(branch_threshold, branch_clock)
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "TriggerPolicy":
@@ -169,6 +193,14 @@ class TriggerPolicy:
         del keys["kind"]  # read from the "policy" key
         values = read_section("policy", cfg, {"policy": (str, MISSING), **keys})
         return cls(kind=values.pop("policy"), **values)
+
+
+_NEG_INF = -math.inf
+
+
+def _pick(cond: bool, a: float, b: float) -> float:
+    """np.where of one point."""
+    return a if cond else b
 
 
 def _checked(q: Optional[HybridState], cert, kind: PolicyKind, **params) -> TriggerPolicy:

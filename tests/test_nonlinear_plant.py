@@ -3,6 +3,7 @@ nonlinear plant: a cubic-damped slow state driven through a first-order
 actuator. The quadratic certificate used for the trigger thresholds is
 local, which is all the margins need."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +14,8 @@ from etcsim.certificates import (
     QuadraticLyapunovData,
     validate_assumptions,
 )
-from etcsim.errors import DimensionError
+import etcsim.simulate as simulate
+from etcsim.errors import DimensionError, DivergenceError
 from etcsim.hybrid import HybridState, Termination
 from etcsim.plant import (
     PlantSpec,
@@ -127,3 +129,82 @@ def test_flow_of_a_jacobian_of_wrong_size_is_a_dimension_error(nonlinear_plant):
     plant = replace(nonlinear_plant, dh_dx=lambda x, u: np.zeros((2, 2)))
     with pytest.raises(DimensionError, match=r"map dh_dx has size 4, expected 1"):
         closed_loop_flow_vector([1.0], [0.5], [0.2], plant)
+
+
+def _two_slow_plant(out=lambda a: a, jac=lambda a: a):
+    """Two slow states and one fast one, every map's output passed through
+    out and the Jacobian through jac: integer-valued at integer points."""
+    h_x = np.array([[1.0, -2.0]])
+    return PlantSpec(
+        n_x=2, n_z=1, n_u=1,
+        f=lambda x, z, u: out(np.array([-x[0] + z[0], -2.0 * x[1] + u[0]])),
+        g=lambda x, z, u: out(h_x @ x + u - z),
+        h=lambda x, u: out(h_x @ x + u),
+        dh_dx=lambda x, u: jac(h_x),
+        k=lambda xs: out(np.array([-xs[0] - 2.0 * xs[1]])),
+        epsilon=0.5,
+    )
+
+
+@pytest.mark.parametrize("out, jac", [
+    (lambda a: [int(v) for v in a], lambda a: [[int(v) for v in row] for row in a]),
+    (lambda a: a.reshape(-1, 1), lambda a: a.reshape(-1, 1)),
+    (lambda a: a.tolist(), lambda a: a.T),
+    (lambda a: a, lambda a: a.ravel()),
+    (lambda a: a.astype(np.float32), lambda a: np.asfortranarray(a)),
+], ids=["int lists", "columns", "float lists, transposed Jacobian", "flat Jacobian",
+        "float32, Fortran-order Jacobian"])
+def test_flow_reads_every_map_form_as_before(out, jac):
+    # each form is flattened to the declared size, so the flow equals that of
+    # 1-D float64 maps bitwise; a Jacobian of another shape with n_z * n_x
+    # entries is read in C order, as a (n_z, n_x) matrix
+    point = ([1.0, 2.0], [3.0], [0.0, 1.0])
+    want = closed_loop_flow_vector(*point, _two_slow_plant())
+    got = closed_loop_flow_vector(*point, _two_slow_plant(out, jac))
+    assert got.tobytes() == want.tobytes()
+    assert np.all(want == np.round(want)) and np.any(want != 0.0)
+
+
+@pytest.mark.parametrize("maps, named", [
+    ({"f": lambda x, z, u: np.zeros(3)}, "map f has size 3, expected 2"),
+    ({"k": lambda xs: [0.0, 0.0]}, "map k has size 2, expected 1"),
+    ({"g": lambda x, z, u: np.zeros((2, 1))}, "map g has size 2, expected 1"),
+    ({"dh_dx": lambda x, u: np.zeros((2, 2))}, "map dh_dx has size 4, expected 2"),
+    ({"dh_dx": lambda x, u: [1.0]}, "map dh_dx has size 1, expected 2"),
+])
+def test_flow_of_maps_of_wrong_size_names_the_map(maps, named):
+    plant = replace(_two_slow_plant(), **maps)
+    with pytest.raises(DimensionError, match=named):
+        closed_loop_flow_vector([1.0, 2.0], [3.0], [0.0, 1.0], plant)
+    with pytest.raises(DimensionError, match="x has size 3, expected 2"):
+        closed_loop_flow_vector([1.0, 2.0, 0.0], [3.0], [0.0, 1.0], _two_slow_plant())
+
+
+def _constant_flow_plant(fx):
+    """A generic plant whose slow derivative is the constant fx; its fast
+    derivative reads fx[1] alone."""
+    fx = np.array(fx)
+    return PlantSpec(
+        n_x=2, n_z=1, n_u=1,
+        f=lambda x, z, u: fx, g=lambda x, z, u: -z, h=lambda x, u: np.zeros(1),
+        dh_dx=lambda x, u: np.array([[0.0, 1.0]]), k=lambda xs: np.zeros(1), epsilon=0.5)
+
+
+def test_finite_components_whose_sum_overflows_are_finite():
+    # the finiteness test sums first; a sum that overflows falls back to the
+    # entrywise test, so neither the flow nor a step near 1e308 is rejected
+    plant = _constant_flow_plant([1.5e308, 1.5e308])
+    flow = closed_loop_flow_vector([0.0, 0.0], [0.0], [0.0, 0.0], plant)
+    assert sum(flow.tolist()) == math.inf and np.isfinite(flow).all()
+    step = simulate._StagedStep(_constant_flow_plant([0.0, 0.0]), SolverConfig())
+    s = np.array([1.5e308, 1.5e308, 0.0, 0.0, 0.0])
+    h, clamped, s1, _, _ = step.advance(s, 0.25, 0.0, lambda h: (h, False))
+    assert (h, clamped) == (0.25, False)
+    assert s1.tobytes() == s.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_flow_is_a_divergence_error(bad):
+    with pytest.raises(DivergenceError, match="non-finite derivative"):
+        closed_loop_flow_vector([0.0, 0.0], [0.0], [0.0, 0.0],
+                                _constant_flow_plant([1.5e308, bad]))

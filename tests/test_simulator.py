@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import etcsim.simulate as simulate
+from etcsim.certificates import LyapunovCertificate, QuadraticLyapunovData
 from etcsim.demo import demo_certification, demo_plant, demo_scenario
 from etcsim.errors import ConfigurationError, DimensionError, OrderingError
 from etcsim.hybrid import HybridArc, HybridState, Termination
@@ -19,7 +20,7 @@ from etcsim.simulate import (
     monitor_r,
     monitor_v,
 )
-from etcsim.triggers import PolicyKind, TriggerPolicy
+from etcsim.triggers import GammaForm, PolicyKind, TriggerPolicy
 
 
 @pytest.fixture(scope="module")
@@ -219,14 +220,18 @@ class TestDeadzone:
         zeno.check_ordering()
 
     def test_out_of_order_flow_row_raises(self, certn, monkeypatch):
-        # flow rows skip the public append checks; integrate_arc checks the
-        # arc's (t, j) ordering once before it returns
-        write = HybridArc._append_row
+        # flow rows skip the public append checks, one at a time or a run's
+        # rows in one write; integrate_arc checks the arc's (t, j) ordering
+        # once before it returns
+        write = HybridArc._append_rows
 
-        def misplaced(arc, t, *args, **kwargs):
-            write(arc, 0.0 if len(arc) == 5 else t, *args, **kwargs)
+        def misplaced(arc, rows):
+            rows = np.array(rows, dtype=float)
+            if len(arc) <= 5 < len(arc) + len(rows):
+                rows[5 - len(arc), 0] = 0.0
+            write(arc, rows)
 
-        monkeypatch.setattr(HybridArc, "_append_row", misplaced)
+        monkeypatch.setattr(HybridArc, "_append_rows", misplaced)
         sc = demo_scenario("deadzone")
         cfg = replace(sc.solver, horizon=1.0)
         with pytest.raises(OrderingError):
@@ -601,6 +606,160 @@ class TestPropagator:
         for arr in (l_mat, h_mat, a_s, a_f):
             with pytest.raises(ValueError):
                 arr[0, 0] = 1.0
+
+
+def _arc_bytes(arc):
+    """Everything an arc holds, as bytes: its table (t, j, states, tau, V, R,
+    margin, jump flags), its events and its termination."""
+    events = [(ev.t, ev.j_pre, ev.reason, ev.pre_state.as_vector().tobytes(), ev.pre_state.tau,
+               ev.post_state.as_vector().tobytes()) for ev in arc.events]
+    return arc._table[: len(arc)].tobytes(), events, arc.termination
+
+
+def _unit_cert(n_x, n_z):
+    data = QuadraticLyapunovData(p1=np.eye(n_x), p2=np.eye(n_z), alpha1_bar=1.0,
+                                 alpha2=1.0, l_bar=1.0)
+    return LyapunovCertificate.derive(data)
+
+
+_RUN_POLICIES = (
+    TriggerPolicy(kind=PolicyKind.NAIVE, sigma=0.3),
+    TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.3, rho=0.02),
+    TriggerPolicy(kind=PolicyKind.TIME_REGULARIZED, sigma=0.3, t_star=0.11),
+    TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.13),
+)
+
+
+class TestRuns:
+    """A linear arc crosses plain cells in runs of up to _RUN_CELLS, taken on
+    rows; with no run (0 cells) the arc is the scalar loop's alone."""
+
+    @staticmethod
+    def _arcs(monkeypatch, legs):
+        """Each leg's arc bytes under run lengths 0, 1 and the default, and
+        how many rows the default runs wrote in writes of more than one."""
+        bulk = [0]
+        write = HybridArc._append_rows
+
+        def counted(arc, rows):
+            bulk[0] += len(rows) if len(rows) > 1 else 0
+            write(arc, rows)
+
+        out = {}
+        for cells in (0, 1, simulate._RUN_CELLS):
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "_RUN_CELLS", cells)
+                m.setattr(HybridArc, "_append_rows", counted)
+                bulk[0] = 0
+                out[cells] = [_arc_bytes(leg()) for leg in legs]
+        return out, bulk[0]
+
+    def _assert_runs_are_the_scalar_loop(self, monkeypatch, legs):
+        arcs, bulk = self._arcs(monkeypatch, legs)
+        assert bulk > 0  # the default runs crossed cells
+        self._assert_same(arcs)
+
+    @staticmethod
+    def _assert_same(arcs):
+        for cells in (1, simulate._RUN_CELLS):
+            for k, (run, scalar) in enumerate(zip(arcs[cells], arcs[0])):
+                assert run == scalar, f"leg {k} differs at run length {cells}"
+
+    @pytest.mark.parametrize("policy", _RUN_POLICIES, ids=lambda p: p.kind.value)
+    def test_generated_plants(self, monkeypatch, policy):
+        # test_plant's generated plants, with a horizon that is no multiple
+        # of the cell; some of them diverge, which a run must stop at too
+        legs = []
+        for k, (base, s, frac) in enumerate(_random_plants(4, 20261)):
+            plant = base.with_epsilon(1e-2)
+            n_x, n_z = plant.n_x, plant.n_z
+            q0 = HybridState(x=s[:n_x], y=s[n_x:n_x + n_z], e=0.1 * s[n_x + n_z:],
+                             tau=0.0 if policy.requires_clock else None)
+            cert = _unit_cert(n_x, n_z)
+            for fast_floor in (0.0, 1e-12):
+                for stride in (1, 3):
+                    cfg = SolverConfig(horizon=0.5 + frac, fast_floor=fast_floor,
+                                       store_stride=stride)
+                    legs.append(lambda plant=plant, q0=q0, cfg=cfg, cert=cert:
+                                integrate_arc(plant, policy, q0, cfg, cert=cert))
+        self._assert_runs_are_the_scalar_loop(monkeypatch, legs)
+
+    def test_demo_scenarios(self, monkeypatch, certn):
+        # the dwell demo snaps its fast layer (fast_floor 1e-12) and stores R
+        legs = []
+        for name, params, horizon in (("deadzone", None, 7.3), ("zeno", None, None),
+                                      ("dwell", certn.dwell, 11.7),
+                                      ("compare_periodic", certn.dwell, 6.1)):
+            sc = demo_scenario(name)
+            for fast_floor in (0.0, 1e-12):
+                for stride in (1, 3):
+                    cfg = replace(sc.solver, horizon=horizon or sc.solver.horizon,
+                                  fast_floor=fast_floor, store_stride=stride)
+                    legs.append(lambda sc=sc, cfg=cfg, params=params:
+                                integrate_arc(sc.plant, sc.policy, sc.q0, cfg,
+                                              cert=certn.cert, params=params))
+        self._assert_runs_are_the_scalar_loop(monkeypatch, legs)
+
+    def test_event_seen_only_at_a_midpoint(self, monkeypatch):
+        # a rotating slow state with no feedback: |e| = 2 sin(w t / 2) peaks
+        # mid-cell, and rho puts the margin >= 0 only on the middle half of
+        # that cell, so only its midpoint probe sees the event
+        cert = _unit_cert(2, 1)
+        cell = 0.005
+        t_peak = 200.5 * cell
+        w = math.pi / t_peak
+        plant = LinearPlantSpec(a11=[[0.0, w], [-w, 0.0]], a12=np.zeros((2, 1)),
+                                a21=np.zeros((1, 2)), a22=[[-1.0]], b1=np.zeros((2, 1)),
+                                b2=np.zeros((1, 1)), k_gain=np.zeros((1, 2)), epsilon=2.0 * cell)
+        assert simulate._Propagator(plant, cell).cell == cell
+        rho = cert.gamma1(2.0 * math.sin(0.5 * w * (t_peak - 0.25 * cell)))
+        policy = TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.3, rho=rho)
+        q0 = HybridState(x=[1.0, 0.0], y=[0.0], e=[0.0, 0.0])
+
+        def leg():
+            return integrate_arc(plant, policy, q0, SolverConfig(horizon=1.5), cert=cert)
+
+        self._assert_runs_are_the_scalar_loop(monkeypatch, [leg])
+        assert leg().jump_times() == pytest.approx([t_peak - 0.25 * cell], abs=1e-9)
+
+    def test_gain_that_overflows_past_an_event_is_left_to_the_loop(self, monkeypatch):
+        # gamma1 = s**300 overflows from |e| ~ 10.6 on; an unstable slow
+        # state makes |e| reach it a few cells after the first event at
+        # |e| ~ 1, so a run's rows raise where the loop, which jumps first,
+        # never goes: the run hands those cells to the loop
+        base = _unit_cert(1, 1)
+        steep = GammaForm(1.0, 300.0)
+        cert = LyapunovCertificate(base.data, replace(base.constants, gamma1=steep,
+                                                      gamma2=steep, l_link=10.0))
+        plant = LinearPlantSpec(a11=[[1.0]], a12=[[0.0]], a21=[[0.0]], a22=[[-1.0]],
+                                b1=[[0.0]], b2=[[0.0]], k_gain=[[0.0]], epsilon=1.0)
+        policy = TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.3, rho=1e-100)
+        q0 = HybridState(x=[1.0], y=[0.0], e=[0.0])
+
+        def leg():
+            return integrate_arc(plant, policy, q0, SolverConfig(horizon=3.0), cert=cert)
+
+        arcs, _ = self._arcs(monkeypatch, [leg])
+        self._assert_same(arcs)
+        arc = leg()
+        assert arc.termination is Termination.HORIZON and arc.jump_count > 10
+
+    def test_run_stops_at_divergence_and_horizon(self, monkeypatch):
+        # a frozen-input loop (period past the horizon) of rate a on cells of
+        # 2^-7: unstable, it diverges inside what would be one run; stable,
+        # its horizon falls inside a cell, or on a cell end exactly
+        def leg(a, horizon):
+            plant = LinearPlantSpec(a11=[[a]], a12=[[0.0]], a21=[[0.0]], a22=[[-1.0]],
+                                    b1=[[0.0]], b2=[[0.0]], k_gain=[[0.0]], epsilon=2.0**-6)
+            policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=100.0)
+            q0 = HybridState(x=[1.0], y=[0.0], e=[0.0])
+            return lambda: integrate_arc(plant, policy, q0, SolverConfig(horizon=horizon))
+
+        legs = [leg(3.0, 12.0), leg(-1.0, 0.1234), leg(-1.0, 100 * 2.0**-7)]
+        self._assert_runs_are_the_scalar_loop(monkeypatch, legs)
+        assert [f().termination for f in legs] == [Termination.DIVERGENCE, Termination.HORIZON,
+                                                   Termination.HORIZON]
+        assert len(legs[2]()) == 101
 
 
 class TestStepHelpers:

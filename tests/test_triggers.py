@@ -7,7 +7,7 @@ import pytest
 from etcsim.demo import demo_scenario
 from etcsim.errors import ConfigurationError
 from etcsim.hybrid import HybridState, Termination
-from etcsim.simulate import integrate_arc
+from etcsim.simulate import _PolicyEval, integrate_arc
 from etcsim.triggers import (
     GammaForm,
     PolicyKind,
@@ -59,6 +59,16 @@ class TestGammaForm:
     def test_slope(self):
         g = GammaForm(3.0, 2.0)
         assert g.slope(2.0) == pytest.approx(12.0)
+
+    @pytest.mark.parametrize("power", [1.0, 1.5, 2.0, 3.0])
+    def test_rows_bitwise_equal_the_scalar_gain(self, power):
+        # libm's pow per entry, as float ** float: numpy's power may round
+        # differently; 0, subnormals and values near the float range included
+        s = np.array([0.0, 5e-324, 1e-310, 1e-160, 0.1, 0.3, 1.0, 7.5, 3.0e51, 1e100,
+                      2.0**-1074 * 3, 5.6e102])
+        g = GammaForm(1.7, power)
+        assert g.rows(s).tobytes() == np.array([g(v) for v in s]).tobytes()
+        assert g.slope_rows(s).tobytes() == np.array([g.slope(v) for v in s]).tobytes()
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
@@ -356,3 +366,28 @@ def test_integrator_margins_equal_public_functions(certification):
             else:
                 continue
             assert stored == expected, (name, i)
+
+
+@pytest.mark.parametrize("policy", [
+    TriggerPolicy(kind=PolicyKind.NAIVE, sigma=0.3),
+    TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.3, rho=0.02),
+    TriggerPolicy(kind=PolicyKind.TIME_REGULARIZED, sigma=0.3, t_star=0.2),
+    TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.2),
+], ids=lambda p: p.kind.value)
+def test_row_margins_equal_point_margins(certification, policy):
+    # the integrator's runs take margins and Vx on rows of stacked (x, y, e)
+    # states: each entry equals the point margin and v_x bitwise, across
+    # both sides of the dead-zone floor, zero errors and tau at t_star
+    cert = certification.cert
+    gen = np.random.default_rng(11)
+    states = gen.uniform(-1.0, 1.0, (300, 5)) * gen.choice([1e-3, 0.1, 1.0], (300, 1))
+    states[::7, 3:] = 0.0
+    tau = gen.uniform(0.0, 0.4, 300)
+    tau[::5] = 0.2
+    ev = _PolicyEval(policy, cert, 2, 1)
+    rows, v_x = ev.rows(states, tau)
+    point = [ev.margin(s, t) for s, t in zip(states, tau.tolist())]
+    assert rows.tobytes() == np.array(point).tobytes()
+    assert v_x.tobytes() == np.array([ev.v_x(s) for s in states]).tobytes()
+    if policy.kind is not PolicyKind.PERIODIC:
+        assert 0 < np.count_nonzero(rows >= 0.0) < rows.size
