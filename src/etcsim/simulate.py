@@ -17,6 +17,7 @@ so it is carried exactly as time since the last transmission.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -381,12 +382,12 @@ def _expm(a: np.ndarray) -> np.ndarray:
 class _Propagator:
     """Flow of a LinearPlantSpec by its exact propagator expm(F h) =
     T^-1 diag(expm(A_s h), expm(A_f h)) T from its decoupling, T in the
-    (x, y, e) order. Cells are min(max_step, 1/(8 |A_s|_inf)), clamped by
-    the loop, each one product, with no error control: the matrices of the
-    cell and the half cell are built once per arc, and the last other
-    length (a clock remainder repeats every interval) is kept. advance
-    takes one cell; the loop's runs read cell and the two built matrices
-    and cross many cells at once."""
+    (x, y, e) order. The cell is min(max_step, 1/(8 |A_s|_inf)), clamped by
+    the loop, each one product, with no error control: m_cell and m_half,
+    the matrices of the cell and the half cell, are built once per arc, and
+    the last other length (a clock remainder repeats every interval) is
+    kept. advance takes one cell; the loop's runs read cell, m_cell and
+    m_half and cross many cells at once."""
 
     def __init__(self, plant: LinearPlantSpec, max_step: float):
         l_mat, h_mat, self.a_s, self.a_f = plant.decoupling
@@ -397,8 +398,13 @@ class _Propagator:
         self.left = np.block([[eye_s, h_mat], [-l_mat, eye_f - l_mat @ h_mat]])[order]
         self.right = np.block([[eye_s - h_mat @ l_mat, -h_mat], [l_mat, eye_f]])[:, order]
         slow_norm = float(np.abs(self.a_s).sum(axis=1).max())
-        self.cell = max_step if 8.0 * slow_norm * max_step <= 1.0 else 0.125 / slow_norm
-        self.built = {h: self.matrix(h) for h in (self.cell, 0.5 * self.cell)}
+        if slow_norm == 0.0 and max_step == math.inf:
+            raise ConfigurationError(
+                "max_step_factor * epsilon overflows, and a linear plant whose slow "
+                "block is zero has no other bound on its cell")
+        self.cell = (max_step if 8.0 * slow_norm * max_step <= 1.0
+                     else min(max_step, 0.125 / slow_norm))
+        self.m_cell, self.m_half = self.matrix(self.cell), self.matrix(0.5 * self.cell)
         self.other = (None, None)
 
     def matrix(self, h: float) -> np.ndarray:
@@ -413,12 +419,13 @@ class _Propagator:
 
     def at(self, h: float) -> np.ndarray:
         """expm(F h), not built again for the cell, half cell or last length."""
-        m = self.built.get(h)
-        if m is None:
-            if self.other[0] != h:
-                self.other = (h, self.matrix(h))
-            m = self.other[1]
-        return m
+        if h == self.cell:
+            return self.m_cell
+        if h == 0.5 * self.cell:
+            return self.m_half
+        if self.other[0] != h:
+            self.other = (h, self.matrix(h))
+        return self.other[1]
 
     def advance(self, s: np.ndarray, h: float, t: float, clamp: Callable) -> tuple:
         """As _StagedStep.advance, over one cell; h is not read."""
@@ -464,16 +471,8 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     m >= 0, or the step end diverged. The horizon counts as reached once
     it is closer than the step floor. Flow rows go straight to the arc's
     row writer (no HybridState); the arc's (t, j) ordering is checked
-    once, at the end.
-
-    A LinearPlantSpec crosses its plain cells in runs (run below): from a
-    landed point with m < 0 and more than _RUN_CELLS // 4 cells before the
-    horizon and the clock boundary, up to _RUN_CELLS cells at a time are
-    taken as the loop would take them, and the first cell that is not plain
-    (an event in it, a clamp, a snap, divergence or the horizon) is left to
-    the loop's own step, as is the cell after a snapped one. A run's states are
-    the same iterated products, and its margins, monitors, norms and stored
-    rows are bitwise the loop's; only the work is done on rows.
+    once, at the end. A LinearPlantSpec also crosses cells in runs (run
+    below), bitwise as this loop would cross them one at a time.
     """
     n_x, n_y = plant.n_x, plant.n_z
     has_clock = policy.requires_clock
@@ -484,12 +483,8 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
 
     step = (_Propagator(plant, max_step) if isinstance(plant, LinearPlantSpec)
             else _StagedStep(plant, cfg))
-    # a linear plant crosses plain cells in runs, whose cells are all the
-    # full cell (the clamp never cuts a cell to max_step: cell <= max_step)
-    linear_run = isinstance(step, _Propagator) and min(step.cell, max_step) == step.cell
-    if linear_run:
-        cell, m_cell, m_half = step.cell, step.built[step.cell], step.built[0.5 * step.cell]
-        run_room = (_RUN_CELLS // 4 + 1) * cell
+    # only a linear plant crosses cells in runs
+    run_room = (_RUN_CELLS // 4 + 1) * step.cell if isinstance(step, _Propagator) else math.inf
 
     def at_horizon(t_now: float) -> bool:
         return cfg.horizon - t_now <= _step_floor(t_now)
@@ -530,7 +525,9 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     t = 0.0
     m, v_x = landed(s, tau)
     steps_since_store = 0
-    jump_ring: deque[float] = deque(maxlen=cfg.zeno_max_jumps + 1)
+    # the ring holds the last zeno_max_jumps + 1 jump times, or as many as
+    # a deque can (no arc holds more)
+    jump_ring: deque[float] = deque(maxlen=min(cfg.zeno_max_jumps + 1, sys.maxsize))
     store(t, s, tau, m, v_x)
     reached, tested = at_horizon(t), False
 
@@ -553,63 +550,60 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
 
     @np.errstate(over="ignore", invalid="ignore")  # rows past where the loop stops may overflow
     def run(s_now: np.ndarray, t_now: float, tau_now: float, m_now: float,
-            since_store: int) -> tuple:
+            since_store: int, room: float) -> tuple:
         """Cross the plain cells ahead of a landed point whose margin m_now
-        is negative, at most _RUN_CELLS of them and not past the horizon or
-        the clock boundary: (cells crossed, then the s, t, tau, m and stride
-        count the loop holds after them). A plain cell is one
-        the loop takes whole and lands on its end by no other rule: the full
-        cell, no clock or horizon clamp, no step underflow, its end not on
-        the horizon, not diverged and not snapped, and a negative margin at
-        its end and, where the loop brackets, at its midpoint. The cells'
-        ends are the loop's own products M @ s; their midpoints, margins, V,
-        R and squared norms are taken on rows, each row bitwise as the loop
-        takes it on its point. The rows the stride keeps go to the arc in one
-        write. The first cell that is not plain is left to the loop."""
+        is negative, at most _RUN_CELLS of them and not past room, the time
+        left before the horizon and the clock boundary: (cells crossed, then
+        the s, t, tau, m and stride count the loop holds after them). A
+        plain cell is one the loop takes whole and lands on its end by no
+        other rule: the full cell, no clock or horizon clamp, no step
+        underflow, its end not on the horizon, not diverged and not snapped,
+        and a negative margin at its end and, if the run is bracketed, at
+        its midpoint. A run brackets all of its cells or none: no plain cell
+        crosses the clock boundary (the cell that reaches it is clamped), so
+        the loop's rule, a cell end's clock past the boundary, is decided
+        once, on the first cell. The cells' ends are the loop's own products
+        M @ s; their midpoints, margins, V, R and squared norms are taken on
+        rows, each row bitwise as the loop takes it on its point. The rows
+        the stride keeps go to the arc in one write. The first cell that is
+        not plain is left to the loop."""
+        cell = step.cell
         unmoved = 0, s_now, t_now, tau_now, m_now, since_store
-        room = cfg.horizon - t_now
-        if ceiling is not None and tau_now < ceiling:
-            room = min(room, ceiling - tau_now)
         n = int(min(room / cell + 1.0, _RUN_CELLS))  # the last cells tried may be clamped
         grid = np.full(n + 1, cell)
         grid[0] = t_now
         t_all = np.add.accumulate(grid)
         grid[0] = tau_now
         tau_all = np.add.accumulate(grid)
-        t_start, t_end, tau_start = t_all[:-1], t_all[1:], tau_all[:-1]
+        t_start, t_end, tau_start, tau_end = t_all[:-1], t_all[1:], tau_all[:-1], tau_all[1:]
+        states = [s_now]
+        for _ in range(n):
+            states.append(step.m_cell @ states[-1])
+        block = np.array(states)
+        ends = block[1:]
         floor_start = _STEP_ULPS * np.maximum(1.0, np.abs(t_start))
         plain = ((cfg.horizon - t_start >= cell) & (cell > floor_start)
-                 & (cfg.horizon - t_end > _STEP_ULPS * np.maximum(1.0, np.abs(t_end))))
+                 & (cfg.horizon - t_end > _STEP_ULPS * np.maximum(1.0, np.abs(t_end)))
+                 & (_dot_rows(ends, ends) <= DIVERGENCE_NORM**2))
         if ceiling is not None:  # clamp's test, on rows
             reach = tau_start + cell
             plain &= ~((tau_start < ceiling) & (
                 (reach >= ceiling) | ((reach >= ceiling - floor_start)
                                       & (ceiling - tau_start <= cfg.horizon - t_start))))
-        n = _prefix(plain)
-        if n == 0:
-            return unmoved
-        states = [s_now]
-        for _ in range(n):
-            states.append(m_cell @ states[-1])
-        block = np.array(states)
-        ends = block[1:]
-        plain = _dot_rows(ends, ends) <= DIVERGENCE_NORM**2
         if cfg.fast_floor > 0.0:
             y_ends = ends[:, n_x:n_x + n_y]
             plain &= ~((np.abs(y_ends) < cfg.fast_floor) & (y_ends != 0.0)).any(axis=1)
         n = _prefix(plain)
         if n == 0:
             return unmoved
-        ends, t_start, t_end, tau_start = ends[:n], t_start[:n], t_end[:n], tau_start[:n]
-        tau_end = tau_all[1:n + 1]
-        bracketed = None if ceiling is None else tau_end > ceiling
+        ends, t_start, t_end, tau_start, tau_end = (
+            ends[:n], t_start[:n], t_end[:n], tau_start[:n], tau_end[:n])
         try:
             m_end, v_x = ev.rows(ends, tau_end)
             plain = m_end < 0.0
-            if bracketed is None or bracketed.any():
-                mids = (m_half @ block[:n, :, None])[:, :, 0]
-                mid_ok = ev.rows(mids, tau_start + ((t_start + 0.5 * cell) - t_start))[0] < 0.0
-                plain &= mid_ok if bracketed is None else mid_ok | ~bracketed
+            if ceiling is None or tau_all[1] > ceiling:
+                mids = (step.m_half @ block[:n, :, None])[:, :, 0]
+                plain &= ev.rows(mids, tau_start + ((t_start + 0.5 * cell) - t_start))[0] < 0.0
         except OverflowError:  # a gain past the float range: the loop raises it in turn
             return unmoved
         n = _prefix(plain)
@@ -634,7 +628,6 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         return (n, states[n], float(t_end[n - 1]), float(tau_end[n - 1]),
                 float(m_end[n - 1]), (since_store + n) % cfg.store_stride)
 
-    snapped = False
     while termination is None:
         # Eager jumps: fire while the state sits in the jump set; the Zeno
         # guard stops after zeno_max_jumps + 1 jumps within zeno_window.
@@ -644,8 +637,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             s, m = record_jump(s, tau, m)
             tau = 0.0
             jumped = True
-            if (len(jump_ring) == jump_ring.maxlen
-                    and t - jump_ring[0] <= cfg.zeno_window):
+            if len(jump_ring) > cfg.zeno_max_jumps and t - jump_ring[0] <= cfg.zeno_window:
                 termination = Termination.ZENO_GUARD
                 break
         if termination is not None:
@@ -660,11 +652,12 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             break
 
         # A run needs more than a quarter of its cells to repay its fixed
-        # cost before the horizon or the clock boundary; a snapped cell is
-        # likely followed by more, which the loop takes.
-        if (linear_run and not snapped and cfg.horizon - t > run_room
-                and (ceiling is None or tau >= ceiling or ceiling - tau > run_room)):
-            cells, s, t, tau, m, steps_since_store = run(s, t, tau, m, steps_since_store)
+        # cost before the horizon or the clock boundary.
+        room = cfg.horizon - t
+        if ceiling is not None and tau < ceiling:
+            room = min(room, ceiling - tau)
+        if room > run_room:
+            cells, s, t, tau, m, steps_since_store = run(s, t, tau, m, steps_since_store, room)
             if 0 < cells == _RUN_CELLS:  # a whole run: the next cells may make another
                 continue
 
@@ -699,12 +692,10 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         else:
             tau += t_event - t
             s, t, end = dense(t_event), t_event, None
-        snapped = False
         if cfg.fast_floor > 0.0:  # snap a copy: the backend may hold s
             y_part = s[n_x:n_x + n_y]
             small = np.abs(y_part) < cfg.fast_floor
-            snapped = (small & (y_part != 0.0)).any()
-            if snapped:
+            if (small & (y_part != 0.0)).any():
                 s = s.copy()
                 s[n_x:n_x + n_y][small] = 0.0
                 end = None

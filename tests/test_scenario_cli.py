@@ -198,6 +198,26 @@ class TestCli:
                                                          {"epsilon": 0.02}]
         assert "ConfigurationError" in result["cells"][0]["error"]
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_zeno_max_jumps_past_the_64_bit_range(self, tmp_path, capsys, command):
+        # the solver table admits every integer from 2 up
+        cfg = scenario_dict()
+        cfg["solver"]["zeno_max_jumps"] = 10**19
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        argv = [command, str(scenario_path), "--out", str(out)]
+        if command == "sweep":
+            grid_path = tmp_path / "grid.json"
+            grid_path.write_text(json.dumps({"rho": [0.02]}))
+            argv += ["--grid", str(grid_path)]
+        assert main(argv) == 0
+        payload = json.loads(capsys.readouterr().out)
+        if command == "sweep":
+            assert payload == {"cells": 1, "errors": 0}
+        else:
+            assert payload["termination"] == "horizon-reached"
+
     def test_demo_zeno(self, tmp_path, capsys):
         out = tmp_path / "zeno"
         assert main(["demo", "zeno", "--out", str(out)]) == 0

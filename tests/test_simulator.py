@@ -114,6 +114,18 @@ class TestZeno:
             assert arc.termination is Termination.HORIZON
             assert arc.jump_count == 19
 
+    @pytest.mark.parametrize("generic", [False, True])
+    @pytest.mark.parametrize("max_jumps", [2**63 - 1, 10**19])
+    def test_guard_takes_max_jumps_past_the_index_range(self, generic, max_jumps):
+        # [2, inf) has no top: a bound past what a deque can hold runs, and
+        # the guard does not trip before it (here it never can)
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.01)
+        plant = demo_plant(0.05)
+        cfg = SolverConfig(horizon=0.195, zeno_max_jumps=max_jumps, zeno_window=0.06)
+        arc = integrate_arc(plant.as_plant_spec() if generic else plant, policy, _q0(), cfg)
+        assert arc.termination is Termination.HORIZON
+        assert arc.jump_count == 19
+
     def test_eager_first_action_from_jump_set(self, certn):
         # any state on the naive surface jumps before flowing
         sc = demo_scenario("zeno")
@@ -571,6 +583,18 @@ class TestPropagator:
         assert arc.jump_count >= 20
         assert len(built) == len(set(built)) == 4
 
+    def test_unbounded_cell_is_a_configuration_error(self):
+        # a zero slow block leaves max_step_factor * epsilon (here past the
+        # float range) as the only bound on the cell
+        plant = LinearPlantSpec(a11=[[0.0]], a12=[[0.0]], a21=[[0.0]], a22=[[-1.0]],
+                                b1=[[0.0]], b2=[[1.0]], k_gain=[[0.0]], epsilon=2.0)
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.5)
+        q0 = HybridState(x=[1.0], y=[0.0], e=[0.0])
+        with pytest.raises(ConfigurationError, match="max_step_factor"):
+            integrate_arc(plant, policy, q0, SolverConfig(horizon=1.75, max_step_factor=1e308))
+        arc = integrate_arc(plant, policy, q0, SolverConfig(horizon=1.75, max_step_factor=1e300))
+        assert arc.termination is Termination.HORIZON and arc.jump_count == 3
+
     def test_decoupling_that_does_not_converge_is_a_configuration_error(self, certn):
         plant = demo_plant(1.0)
         policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.5)
@@ -637,12 +661,13 @@ class TestRuns:
     @staticmethod
     def _arcs(monkeypatch, legs):
         """Each leg's arc bytes under run lengths 0, 1 and the default, and
-        how many rows the default runs wrote in writes of more than one."""
-        bulk = [0]
+        the writes of more than one row that the default runs made."""
+        bulk = []
         write = HybridArc._append_rows
 
         def counted(arc, rows):
-            bulk[0] += len(rows) if len(rows) > 1 else 0
+            if len(rows) > 1:
+                bulk.append(rows.copy())
             write(arc, rows)
 
         out = {}
@@ -650,14 +675,15 @@ class TestRuns:
             with monkeypatch.context() as m:
                 m.setattr(simulate, "_RUN_CELLS", cells)
                 m.setattr(HybridArc, "_append_rows", counted)
-                bulk[0] = 0
+                bulk.clear()
                 out[cells] = [_arc_bytes(leg()) for leg in legs]
-        return out, bulk[0]
+        return out, bulk
 
     def _assert_runs_are_the_scalar_loop(self, monkeypatch, legs):
         arcs, bulk = self._arcs(monkeypatch, legs)
-        assert bulk > 0  # the default runs crossed cells
+        assert bulk  # the default runs crossed cells
         self._assert_same(arcs)
+        return bulk
 
     @staticmethod
     def _assert_same(arcs):
@@ -721,6 +747,57 @@ class TestRuns:
 
         self._assert_runs_are_the_scalar_loop(monkeypatch, [leg])
         assert leg().jump_times() == pytest.approx([t_peak - 0.25 * cell], abs=1e-9)
+
+    @staticmethod
+    def _rotating_dwell_leg(t_star, tau0, horizon):
+        """A unit slow state rotating with no feedback under the dwell
+        policy on cells of 0.005: after each jump |e| = 2 sin(w tau / 2)
+        peaks mid-cell at tau = 200.5 cells, and sigma puts the threshold
+        margin >= 0 only on the middle half of that cell, so only its
+        midpoint probe sees the event; everywhere else the margin is
+        negative, past t_star too. (leg, cell, clock column of a row.)"""
+        cell = 0.005
+        t_peak = 200.5 * cell
+        w = math.pi / t_peak
+        base = _unit_cert(2, 1)
+        gain = GammaForm(0.1, 2.0)
+        cert = LyapunovCertificate(base.data, replace(base.constants, gamma1=gain, gamma2=gain))
+        plant = LinearPlantSpec(a11=[[0.0, w], [-w, 0.0]], a12=np.zeros((2, 1)),
+                                a21=np.zeros((1, 2)), a22=[[-1.0]], b1=np.zeros((2, 1)),
+                                b2=np.zeros((1, 1)), k_gain=np.zeros((1, 2)), epsilon=2.0 * cell)
+        assert simulate._Propagator(plant, cell).cell == cell
+        sigma = gain(2.0 * math.sin(0.5 * w * (t_peak - 0.25 * cell))) / cert.alpha1
+        policy = TriggerPolicy(kind=PolicyKind.TIME_REGULARIZED, sigma=sigma, t_star=t_star)
+        q0 = HybridState(x=[1.0, 0.0], y=[0.0], e=[0.0, 0.0], tau=tau0)
+
+        def leg():
+            return integrate_arc(plant, policy, q0, SolverConfig(horizon=horizon), cert=cert)
+
+        return leg, cell, 2 + 5  # t, j, then (x, y, e), then tau
+
+    def test_runs_bracket_all_cells_past_the_clock_boundary_and_none_before(self, monkeypatch):
+        # each interval: runs before t_star (unbracketed, the last one ended
+        # by the clamped cell onto the boundary), a run that starts exactly
+        # on the boundary, runs that start past it; the runs past it bracket
+        # every cell, so they leave the midpoint-only event to the loop
+        t_star = 100 * 0.005
+        leg, cell, tau_col = self._rotating_dwell_leg(t_star, 0.0, 2.6)
+        bulk = self._assert_runs_are_the_scalar_loop(monkeypatch, [leg])
+        taus = [rows[:, tau_col] for rows in bulk]
+        assert any((tau < t_star).all() for tau in taus)
+        assert any(tau[0] == t_star + cell for tau in taus)
+        assert any(tau[0] > t_star + cell for tau in taus)
+        assert leg().jump_times() == pytest.approx([200.25 * cell, 2 * 200.25 * cell], abs=1e-8)
+
+    def test_run_from_a_clock_that_a_cell_does_not_move(self, monkeypatch):
+        # at tau = t_star = 2^47 a cell is below half an ulp of the clock,
+        # so the clock stands on the boundary and the loop brackets no cell
+        # (its end clock is not past the boundary): the runs bracket none
+        # either, though they start at tau >= t_star
+        t_star = 2.0**47
+        leg, _, tau_col = self._rotating_dwell_leg(t_star, t_star, 1.3)
+        bulk = self._assert_runs_are_the_scalar_loop(monkeypatch, [leg])
+        assert all((rows[:, tau_col] == t_star).all() for rows in bulk)
 
     def test_gain_that_overflows_past_an_event_is_left_to_the_loop(self, monkeypatch):
         # gamma1 = s**300 overflows from |e| ~ 10.6 on; an unstable slow
