@@ -3,8 +3,9 @@
 A generic plant flows by an embedded Runge-Kutta 5(4) pair with dense
 output, a linear plant by its exact propagator on fixed cells. Flow goes on
 while the policy's flow condition holds; the signed event margin is
-bracketed on each step (ends plus midpoint) and bisected to the configured
-time tolerance. Jumps
+bracketed on each step (ends plus midpoint) and a sign change is refined to
+the configured time tolerance by the ITP method, a bracketing secant that
+never takes more than one margin evaluation beyond bisection's count. Jumps
 are eager: whenever the state sits in the jump set, the transmission fires
 immediately (post-jump states are strictly interior for the implementable
 policies, so this never masks a real event; for the naive policy it turns
@@ -207,28 +208,67 @@ class _PolicyEval:
         return self.policy._margin(self.cert, v_x, e, tau, rows=True), v_x
 
 
+# ITP (Oliveira & Takahashi 2020): the truncation kappa1 (b - a)^2 with
+# kappa1 = _ITP_K1 / (initial width), the paper's choice; _ITP_N0 steps of
+# slack over bisection's count; and a projection schedule that ends a
+# fraction _ITP_ROOM short of event_tol, room for the rounding of the
+# bracket's ends.
+_ITP_K1 = 0.2
+_ITP_N0 = 1
+_ITP_ROOM = 2.0**-10
+
+
 def locate_event(margin_at: Callable[[float], float], t_lo: float, t_hi: float,
                  event_tol: float, *, m_lo: Optional[float] = None,
                  m_hi: Optional[float] = None) -> Optional[float]:
-    """Bisect a sign change of the margin to within event_tol in time.
+    """Refine a sign change of the margin to within event_tol in time by
+    the ITP method: a regula falsi point, truncated toward the midpoint so
+    that both ends move, then projected onto the points that keep the
+    bracket within a width that halves each step, as bisection's does
+    after _ITP_N0 spare steps. So the margin is evaluated at most
+    ceil(log2((t_hi - t_lo) / event_tol)) + _ITP_N0 times inside the
+    bracket whatever its shape (a kink, a flat end, a jump), and a few
+    times where it is smooth. The bound holds while event_tol is at least
+    4 / _ITP_ROOM ulps of the bracket's ends; nearer the ulp scale, rounding
+    may add an evaluation.
 
     Requires margin_at(t_lo) < 0 <= margin_at(t_hi); returns the accepted
-    crossing time (the nonnegative side), or None when the bracket carries
-    no sign change. m_lo and m_hi are the bracket ends' margins when the
-    caller holds them; each one not given is evaluated.
+    crossing time, the nonnegative end of a bracket no wider than
+    event_tol, or None when the bracket carries no sign change. m_lo and
+    m_hi are the bracket ends' margins when the caller holds them; each one
+    not given is evaluated.
     """
     m_lo = margin_at(t_lo) if m_lo is None else m_lo
     m_hi = margin_at(t_hi) if m_hi is None else m_hi
     if not (m_lo < 0.0 <= m_hi):
         return None
-    while t_hi - t_lo > event_tol:
+    m_lo, m_hi = float(m_lo), float(m_hi)  # python floats: no numpy warnings
+    width = t_hi - t_lo
+    if width <= event_tol:
+        return t_hi
+    kappa = _ITP_K1 / width
+    n = math.ceil(math.log2(width) - math.log2(event_tol))  # bisection's count
+    reach = math.ldexp(event_tol * (1.0 - _ITP_ROOM), n + _ITP_N0 - 1)
+    while width > event_tol:
         mid = 0.5 * (t_lo + t_hi)
         if mid <= t_lo or mid >= t_hi:
             break
-        if margin_at(mid) >= 0.0:
-            t_hi = mid
+        frac = m_lo / (m_lo - m_hi)  # nan if both are infinite
+        t_q = mid if math.isnan(frac) else t_lo + frac * width
+        toward = mid - t_q
+        delta = kappa * width * width
+        t_q = t_q + math.copysign(delta, toward) if delta <= abs(toward) else mid
+        lowest, highest = t_hi - reach, t_lo + reach  # either end within reach
+        t_q = min(max(t_q, lowest), highest) if lowest <= highest else mid
+        reach *= 0.5
+        if not t_lo < t_q < t_hi:
+            t_q = mid
+        m_q = float(margin_at(t_q))
+        if m_q >= 0.0:
+            t_hi, m_hi = t_q, m_q
         else:
-            t_lo = mid
+            t_lo, m_lo = t_q, m_q
+        width = t_hi - t_lo
     return t_hi
 
 
@@ -460,19 +500,21 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     Each step lands on one point: the localized event, or else the step
     end. A step is bracketed (start, midpoint and end) unless a clocked
     margin is negative all along it: when it is clamped onto the clock
-    boundary, or ends before it. Both landings go through the same block:
-    fast_floor snaps a copy of the point (the loop never writes into an
-    array a backend returned, so only the unsnapped step end keeps its FSAL
-    stage), and the margin m is evaluated once, with Vx = cert.v_x(x)
-    shared with the V and R monitors: at an unsnapped step end it is the
-    bracket's end probe. m decides the eager jump, starts the next event
-    bracket and is stored. A landed point is stored if it is an event, the
-    stride is reached, it is on the horizon or a clock boundary,
-    m >= 0, or the step end diverged. The horizon counts as reached once
-    it is closer than the step floor. Flow rows go straight to the arc's
-    row writer (no HybridState); the arc's (t, j) ordering is checked
-    once, at the end. A LinearPlantSpec also crosses cells in runs (run
-    below), bitwise as this loop would cross them one at a time.
+    boundary, or starts and ends before it. The bracket's sign change is
+    located (locate_event) on the backend's dense output, and the event
+    lands on the state the locator evaluated there. Both landings go
+    through the same block: fast_floor snaps a copy of the point (the loop
+    never writes into an array a backend returned, so only the unsnapped
+    step end keeps its FSAL stage), and the margin m is evaluated once,
+    with Vx = cert.v_x(x) shared with the V and R monitors: at an unsnapped
+    step end it is the bracket's end probe. m decides the eager jump,
+    starts the next event bracket and is stored. A landed point is stored
+    if it is an event, the stride is reached, it is on the horizon or a
+    clock boundary, m >= 0, or the step end diverged. The horizon counts as
+    reached once it is closer than the step floor. Flow rows go straight
+    to the arc's row writer (no HybridState); the arc's (t, j) ordering is
+    checked once, at the end. A LinearPlantSpec also crosses cells in runs
+    (run below), bitwise as this loop would cross them one at a time.
     """
     n_x, n_y = plant.n_x, plant.n_z
     has_clock = policy.requires_clock
@@ -561,12 +603,12 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         and a negative margin at its end and, if the run is bracketed, at
         its midpoint. A run brackets all of its cells or none: no plain cell
         crosses the clock boundary (the cell that reaches it is clamped), so
-        the loop's rule, a cell end's clock past the boundary, is decided
-        once, on the first cell. The cells' ends are the loop's own products
-        M @ s; their midpoints, margins, V, R and squared norms are taken on
-        rows, each row bitwise as the loop takes it on its point. The rows
-        the stride keeps go to the arc in one write. The first cell that is
-        not plain is left to the loop."""
+        the loop's rule, a cell's start clock on or past the boundary or its
+        end clock past it, comes down to where the run starts. The cells'
+        ends are the loop's own products M @ s; their midpoints, margins, V,
+        R and squared norms are taken on rows, each row bitwise as the loop
+        takes it on its point. The rows the stride keeps go to the arc in
+        one write. The first cell that is not plain is left to the loop."""
         cell = step.cell
         unmoved = 0, s_now, t_now, tau_now, m_now, since_store
         n = int(min(room / cell + 1.0, _RUN_CELLS))  # the last cells tried may be clamped
@@ -601,7 +643,7 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         try:
             m_end, v_x = ev.rows(ends, tau_end)
             plain = m_end < 0.0
-            if ceiling is None or tau_all[1] > ceiling:
+            if ceiling is None or tau_now >= ceiling:
                 mids = (step.m_half @ block[:n, :, None])[:, :, 0]
                 plain &= ev.rows(mids, tau_start + ((t_start + 0.5 * cell) - t_start))[0] < 0.0
         except OverflowError:  # a gain past the float range: the loop raises it in turn
@@ -666,13 +708,18 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         t1 = min(t + h, cfg.horizon)
         tau1 = ceiling if clamped_clock else tau + h
 
-        def margin_at(tq: float) -> float:
-            return ev.margin(dense(tq), tau + (tq - t))
-
         # Event bracketing: start (the held m), midpoint and end, whose
-        # probe is the step end s1 with its landed clock tau1.
+        # probe is the step end s1 with its landed clock tau1. With a clock,
+        # a step is bracketed if it starts on or past the boundary (a step
+        # below half an ulp of tau leaves tau1 == tau) or ends past it.
         t_event = end = None
-        if m < 0.0 and (ceiling is None or tau1 > ceiling):
+        if m < 0.0 and (ceiling is None or tau >= ceiling or tau1 > ceiling):
+            probed = {}  # the locator's states by time: the event lands on one
+
+            def margin_at(tq: float) -> float:
+                s_q = probed[tq] = dense(tq)
+                return ev.margin(s_q, tau + (tq - t))
+
             t_mid = t + 0.5 * h
             m_mid = ev.margin(dense.mid(), tau + (t_mid - t))
             if m_mid >= 0.0:
@@ -691,7 +738,8 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             s, t, h = s1, t1, h_next
         else:
             tau += t_event - t
-            s, t, end = dense(t_event), t_event, None
+            s = probed[t_event] if t_event in probed else dense(t_event)
+            t, end = t_event, None
         if cfg.fast_floor > 0.0:  # snap a copy: the backend may hold s
             y_part = s[n_x:n_x + n_y]
             small = np.abs(y_part) < cfg.fast_floor

@@ -4,6 +4,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import etcsim.simulate as simulate
 from etcsim.certificates import LyapunovCertificate, QuadraticLyapunovData
@@ -80,6 +82,103 @@ class TestLocateEvent:
         t_event = locate_event(margin, 0.0, 1.0, 1e-9, m_lo=-0.3, m_hi=0.7)
         assert t_event == locate_event(lambda t: t - 0.3, 0.0, 1.0, 1e-9)
         assert 0.0 not in probed and 1.0 not in probed
+
+
+def _counted_locate(margin, t_lo, t_hi, event_tol):
+    """(locate_event's time, its margin evaluations) with the held ends given."""
+    probed = []
+
+    def counted(t):
+        probed.append(t)
+        return margin(t)
+
+    t_event = locate_event(counted, t_lo, t_hi, event_tol, m_lo=margin(t_lo), m_hi=margin(t_hi))
+    return t_event, len(probed)
+
+
+def _bisection_count(width, event_tol):
+    return math.ceil(math.log2(width / event_tol))
+
+
+# Margins that rise through zero at root on every bracket below.
+_HARD_MARGINS = {
+    # the dead-zone form gamma(|e|) - rho, with gamma = 2 max(|e| - a, 0)
+    # and |e| = t - root + a: constant up to its kink at root, then 5e-7
+    # more to the crossing
+    "kink": lambda root: lambda t: 2.0 * max(abs(t - root + 1.0) - 1.0, 0.0) - 1e-6,
+    # a ninth power of t - t0: flat at the root
+    "flat_end": lambda root: lambda t: (t - root + 0.05) ** 9 - 0.05**9,
+    # a jump discontinuity at the root
+    "jump": lambda root: lambda t: 1.0 if t >= root else -1.0,
+}
+
+
+class TestLocateEventBound:
+    """The locator's evaluations never pass bisection's count plus
+    _ITP_N0, whatever the margin, and fall far below it on smooth ones."""
+
+    @pytest.mark.parametrize("kind", sorted(_HARD_MARGINS))
+    @pytest.mark.parametrize("t_lo, width", [(0.0, 1.0), (3.7, 0.0075), (12.25, 0.5)])
+    @pytest.mark.parametrize("event_tol", [1e-9, 2.0**-30, 1e-11])
+    def test_never_above_bisection_plus_n0(self, kind, t_lo, width, event_tol):
+        bound = _bisection_count(width, event_tol) + simulate._ITP_N0
+        for frac in (0.001, 0.25, 0.5, 0.61803, 0.999):
+            root = t_lo + frac * width
+            margin = _HARD_MARGINS[kind](root)
+            t_event, evals = _counted_locate(margin, t_lo, t_lo + width, event_tol)
+            assert evals <= bound, (frac, evals, bound)
+            assert margin(t_event) >= 0.0 > margin(t_event - event_tol)
+
+    def test_smooth_margin_well_below_bisection(self):
+        for root in (0.1, 0.37, 0.5, 0.93):
+            margin = lambda t, root=root: math.expm1(3.0 * (t - root)) + 0.2 * (t - root) ** 2
+            t_event, evals = _counted_locate(margin, 0.0, 1.0, 1e-9)
+            assert evals <= _bisection_count(1.0, 1e-9) // 3, (root, evals)
+            assert margin(t_event) >= 0.0 > margin(t_event - 1e-9)
+
+
+# Monotone margins through zero at r: smooth, kinked, flat-ended.
+_MONOTONE = {
+    "smooth": lambda r, s: lambda t: math.expm1(s * (t - r)),
+    "kinked": lambda r, s: lambda t: (t - r) + s * (max(t - r + 0.01, 0.0) - 0.01),
+    "flat_end": lambda r, s: lambda t: (t - r + 0.1) ** 9 - 0.1**9 + s * 1e-12 * (t - r),
+}
+
+
+class TestLocateEventContract:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(sorted(_MONOTONE)),
+           t_lo=st.floats(0.0, 30.0), width=st.floats(1e-6, 2.0),
+           root_at=st.floats(-0.5, 1.5), slope=st.floats(0.1, 10.0),
+           event_tol=st.sampled_from([1e-9, 1e-11, 1e-7]))
+    def test_nonnegative_side_within_tol_or_none(self, kind, t_lo, width, root_at, slope,
+                                                  event_tol):
+        t_hi = t_lo + width
+        margin = _MONOTONE[kind](t_lo + root_at * width, slope)
+        t_event = locate_event(margin, t_lo, t_hi, event_tol)
+        if not margin(t_lo) < 0.0 <= margin(t_hi):
+            assert t_event is None
+            return
+        assert t_event is not None and t_lo < t_event <= t_hi
+        assert margin(t_event) >= 0.0
+        assert margin(t_event - event_tol) < 0.0
+
+
+class TestEventAccuracy:
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_deadzone_demo_against_a_tight_reference(self, certn, generic):
+        sc = demo_scenario("deadzone")
+        plant = sc.plant.as_plant_spec() if generic else sc.plant
+
+        def arc(event_tol):
+            return integrate_arc(plant, sc.policy, sc.q0, replace(sc.solver, event_tol=event_tol),
+                                 cert=certn.cert)
+
+        default, tight = arc(sc.solver.event_tol), arc(1e-14)
+        assert default.termination is tight.termination is Termination.HORIZON
+        assert [ev.reason for ev in default.events] == [ev.reason for ev in tight.events]
+        assert default.jump_count == tight.jump_count > 0
+        assert abs(default.jump_times()[0] - tight.jump_times()[0]) <= sc.solver.event_tol
 
 
 class TestZeno:
@@ -791,13 +890,17 @@ class TestRuns:
 
     def test_run_from_a_clock_that_a_cell_does_not_move(self, monkeypatch):
         # at tau = t_star = 2^47 a cell is below half an ulp of the clock,
-        # so the clock stands on the boundary and the loop brackets no cell
-        # (its end clock is not past the boundary): the runs bracket none
-        # either, though they start at tau >= t_star
+        # so the clock stands on the boundary and no cell end's clock is
+        # past it; a clock on the boundary brackets each cell all the same,
+        # in the loop and in the runs, so the midpoint-only event jumps as
+        # it does one ulp above t_star
         t_star = 2.0**47
-        leg, _, tau_col = self._rotating_dwell_leg(t_star, t_star, 1.3)
+        leg, cell, tau_col = self._rotating_dwell_leg(t_star, t_star, 1.3)
         bulk = self._assert_runs_are_the_scalar_loop(monkeypatch, [leg])
-        assert all((rows[:, tau_col] == t_star).all() for rows in bulk)
+        assert any((rows[:, tau_col] == t_star).all() for rows in bulk)
+        above, _, _ = self._rotating_dwell_leg(t_star, math.nextafter(t_star, math.inf), 1.3)
+        assert leg().jump_times() == pytest.approx(above().jump_times(), abs=1e-9)
+        assert leg().jump_times() == pytest.approx([200.25 * cell], abs=1e-8)
 
     def test_gain_that_overflows_past_an_event_is_left_to_the_loop(self, monkeypatch):
         # gamma1 = s**300 overflows from |e| ~ 10.6 on; an unstable slow
