@@ -21,6 +21,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -488,14 +489,19 @@ def _prefix(mask: np.ndarray) -> int:
     return int(np.argmin(mask)) if not mask.all() else mask.size
 
 
-def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
-                      cfg: SolverConfig, cert: Optional[LyapunovCertificate],
-                      params: Optional[AnalysisParameters]) -> HybridArc:
-    """Integration of plant by one loop for both flow backends. A
+class _ArcLoop:
+    """The integrator loop of one arc, for both flow backends. A
     LinearPlantSpec advances on the fixed cells of its exact propagator
     (_Propagator); a PlantSpec takes Dormand-Prince steps under error
     control through closed_loop_flow_vector (_StagedStep). Every jump is
     apply_jump(q_pre, plant).
+
+    The loop holds one landed point: s at t with clock tau, its margin m
+    and Vx v_x (v_x as of its last scalar landing, which is where the loop
+    stores it), the next step size h, the steps since the last stored row,
+    the ring of recent jump times and tested (the point is a step end
+    already tested for divergence). Its methods move that point in place.
+    The horizon counts as reached once it is closer than the step floor.
 
     Each step lands on one point: the localized event, or else the step
     end. A step is bracketed (start, midpoint and end) unless a clocked
@@ -510,77 +516,77 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
     step end it is the bracket's end probe. m decides the eager jump,
     starts the next event bracket and is stored. A landed point is stored
     if it is an event, the stride is reached, it is on the horizon or a
-    clock boundary, m >= 0, or the step end diverged. The horizon counts as
-    reached once it is closer than the step floor. Flow rows go straight
+    clock boundary, m >= 0, or the step end diverged. Flow rows go straight
     to the arc's row writer (no HybridState); the arc's (t, j) ordering is
     checked once, at the end. A LinearPlantSpec also crosses cells in runs
-    (run below), bitwise as this loop would cross them one at a time.
+    (run below), bitwise as the loop would cross them one at a time.
     """
-    n_x, n_y = plant.n_x, plant.n_z
-    has_clock = policy.requires_clock
-    ev = _PolicyEval(policy, cert, n_x, n_y)
-    arc = HybridArc(n_x, n_y, has_clock)
-    eps = plant.epsilon
-    max_step = cfg.max_step_factor * eps
 
-    step = (_Propagator(plant, max_step) if isinstance(plant, LinearPlantSpec)
-            else _StagedStep(plant, cfg))
-    # only a linear plant crosses cells in runs
-    run_room = (_RUN_CELLS // 4 + 1) * step.cell if isinstance(step, _Propagator) else math.inf
+    def __init__(self, plant, policy: TriggerPolicy, q0: HybridState, cfg: SolverConfig,
+                 cert: Optional[LyapunovCertificate], params: Optional[AnalysisParameters]):
+        self.plant, self.policy, self.cfg, self.cert, self.params = plant, policy, cfg, cert, params
+        self.n_x, self.n_y = plant.n_x, plant.n_z
+        self.has_clock = policy.requires_clock
+        self.ev = _PolicyEval(policy, cert, self.n_x, self.n_y)
+        self.arc = HybridArc(self.n_x, self.n_y, self.has_clock)
+        self.eps = plant.epsilon
+        self.max_step = cfg.max_step_factor * self.eps
+        self.step = (_Propagator(plant, self.max_step) if isinstance(plant, LinearPlantSpec)
+                     else _StagedStep(plant, cfg))
+        # only a linear plant crosses cells in runs
+        self.run_room = ((_RUN_CELLS // 4 + 1) * self.step.cell
+                         if isinstance(self.step, _Propagator) else math.inf)
+        self.ceiling = policy.clock_ceiling
+        self.s, self.t = q0.as_vector(), 0.0
+        self.tau = q0.tau if q0.tau is not None else 0.0
+        self.h = min(self.max_step, self.eps, cfg.horizon)
+        self.since_store = 0
+        # the ring holds the last zeno_max_jumps + 1 jump times, or as many as
+        # a deque can (no arc holds more)
+        self.jumps: deque[float] = deque(maxlen=min(cfg.zeno_max_jumps + 1, sys.maxsize))
+        self.tested = False
 
-    def at_horizon(t_now: float) -> bool:
-        return cfg.horizon - t_now <= _step_floor(t_now)
+    def reached(self) -> bool:
+        return self.cfg.horizon - self.t <= _step_floor(self.t)
 
-    def landed(s_now: np.ndarray, tau_now: float) -> tuple:
+    def landed(self, s: np.ndarray, tau: float) -> tuple:
         """(margin, Vx) of a point the arc may store."""
-        v_x = ev.v_x(s_now)
-        return ev.margin(s_now, tau_now, v_x), v_x
+        v_x = self.ev.v_x(s)
+        return self.ev.margin(s, tau, v_x), v_x
 
-    def monitors(s_now: np.ndarray, tau_now: Optional[float], m: float, v_x) -> tuple:
-        if cert is None:
+    def monitors(self, s: np.ndarray, tau: Optional[float], m: float, v_x) -> tuple:
+        if self.cert is None:
             return math.nan, math.nan, m
-        y, e = s_now[n_x:n_x + n_y], s_now[n_x + n_y:]
-        r = math.nan if params is None else _monitor_r(v_x, y, e, tau_now, cert, params)
-        return _monitor_v(v_x, cert.v_y(y), eps), r, m
+        y, e = s[self.n_x:self.n_x + self.n_y], s[self.n_x + self.n_y:]
+        r = math.nan if self.params is None else _monitor_r(v_x, y, e, tau, self.cert, self.params)
+        return _monitor_v(v_x, self.cert.v_y(y), self.eps), r, m
 
-    def store(t_now: float, s_now: np.ndarray, tau_now: float, m: float, v_x) -> None:
-        tau_row = tau_now if has_clock else None
-        arc._append_row(t_now, arc.jump_count, s_now, tau_row,
-                        monitors(s_now, tau_row, m, v_x), is_jump=False)
+    def store(self) -> None:
+        """Append the held point as a flow row."""
+        tau = self.tau if self.has_clock else None
+        self.arc._append_row(self.t, self.arc.jump_count, self.s, tau,
+                             self.monitors(self.s, tau, self.m, self.v_x), is_jump=False)
 
-    def record_jump(s_pre: np.ndarray, tau_pre: float, m_pre: float) -> tuple:
-        q_pre = HybridState.from_vector(s_pre, n_x, n_y,
-                                        tau=tau_pre if has_clock else None)
-        q_post = apply_jump(q_pre, plant)
-        s_post = q_post.as_vector()
-        m_post, v_x = landed(s_post, 0.0)
-        arc.append_jump(q_pre, q_post, policy.jump_reason(m_pre, tau_pre),
-                        MonitorValues(*monitors(s_post, q_post.tau, m_post, v_x)))
-        return s_post, m_post
+    def jump(self) -> None:
+        """Jump from the held point and hold the post-jump state."""
+        q_pre = HybridState.from_vector(self.s, self.n_x, self.n_y,
+                                        tau=self.tau if self.has_clock else None)
+        q_post = apply_jump(q_pre, self.plant)
+        self.s, reason = q_post.as_vector(), self.policy.jump_reason(self.m, self.tau)
+        self.tau = 0.0
+        self.m, self.v_x = self.landed(self.s, 0.0)
+        self.arc.append_jump(q_pre, q_post, reason,
+                             MonitorValues(*self.monitors(self.s, q_post.tau, self.m, self.v_x)))
 
-    def diverged(s_now: np.ndarray) -> bool:
-        sq_norm = float(np.dot(s_now, s_now))
+    def diverged(self) -> bool:
+        sq_norm = float(np.dot(self.s, self.s))
         return not math.isfinite(sq_norm) or sq_norm > DIVERGENCE_NORM**2
 
-    s = q0.as_vector()
-    tau = q0.tau if q0.tau is not None else 0.0
-    t = 0.0
-    m, v_x = landed(s, tau)
-    steps_since_store = 0
-    # the ring holds the last zeno_max_jumps + 1 jump times, or as many as
-    # a deque can (no arc holds more)
-    jump_ring: deque[float] = deque(maxlen=min(cfg.zeno_max_jumps + 1, sys.maxsize))
-    store(t, s, tau, m, v_x)
-    reached, tested = at_horizon(t), False
-
-    termination: Optional[Termination] = None
-    h = min(max_step, eps, cfg.horizon)
-    ceiling = policy.clock_ceiling
-
-    def clamp(h_try: float) -> tuple:
+    def clamp(self, h_try: float) -> tuple:
         """(h, clamped): h_try capped at max_step and the horizon, clamped onto
         a clock boundary it reaches or, not past the horizon, misses by < floor."""
-        h_try, floor = min(h_try, max_step, cfg.horizon - t), _step_floor(t)
+        cfg, t, tau, ceiling = self.cfg, self.t, self.tau, self.ceiling
+        h_try, floor = min(h_try, self.max_step, cfg.horizon - t), _step_floor(t)
         clamped = ceiling is not None and tau < ceiling and (
             tau + h_try >= ceiling
             or (tau + h_try >= ceiling - floor and ceiling - tau <= cfg.horizon - t))
@@ -590,14 +596,32 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             raise DivergenceError(f"step size underflow at t={t!r}")
         return h_try, clamped
 
+    def settle(self) -> Optional[Termination]:
+        """Eager jumps from the held point, then the loop's stopping tests."""
+        # Fire while the state sits in the jump set; the Zeno guard stops
+        # after zeno_max_jumps + 1 jumps within zeno_window.
+        jumped = False
+        while self.m >= 0.0:
+            self.jumps.append(self.t)
+            self.jump()
+            jumped = True
+            if (len(self.jumps) > self.cfg.zeno_max_jumps
+                    and self.t - self.jumps[0] <= self.cfg.zeno_window):
+                return Termination.ZENO_GUARD
+        if jumped:
+            self.h = min(self.h, self.eps)  # the jump re-excites the fast layer
+        if self.reached():
+            return Termination.HORIZON
+        if (jumped or not self.tested) and self.diverged():  # a tested step end is not tested again
+            return Termination.DIVERGENCE
+        return None
+
     @np.errstate(over="ignore", invalid="ignore")  # rows past where the loop stops may overflow
-    def run(s_now: np.ndarray, t_now: float, tau_now: float, m_now: float,
-            since_store: int, room: float) -> tuple:
-        """Cross the plain cells ahead of a landed point whose margin m_now
-        is negative, at most _RUN_CELLS of them and not past room, the time
-        left before the horizon and the clock boundary: (cells crossed, then
-        the s, t, tau, m and stride count the loop holds after them). A
-        plain cell is one the loop takes whole and lands on its end by no
+    def run(self, room: float) -> int:
+        """Cross the plain cells ahead of the held point, whose margin is
+        negative, at most _RUN_CELLS of them and not past room, the time
+        left before the horizon and the clock boundary; return how many.
+        A plain cell is one the loop takes whole and lands on its end by no
         other rule: the full cell, no clock or horizon clamp, no step
         underflow, its end not on the horizon, not diverged and not snapped,
         and a negative margin at its end and, if the run is bracketed, at
@@ -609,16 +633,16 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         R and squared norms are taken on rows, each row bitwise as the loop
         takes it on its point. The rows the stride keeps go to the arc in
         one write. The first cell that is not plain is left to the loop."""
-        cell = step.cell
-        unmoved = 0, s_now, t_now, tau_now, m_now, since_store
+        cfg, step, ceiling, cert = self.cfg, self.step, self.ceiling, self.cert
+        n_x, n_y, cell = self.n_x, self.n_y, step.cell
         n = int(min(room / cell + 1.0, _RUN_CELLS))  # the last cells tried may be clamped
         grid = np.full(n + 1, cell)
-        grid[0] = t_now
+        grid[0] = self.t
         t_all = np.add.accumulate(grid)
-        grid[0] = tau_now
+        grid[0] = self.tau
         tau_all = np.add.accumulate(grid)
         t_start, t_end, tau_start, tau_end = t_all[:-1], t_all[1:], tau_all[:-1], tau_all[1:]
-        states = [s_now]
+        states = [self.s]
         for _ in range(n):
             states.append(step.m_cell @ states[-1])
         block = np.array(states)
@@ -637,74 +661,52 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
             plain &= ~((np.abs(y_ends) < cfg.fast_floor) & (y_ends != 0.0)).any(axis=1)
         n = _prefix(plain)
         if n == 0:
-            return unmoved
+            return 0
         ends, t_start, t_end, tau_start, tau_end = (
             ends[:n], t_start[:n], t_end[:n], tau_start[:n], tau_end[:n])
         try:
-            m_end, v_x = ev.rows(ends, tau_end)
+            m_end, v_x = self.ev.rows(ends, tau_end)
             plain = m_end < 0.0
-            if ceiling is None or tau_now >= ceiling:
+            if ceiling is None or self.tau >= ceiling:
                 mids = (step.m_half @ block[:n, :, None])[:, :, 0]
-                plain &= ev.rows(mids, tau_start + ((t_start + 0.5 * cell) - t_start))[0] < 0.0
+                plain &= self.ev.rows(mids, tau_start + ((t_start + 0.5 * cell) - t_start))[0] < 0.0
         except OverflowError:  # a gain past the float range: the loop raises it in turn
-            return unmoved
+            return 0
         n = _prefix(plain)
         if n == 0:
-            return unmoved
-        kept = np.arange(cfg.store_stride - 1 - since_store, n, cfg.store_stride)
+            return 0
+        kept = np.arange(cfg.store_stride - 1 - self.since_store, n, cfg.store_stride)
         if kept.size:
             rows_kept = ends[kept]
-            tau_kept = tau_end[kept] if has_clock else np.full(kept.size, math.nan)
+            tau_kept = tau_end[kept] if self.has_clock else np.full(kept.size, math.nan)
             v = r = np.full(kept.size, math.nan)
             if cert is not None:
                 y_kept = rows_kept[:, n_x:n_x + n_y]
-                v = _monitor_v(v_x[kept], _quad_rows(y_kept, cert.data.p2), eps)
-                if params is not None and has_clock:
+                v = _monitor_v(v_x[kept], _quad_rows(y_kept, cert.data.p2), self.eps)
+                if self.params is not None and self.has_clock:
                     r = np.array([_monitor_r(vx, row[n_x:n_x + n_y], row[n_x + n_y:], tau_row,
-                                             cert, params)
+                                             cert, self.params)
                                   for vx, row, tau_row in zip(v_x[kept].tolist(), rows_kept,
                                                               tau_kept.tolist())])
-            arc._append_rows(np.column_stack([
-                t_end[kept], np.full(kept.size, arc.jump_count), rows_kept, tau_kept,
+            self.arc._append_rows(np.column_stack([
+                t_end[kept], np.full(kept.size, self.arc.jump_count), rows_kept, tau_kept,
                 v, r, m_end[kept], np.zeros(kept.size)]))
-        return (n, states[n], float(t_end[n - 1]), float(tau_end[n - 1]),
-                float(m_end[n - 1]), (since_store + n) % cfg.store_stride)
+        self.s, self.t, self.tau, self.m = (states[n], float(t_end[n - 1]),
+                                            float(tau_end[n - 1]), float(m_end[n - 1]))
+        self.since_store = (self.since_store + n) % cfg.store_stride
+        return n
 
-    while termination is None:
-        # Eager jumps: fire while the state sits in the jump set; the Zeno
-        # guard stops after zeno_max_jumps + 1 jumps within zeno_window.
-        jumped = False
-        while m >= 0.0:
-            jump_ring.append(t)
-            s, m = record_jump(s, tau, m)
-            tau = 0.0
-            jumped = True
-            if len(jump_ring) > cfg.zeno_max_jumps and t - jump_ring[0] <= cfg.zeno_window:
-                termination = Termination.ZENO_GUARD
-                break
-        if termination is not None:
-            break
-        if jumped:
-            h = min(h, eps)  # the jump re-excites the fast layer
-        if reached:
-            termination = Termination.HORIZON
-            break
-        if (jumped or not tested) and diverged(s):  # a tested step end is not tested again
-            termination = Termination.DIVERGENCE
-            break
+    def probe(self, dense, probed: dict, tq: float) -> float:
+        """The margin on the dense output at tq, keeping the state in probed."""
+        s_q = probed[tq] = dense(tq)
+        return self.ev.margin(s_q, self.tau + (tq - self.t))
 
-        # A run needs more than a quarter of its cells to repay its fixed
-        # cost before the horizon or the clock boundary.
-        room = cfg.horizon - t
-        if ceiling is not None and tau < ceiling:
-            room = min(room, ceiling - tau)
-        if room > run_room:
-            cells, s, t, tau, m, steps_since_store = run(s, t, tau, m, steps_since_store, room)
-            if 0 < cells == _RUN_CELLS:  # a whole run: the next cells may make another
-                continue
-
-        # One step, clamped to the horizon and clock boundaries.
-        h, clamped_clock, s1, dense, h_next = step.advance(s, h, t, clamp)
+    def take_step(self) -> Optional[Termination]:
+        """One step, clamped to the horizon and clock boundaries, landed and
+        stored by the rules above: DIVERGENCE if its end diverged."""
+        cfg, ev, ceiling = self.cfg, self.ev, self.ceiling
+        t, tau, m = self.t, self.tau, self.m
+        h, clamped_clock, s1, dense, h_next = self.step.advance(self.s, self.h, t, self.clamp)
         t1 = min(t + h, cfg.horizon)
         tau1 = ceiling if clamped_clock else tau + h
 
@@ -715,17 +717,13 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         t_event = end = None
         if m < 0.0 and (ceiling is None or tau >= ceiling or tau1 > ceiling):
             probed = {}  # the locator's states by time: the event lands on one
-
-            def margin_at(tq: float) -> float:
-                s_q = probed[tq] = dense(tq)
-                return ev.margin(s_q, tau + (tq - t))
-
+            margin_at = partial(self.probe, dense, probed)
             t_mid = t + 0.5 * h
             m_mid = ev.margin(dense.mid(), tau + (t_mid - t))
             if m_mid >= 0.0:
                 t_event = locate_event(margin_at, t, t_mid, cfg.event_tol, m_lo=m, m_hi=m_mid)
             else:
-                end = landed(s1, tau1)
+                end = self.landed(s1, tau1)
                 if end[0] >= 0.0:
                     t_event = locate_event(margin_at, t, t1, cfg.event_tol, m_lo=m,
                                            m_hi=end[0])
@@ -734,34 +732,54 @@ def _integrate_python(plant, policy: TriggerPolicy, q0: HybridState,
         # clock-clamped step takes the boundary's clock exactly, so the jump
         # test cannot miss it by one rounding.
         if t_event is None:
-            tau = tau1
-            s, t, h = s1, t1, h_next
+            s, t, tau, self.h = s1, t1, tau1, h_next
         else:
-            tau += t_event - t
             s = probed[t_event] if t_event in probed else dense(t_event)
-            t, end = t_event, None
+            t, tau, end = t_event, tau + (t_event - t), None
         if cfg.fast_floor > 0.0:  # snap a copy: the backend may hold s
-            y_part = s[n_x:n_x + n_y]
+            y_part = s[self.n_x:self.n_x + self.n_y]
             small = np.abs(y_part) < cfg.fast_floor
             if (small & (y_part != 0.0)).any():
                 s = s.copy()
-                s[n_x:n_x + n_y][small] = 0.0
+                s[self.n_x:self.n_x + self.n_y][small] = 0.0
                 end = None
-        m, v_x = landed(s, tau) if end is None else end
-        tested = t_event is None
-        blown_up = tested and diverged(s)
-        reached = at_horizon(t)
-        steps_since_store += 1
-        if (t_event is not None or steps_since_store >= cfg.store_stride
-                or blown_up or reached or clamped_clock or m >= 0.0):
-            store(t, s, tau, m, v_x)
-            steps_since_store = 0
-        if blown_up:
-            termination = Termination.DIVERGENCE
+        self.s, self.t, self.tau = s, t, tau
+        self.m, self.v_x = self.landed(s, tau) if end is None else end
+        self.tested = t_event is None
+        blown_up = self.tested and self.diverged()
+        self.since_store += 1
+        if (t_event is not None or self.since_store >= cfg.store_stride
+                or blown_up or self.reached() or clamped_clock or self.m >= 0.0):
+            self.store()
+            self.since_store = 0
+        return Termination.DIVERGENCE if blown_up else None
 
-    arc.check_ordering()
-    arc.set_termination(termination)
-    return arc
+    def integrate(self) -> HybridArc:
+        """Store the start, then settle, run and step until a stopping test
+        holds. Overflow is silenced on the start alone: a state past the
+        float range ends the arc at t = 0, by jump or divergence."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.m, self.v_x = self.landed(self.s, self.tau)
+            self.store()
+            termination = self.settle()
+        while termination is None:
+            # A run needs more than a quarter of its cells to repay its fixed
+            # cost before the horizon or the clock boundary.
+            room = self.cfg.horizon - self.t
+            if self.ceiling is not None and self.tau < self.ceiling:
+                room = min(room, self.ceiling - self.tau)
+            # A whole run settles at once: the next cells may make another.
+            if not (room > self.run_room and 0 < self.run(room) == _RUN_CELLS):
+                termination = self.take_step()
+            termination = termination or self.settle()
+        self.arc.check_ordering()
+        self.arc.set_termination(termination)
+        return self.arc
+
+
+def _integrate_python(plant, policy, q0, cfg, cert, params) -> HybridArc:
+    """The arc of _ArcLoop(plant, policy, q0, cfg, cert, params)."""
+    return _ArcLoop(plant, policy, q0, cfg, cert, params).integrate()
 
 
 def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
@@ -770,14 +788,16 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
                   params: Optional[AnalysisParameters] = None) -> HybridArc:
     """Integrate the hybrid closed loop from q0 under the given policy.
 
-    Every plant runs the one integrator loop below. A LinearPlantSpec flows
+    Every plant runs the one integrator loop, _ArcLoop. A LinearPlantSpec flows
     by its exact propagator expm(F h) on cells, built from its decoupling (a
     ConfigurationError naming epsilon where that does not converge), and
     jumps with its closed-form map y+ = y + (Hu K) e through apply_jump; a
     PlantSpec takes RK45 steps through closed_loop_flow_vector and jumps
     with the generic map, so plant.as_plant_spec() runs a linear plant with
     the generic flow and jump. Each path is bitwise reproducible. If q0 lies
-    in the jump set, the first action is a jump.
+    in the jump set, the first action is a jump. A q0 too large to square
+    in floats raises no numpy warning: the arc ends in divergence at t = 0
+    unless a jump there brings it back.
     """
     if policy.requires_clock != q0.has_clock:
         raise ConfigurationError(
