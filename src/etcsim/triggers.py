@@ -162,8 +162,10 @@ class TriggerPolicy:
         """The one signed event margin, on raw vectors; >= 0 on the jump set.
         tau is the time since the last transmission. tau - period, else
         gamma1(|e|) - max{sigma * alpha1 * Vx(x), rho} (no floor when rho is
-        None); with t_star, the max of that margin once tau >= t_star and of
-        tau - t_star once that margin is >= 0, each branch -inf otherwise."""
+        None); with t_star, that margin once tau >= t_star, and before it
+        tau - t_star (< 0) where that margin is >= 0 and -inf where it is
+        not. So it is >= 0 exactly on the jump set, and continuous in time
+        past t_star, where the event locator takes secant steps."""
         return self._margin(cert, None if self.kind is PolicyKind.PERIODIC else cert.v_x(x),
                             e, tau)
 
@@ -183,9 +185,7 @@ class TriggerPolicy:
         margin = gain - thresh
         if self.t_star is None:
             return margin
-        branch_threshold = pick(tau >= self.t_star, margin, _NEG_INF)
-        branch_clock = pick(margin >= 0.0, tau - self.t_star, _NEG_INF)
-        return maximum(branch_threshold, branch_clock)
+        return pick(tau >= self.t_star, margin, pick(margin >= 0.0, tau - self.t_star, _NEG_INF))
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "TriggerPolicy":

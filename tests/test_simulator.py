@@ -454,6 +454,20 @@ class TestTimeRegularized:
         if iets.size:
             assert np.all(iets >= 0.05 - 2e-9)
 
+    def test_compare_leg_locates_in_few_evaluations(self, certn, monkeypatch):
+        # past t_star the margin is the threshold margin, continuous in time,
+        # so the locator takes secant steps, not bisection's ~24 per event
+        evals = []
+
+        def counted(margin_at, *args, **kwargs):
+            return locate_event(lambda t: evals.append(t) or margin_at(t), *args, **kwargs)
+
+        monkeypatch.setattr(simulate, "locate_event", counted)
+        sc = demo_scenario("compare")
+        arc = integrate_arc(sc.plant, sc.policy, sc.q0, sc.solver, cert=certn.cert)
+        assert arc.jump_count == 53 and {ev.reason for ev in arc.events} == {"threshold"}
+        assert len(evals) <= 10 * arc.jump_count
+
 
 class TestMonitors:
     def test_zero_state(self, certn):

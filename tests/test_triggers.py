@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from etcsim.demo import demo_scenario
 from etcsim.errors import ConfigurationError
@@ -278,6 +280,35 @@ class TestTimeRegularized:
         assert time_regularized_margin(q, cert, 0.5, 1.0) == -0.5
         q = state([0.0, 0.0], [1.0, 0.0], tau=1.5)
         assert time_regularized_margin(q, cert, 0.5, 1.0) == pytest.approx(2.0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(x=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           e=st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4),
+           tau_frac=st.lists(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 3.0)),
+                             min_size=2, max_size=2),
+           sigma=st.floats(0.01, 0.99), t_star=st.floats(1e-3, 10.0))
+    def test_margin_sign_is_the_max_rule(self, x, e, tau_frac, sigma, t_star):
+        # The earlier rule: the max of the threshold margin once tau >= t_star
+        # and of tau - t_star once that margin is >= 0, each -inf otherwise.
+        # The margin keeps its sign and its jump reason, point by point and
+        # on rows.
+        cert = StubCert()
+        policy = TriggerPolicy(kind=PolicyKind.TIME_REGULARIZED, sigma=sigma, t_star=t_star)
+        xs, es = np.reshape(x, (2, 2)), np.reshape(e, (2, 2))
+        taus = np.array(tau_frac) * t_star
+        v_x = np.array([cert.v_x(row) for row in xs])
+        rows = policy._margin(cert, v_x, es, taus, rows=True)
+        for k in range(2):
+            tau = float(taus[k])
+            threshold = TriggerPolicy(kind=PolicyKind.NAIVE, sigma=sigma).margin(
+                cert, xs[k], es[k], tau)
+            old = max(threshold if tau >= t_star else -math.inf,
+                      tau - t_star if threshold >= 0.0 else -math.inf)
+            m = policy.margin(cert, xs[k], es[k], tau)
+            assert (m >= 0.0) == (old >= 0.0) and (m == -math.inf) == (old == -math.inf)
+            assert rows[k] == m
+            if m >= 0.0:
+                assert policy.jump_reason(m, tau) == policy.jump_reason(old, tau)
 
     def test_clock_required(self):
         cert = StubCert()
