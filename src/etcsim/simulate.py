@@ -756,9 +756,10 @@ class _ArcLoop:
 
     def integrate(self) -> HybridArc:
         """Store the start, then settle, run and step until a stopping test
-        holds. Overflow is silenced on the start alone: a state past the
-        float range ends the arc at t = 0, by jump or divergence."""
-        with np.errstate(over="ignore", invalid="ignore"):
+        holds. Overflow is silenced on the start alone, once per arc: a
+        start too large to square diverges at t = 0 unless a jump there
+        brings it back."""
+        with np.errstate(over="ignore"):
             self.m, self.v_x = self.landed(self.s, self.tau)
             self.store()
             termination = self.settle()

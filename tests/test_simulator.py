@@ -600,6 +600,26 @@ class TestDivergence:
         assert np.linalg.norm(arc.states[-1]) > DIVERGENCE_NORM
         assert arc.t[-1] < cfg.horizon
 
+    @pytest.mark.parametrize("generic", [False, True])
+    @pytest.mark.parametrize("start", ["x", "y", "e", "xe"])
+    def test_start_too_large_to_square(self, certn, generic, start):
+        # |q0|^2 overflows: no RuntimeWarning (an error here), and the arc
+        # diverges at t = 0, or jumps there first when only e is that large
+        # (with x as large too, the margin is inf - inf, not a jump)
+        sc = demo_scenario("deadzone")
+        plant = sc.plant.as_plant_spec() if generic else sc.plant
+        big = {"x": dict(x=np.array([1e155, 0.0])), "y": dict(y=np.array([1e155])),
+               "e": dict(e=np.array([1e155, 0.0])),
+               "xe": dict(x=np.array([1e155, 0.0]), e=np.array([1e155, 0.0]))}[start]
+        arc = integrate_arc(plant, sc.policy, replace(sc.q0, **big),
+                            replace(sc.solver, horizon=1.0), cert=certn.cert)
+        if start == "e":
+            assert arc.jump_times()[0] == 0.0
+            assert arc.trigger_margin[0] == math.inf and arc.termination is Termination.HORIZON
+        else:
+            assert arc.termination is Termination.DIVERGENCE
+            assert arc.jump_count == 0 and arc.t[-1] == 0.0
+
 
 def _random_plants(count, seed):
     """test_plant's recipe for random Hurwitz-A22 plants of up to 3+2+3 states."""
@@ -791,6 +811,22 @@ class TestRuns:
                 bulk.clear()
                 out[cells] = [_arc_bytes(leg()) for leg in legs]
         return out, bulk
+
+    def test_only_a_linear_plant_runs(self, certn, monkeypatch):
+        calls = []
+        run = simulate._ArcLoop.run
+
+        def counted(loop, room):
+            calls.append(room)
+            return run(loop, room)
+
+        monkeypatch.setattr(simulate._ArcLoop, "run", counted)
+        sc = demo_scenario("deadzone")
+        integrate_arc(sc.plant, sc.policy, sc.q0, sc.solver, cert=certn.cert)
+        assert calls
+        calls.clear()
+        integrate_arc(sc.plant.as_plant_spec(), sc.policy, sc.q0, sc.solver, cert=certn.cert)
+        assert not calls
 
     def _assert_runs_are_the_scalar_loop(self, monkeypatch, legs):
         arcs, bulk = self._arcs(monkeypatch, legs)
