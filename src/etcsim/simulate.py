@@ -499,9 +499,9 @@ class _ArcLoop:
     The loop holds one landed point: s at t with clock tau, its margin m
     and Vx v_x (v_x as of its last scalar landing, which is where the loop
     stores it), the next step size h, the steps since the last stored row,
-    the ring of recent jump times and tested (the point is a step end
-    already tested for divergence). Its methods move that point in place.
-    The horizon counts as reached once it is closer than the step floor.
+    the ring of recent jump times, reached (the horizon is closer than the
+    step floor) and tested (the point is a step end already tested for
+    divergence). Its methods move that point in place.
 
     Each step lands on one point: the localized event, or else the step
     end. A step is bracketed (start, midpoint and end) unless a clocked
@@ -544,10 +544,7 @@ class _ArcLoop:
         # the ring holds the last zeno_max_jumps + 1 jump times, or as many as
         # a deque can (no arc holds more)
         self.jumps: deque[float] = deque(maxlen=min(cfg.zeno_max_jumps + 1, sys.maxsize))
-        self.tested = False
-
-    def reached(self) -> bool:
-        return self.cfg.horizon - self.t <= _step_floor(self.t)
+        self.reached, self.tested = cfg.horizon - self.t <= _step_floor(self.t), False
 
     def landed(self, s: np.ndarray, tau: float) -> tuple:
         """(margin, Vx) of a point the arc may store."""
@@ -610,7 +607,7 @@ class _ArcLoop:
                 return Termination.ZENO_GUARD
         if jumped:
             self.h = min(self.h, self.eps)  # the jump re-excites the fast layer
-        if self.reached():
+        if self.reached:
             return Termination.HORIZON
         if (jumped or not self.tested) and self.diverged():  # a tested step end is not tested again
             return Termination.DIVERGENCE
@@ -747,9 +744,10 @@ class _ArcLoop:
         self.m, self.v_x = self.landed(s, tau) if end is None else end
         self.tested = t_event is None
         blown_up = self.tested and self.diverged()
+        self.reached = cfg.horizon - t <= _step_floor(t)
         self.since_store += 1
         if (t_event is not None or self.since_store >= cfg.store_stride
-                or blown_up or self.reached() or clamped_clock or self.m >= 0.0):
+                or blown_up or self.reached or clamped_clock or self.m >= 0.0):
             self.store()
             self.since_store = 0
         return Termination.DIVERGENCE if blown_up else None
