@@ -713,17 +713,15 @@ class _ArcLoop:
         # below half an ulp of tau leaves tau1 == tau) or ends past it.
         t_event = end = None
         if m < 0.0 and (ceiling is None or tau >= ceiling or tau1 > ceiling):
-            probed = {}  # the locator's states by time: the event lands on one
-            margin_at = partial(self.probe, dense, probed)
-            t_mid = t + 0.5 * h
-            m_mid = ev.margin(dense.mid(), tau + (t_mid - t))
-            if m_mid >= 0.0:
-                t_event = locate_event(margin_at, t, t_mid, cfg.event_tol, m_lo=m, m_hi=m_mid)
-            else:
+            t_hi = t + 0.5 * h
+            m_hi = ev.margin(dense.mid(), tau + (t_hi - t))
+            if m_hi < 0.0:
                 end = self.landed(s1, tau1)
-                if end[0] >= 0.0:
-                    t_event = locate_event(margin_at, t, t1, cfg.event_tol, m_lo=m,
-                                           m_hi=end[0])
+                t_hi, m_hi = t1, end[0]
+            if m_hi >= 0.0:
+                probed = {}  # the locator's states by time: the event lands on one
+                t_event = locate_event(partial(self.probe, dense, probed), t, t_hi, cfg.event_tol,
+                                       m_lo=m, m_hi=m_hi)
 
         # Land on the event point or the step end. The step end of a
         # clock-clamped step takes the boundary's clock exactly, so the jump
