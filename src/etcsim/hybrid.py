@@ -239,10 +239,7 @@ class HybridState:
                 f"e has dimension {self.e.size}, expected n_x = {self.x.size}"
             )
         if self.tau is not None:
-            tau = float(self.tau)
-            if not math.isfinite(tau) or tau < 0.0:
-                raise DivergenceError(f"clock must be finite and >= 0, got {tau}")
-            object.__setattr__(self, "tau", tau)
+            object.__setattr__(self, "tau", _clock(self.tau))
 
     @property
     def n_x(self) -> int:
@@ -270,6 +267,29 @@ class HybridState:
 
     def xy_norm(self) -> float:
         return float(np.sqrt(np.sum(self.x**2) + np.sum(self.y**2)))
+
+
+def _clock(tau) -> float:
+    tau = float(tau)
+    if not math.isfinite(tau) or tau < 0.0:
+        raise DivergenceError(f"clock must be finite and >= 0, got {tau}")
+    return tau
+
+
+def _state_view(v: np.ndarray, n_x: int, n_y: int, tau: Optional[float]) -> HybridState:
+    """HybridState.from_vector(v, n_x, n_y, tau) without its three copies:
+    v, a read-only 1-D float vector of size 2 n_x + n_y that owns its data,
+    lends the state its parts as views. The same checks: a non-finite part
+    raises the DivergenceError that names it, as does a bad clock."""
+    q = object.__new__(HybridState)
+    parts = {"x": v[:n_x], "y": v[n_x:n_x + n_y], "e": v[n_x + n_y:]}
+    if not _all_finite(v):
+        for name, part in parts.items():
+            _as_readonly_vector(part, name)  # raises for the first part that is not finite
+    for name, part in parts.items():
+        object.__setattr__(q, name, part)
+    object.__setattr__(q, "tau", None if tau is None else _clock(tau))
+    return q
 
 
 @dataclass(frozen=True)
@@ -375,11 +395,16 @@ class HybridArc:
             self._table[self._n:end] = rows
         self._n = end
 
+    @staticmethod
+    def _row(t: float, j: int, s: np.ndarray, tau: Optional[float],
+             monitors: tuple[float, float, float], is_jump: bool) -> list:
+        """One row as a list, in csv_header() order; tau None is stored as NaN."""
+        return [t, j, *s.tolist(), math.nan if tau is None else tau, *monitors, is_jump]
+
     def _append_row(self, t: float, j: int, s: np.ndarray, tau: Optional[float],
                     monitors: tuple[float, float, float], is_jump: bool) -> None:
-        """_append_rows of one row; tau None is stored as NaN."""
-        self._append_rows([[t, j, *s.tolist(), math.nan if tau is None else tau,
-                            *monitors, is_jump]])
+        """_append_rows of one _row."""
+        self._append_rows([self._row(t, j, s, tau, monitors, is_jump)])
 
     def append_flow_sample(self, t: float, q: HybridState,
                            monitors: Optional[MonitorValues] = None) -> "HybridArc":
@@ -523,11 +548,14 @@ class HybridArc:
         return cols
 
     def to_csv(self, path) -> None:
-        """Write the sample table; floats use %.17g so values round-trip."""
+        """Write the sample table; floats use %.17g so values round-trip.
+        The bytes are np.savetxt's with this format, in one write."""
         fmt = ["%.17g"] * self._table.shape[1]
         fmt[1] = fmt[-1] = "%d"
-        np.savetxt(path, self._table[: self._n], fmt=fmt, delimiter=",",
-                   header=",".join(self.csv_header()), comments="")
+        row = ",".join(fmt) + "\n"
+        with open(path, "w") as fh:
+            fh.write(",".join(self.csv_header()) + "\n"
+                     + (row * self._n) % tuple(self._table[: self._n].ravel().tolist()))
 
     def events_to_json(self, path) -> None:
         write_json(path, [ev.to_dict() for ev in self.events])

@@ -225,31 +225,39 @@ def jump_map_hy(x, y, e, spec: PlantSpec) -> np.ndarray:
 def apply_jump(q: HybridState, spec: PlantSpec | LinearPlantSpec) -> HybridState:
     """Full jump map: x unchanged, y -> h_y(x, y, e), e -> 0, tau -> 0.
 
-    The one jump entry point; q's parts must have the plant's sizes, else a
-    DimensionError that names the part. A PlantSpec jumps with the generic
-    map jump_map_hy. A LinearPlantSpec jumps with its closed form y + G e,
-    G = Hu K: each increment (G e)_i is summed from 0.0 in state order in
-    plain float arithmetic (no BLAS, which may reorder or fuse), so the
-    result is bitwise fixed on every host. It equals jump_map_hy in exact
-    arithmetic but may round differently.
+    The one jump map, on states; the integrator jumps its stacked vectors
+    by the same map, _jump_vector. q's parts must have the plant's sizes,
+    else a DimensionError that names the part. A PlantSpec jumps with the
+    generic map jump_map_hy. A LinearPlantSpec jumps with its closed form
+    y + G e, G = Hu K: each increment (G e)_i is summed from 0.0 in state
+    order in plain float arithmetic (no BLAS, which may reorder or fuse),
+    so the result is bitwise fixed on every host. It equals jump_map_hy in
+    exact arithmetic but may round differently.
     """
-    x, y, e = _point(spec, x=q.x, y=q.y, e=q.e)
+    s = np.concatenate([part[0] for part in _point(spec, x=q.x, y=q.y, e=q.e)])
+    s.flags.writeable = False  # a generic map reads its parts read-only, as q's are
+    return HybridState.from_vector(_jump_vector(spec, s), spec.n_x, spec.n_z,
+                                   tau=0.0 if q.has_clock else None)
+
+
+def _jump_vector(spec: PlantSpec | LinearPlantSpec, s: np.ndarray) -> np.ndarray:
+    """apply_jump's map on a stacked (x, y, e) vector of the plant's sizes:
+    a new vector (x, y+, 0)."""
+    n_x, n_y = spec.n_x, spec.n_z
+    out = np.zeros(s.size)
+    out[:n_x] = s[:n_x]
     if isinstance(spec, LinearPlantSpec):
-        y, e = y[0].tolist(), e[0].tolist()
-        y_plus = np.empty(len(y))
-        for i, row in enumerate(spec.jump_gain().tolist()):
+        e = s[n_x + n_y:].tolist()
+        for i, (y_i, row) in enumerate(zip(s[n_x:n_x + n_y].tolist(),
+                                           spec.jump_gain().tolist()), n_x):
             acc = 0.0
             for g_im, e_m in zip(row, e, strict=True):
                 acc += g_im * e_m
-            y_plus[i] = y[i] + acc
+            out[i] = y_i + acc
     else:
-        y_plus = _jump_rows(spec, x, y, _held_rows(spec, x, e)[1])[0]
-    return HybridState(
-        x=q.x,
-        y=y_plus,
-        e=np.zeros(spec.n_x),
-        tau=0.0 if q.has_clock else None,
-    )
+        x, y, e = s[None, :n_x], s[None, n_x:n_x + n_y], s[None, n_x + n_y:]
+        out[n_x:n_x + n_y] = _jump_rows(spec, x, y, _held_rows(spec, x, e)[1])[0]
+    return out
 
 
 def reduced_slow_flow(x, e, spec: PlantSpec) -> np.ndarray:

@@ -32,11 +32,12 @@ from .hybrid import (
     HybridArc,
     HybridState,
     HybridSystemInterface,
-    MonitorValues,
+    JumpRecord,
     Termination,
     _all_finite,
     _dot_rows,
     _quad_rows,
+    _state_view,
     check_numbers,
     field_keys,
     read_section,
@@ -44,6 +45,7 @@ from .hybrid import (
 from .plant import (
     LinearPlantSpec,
     PlantSpec,
+    _jump_vector,
     apply_jump,
     closed_loop_flow,
     closed_loop_flow_vector,
@@ -328,8 +330,13 @@ class _DenseSegment:
 
 
 _STEP_ULPS = 16.0 * np.finfo(float).eps
-# The most plain cells a linear arc crosses in one run (see _integrate_python).
+# The most plain cells a linear arc crosses in one run (see _ArcLoop.run).
 _RUN_CELLS = 64
+# A run before the clock boundary repays its cost from a few cells: it
+# evaluates no margin mask, and lands at most _POINT_ROWS stored rows point
+# by point (more go on rows).
+_PRE_CELLS = 4
+_POINT_ROWS = 4
 
 
 def _step_floor(t: float) -> float:
@@ -486,7 +493,8 @@ class _PropagatedSegment(_DenseSegment):
 
 def _prefix(mask: np.ndarray) -> int:
     """How many leading entries of a boolean row are True."""
-    return int(np.argmin(mask)) if not mask.all() else mask.size
+    flags = mask.tolist()
+    return flags.index(False) if False in flags else len(flags)
 
 
 class _ArcLoop:
@@ -494,11 +502,11 @@ class _ArcLoop:
     LinearPlantSpec advances on the fixed cells of its exact propagator
     (_Propagator); a PlantSpec takes Dormand-Prince steps under error
     control through closed_loop_flow_vector (_StagedStep). Every jump is
-    apply_jump(q_pre, plant).
+    apply_jump's map, taken on the stacked vector (jump below).
 
     The loop holds one landed point: s at t with clock tau, its margin m
-    and Vx v_x (v_x as of its last scalar landing, which is where the loop
-    stores it), the next step size h, the steps since the last stored row,
+    and Vx v_x (v_x as of the last step or jump, the landings that store
+    it), the next step size h, the steps since the last stored row,
     the ring of recent jump times, reached (the horizon is closer than the
     step floor) and tested (the point is a step end already tested for
     divergence). Its methods move that point in place.
@@ -518,8 +526,10 @@ class _ArcLoop:
     if it is an event, the stride is reached, it is on the horizon or a
     clock boundary, m >= 0, or the step end diverged. Flow rows go straight
     to the arc's row writer (no HybridState); the arc's (t, j) ordering is
-    checked once, at the end. A LinearPlantSpec also crosses cells in runs
-    (run below), bitwise as the loop would cross them one at a time.
+    checked once, at the end. A jump row goes to the same writer, and its
+    JumpRecord holds views of one read-only copy of each side's vector. A
+    LinearPlantSpec also crosses cells in runs (run below), bitwise as the
+    loop would cross them one at a time.
     """
 
     def __init__(self, plant, policy: TriggerPolicy, q0: HybridState, cfg: SolverConfig,
@@ -533,9 +543,11 @@ class _ArcLoop:
         self.max_step = cfg.max_step_factor * self.eps
         self.step = (_Propagator(plant, self.max_step) if isinstance(plant, LinearPlantSpec)
                      else _StagedStep(plant, cfg))
-        # only a linear plant crosses cells in runs
-        self.run_room = ((_RUN_CELLS // 4 + 1) * self.step.cell
-                         if isinstance(self.step, _Propagator) else math.inf)
+        # only a linear plant crosses cells in runs: the least room for one,
+        # and for one before the clock boundary
+        linear = isinstance(self.step, _Propagator)
+        self.run_room = (_RUN_CELLS // 4 + 1) * self.step.cell if linear else math.inf
+        self.pre_room = _PRE_CELLS * self.step.cell if linear else math.inf
         self.ceiling = policy.clock_ceiling
         self.s, self.t = q0.as_vector(), 0.0
         self.tau = q0.tau if q0.tau is not None else 0.0
@@ -565,15 +577,23 @@ class _ArcLoop:
                              self.monitors(self.s, tau, self.m, self.v_x), is_jump=False)
 
     def jump(self) -> None:
-        """Jump from the held point and hold the post-jump state."""
-        q_pre = HybridState.from_vector(self.s, self.n_x, self.n_y,
-                                        tau=self.tau if self.has_clock else None)
-        q_post = apply_jump(q_pre, self.plant)
-        self.s, reason = q_post.as_vector(), self.policy.jump_reason(self.m, self.tau)
-        self.tau = 0.0
-        self.m, self.v_x = self.landed(self.s, 0.0)
-        self.arc.append_jump(q_pre, q_post, reason,
-                             MonitorValues(*self.monitors(self.s, q_post.tau, self.m, self.v_x)))
+        """Jump from the held point, the arc's last row, and hold the
+        post-jump state: the jump row goes to the row writer, and the
+        JumpRecord's states are views of one read-only copy of each vector."""
+        n_x, n_y, clock = self.n_x, self.n_y, 0.0 if self.has_clock else None
+        pre = self.s.copy()
+        pre.flags.writeable = False
+        q_pre = _state_view(pre, n_x, n_y, self.tau if self.has_clock else None)
+        s = _jump_vector(self.plant, pre)
+        s.flags.writeable = False
+        q_post = _state_view(s, n_x, n_y, clock)
+        reason, t, j = self.policy.jump_reason(self.m, self.tau), float(self.t), self.arc.jump_count
+        self.s, self.tau = s, 0.0
+        self.m, self.v_x = self.landed(s, 0.0)
+        self.arc.events.append(JumpRecord(t=t, j_pre=j, j_post=j + 1, reason=reason,
+                                          pre_state=q_pre, post_state=q_post))
+        self.arc._append_row(t, j + 1, s, clock, self.monitors(s, clock, self.m, self.v_x),
+                             is_jump=True)
 
     def diverged(self) -> bool:
         sq_norm = float(np.dot(self.s, self.s))
@@ -626,12 +646,18 @@ class _ArcLoop:
         crosses the clock boundary (the cell that reaches it is clamped), so
         the loop's rule, a cell's start clock on or past the boundary or its
         end clock past it, comes down to where the run starts. The cells'
-        ends are the loop's own products M @ s; their midpoints, margins, V,
-        R and squared norms are taken on rows, each row bitwise as the loop
-        takes it on its point. The rows the stride keeps go to the arc in
-        one write. The first cell that is not plain is left to the loop."""
+        ends are the loop's own products M @ s; their squared norms, and the
+        midpoints and margins of a bracketed run, are taken on rows, each
+        row bitwise as the loop takes it on its point. A run that starts
+        before the boundary stays before it, where every margin is
+        negative, so it has no margin mask. While the stride keeps at most
+        _POINT_ROWS of its rows, it evaluates margins, V and R only on those
+        and on its last cell, whose margin it holds, each landed by the
+        loop's own methods; otherwise it takes every cell's margin and Vx on
+        rows, as a bracketed run does. The kept rows go to the arc in one
+        write. The first cell that is not plain is left to the loop."""
         cfg, step, ceiling, cert = self.cfg, self.step, self.ceiling, self.cert
-        n_x, n_y, cell = self.n_x, self.n_y, step.cell
+        n_x, n_y, cell, m_cell = self.n_x, self.n_y, step.cell, step.m_cell
         n = int(min(room / cell + 1.0, _RUN_CELLS))  # the last cells tried may be clamped
         grid = np.full(n + 1, cell)
         grid[0] = self.t
@@ -641,55 +667,71 @@ class _ArcLoop:
         t_start, t_end, tau_start, tau_end = t_all[:-1], t_all[1:], tau_all[:-1], tau_all[1:]
         states = [self.s]
         for _ in range(n):
-            states.append(step.m_cell @ states[-1])
+            states.append(m_cell @ states[-1])
         block = np.array(states)
         ends = block[1:]
-        floor_start = _STEP_ULPS * np.maximum(1.0, np.abs(t_start))
-        plain = ((cfg.horizon - t_start >= cell) & (cell > floor_start)
-                 & (cfg.horizon - t_end > _STEP_ULPS * np.maximum(1.0, np.abs(t_end)))
+        floor_all = _STEP_ULPS * np.maximum(1.0, t_all)  # _step_floor; t >= 0
+        left_all = cfg.horizon - t_all
+        floor_start, left_start = floor_all[:-1], left_all[:-1]
+        plain = ((left_start >= cell) & (floor_start < cell) & (left_all[1:] > floor_all[1:])
                  & (_dot_rows(ends, ends) <= DIVERGENCE_NORM**2))
-        if ceiling is not None:  # clamp's test, on rows
-            reach = tau_start + cell
-            plain &= ~((tau_start < ceiling) & (
-                (reach >= ceiling) | ((reach >= ceiling - floor_start)
-                                      & (ceiling - tau_start <= cfg.horizon - t_start))))
+        before = ceiling is not None and self.tau < ceiling
+        if before:  # clamp's test, on rows: up to the first clamped cell, each starts before
+            # the boundary (a run from on or past it has no clamped cell)
+            plain &= (tau_end < ceiling) & ((tau_end < ceiling - floor_start)
+                                            | (ceiling - tau_start > left_start))
         if cfg.fast_floor > 0.0:
             y_ends = ends[:, n_x:n_x + n_y]
             plain &= ~((np.abs(y_ends) < cfg.fast_floor) & (y_ends != 0.0)).any(axis=1)
         n = _prefix(plain)
         if n == 0:
             return 0
-        ends, t_start, t_end, tau_start, tau_end = (
-            ends[:n], t_start[:n], t_end[:n], tau_start[:n], tau_end[:n])
+        j, first = self.arc.jump_count, cfg.store_stride - 1 - self.since_store
         try:
-            m_end, v_x = self.ev.rows(ends, tau_end)
-            plain = m_end < 0.0
-            if ceiling is None or self.tau >= ceiling:
-                mids = (step.m_half @ block[:n, :, None])[:, :, 0]
-                plain &= self.ev.rows(mids, tau_start + ((t_start + 0.5 * cell) - t_start))[0] < 0.0
+            if before and len(range(first, n, cfg.store_stride)) <= _POINT_ROWS:
+                # no plain cell reaches the boundary, so every margin is negative: only the
+                # rows the stride keeps and the held point are landed, as the loop lands them
+                t_end, tau_end = t_end.tolist(), tau_end.tolist()
+                rows = []
+                for i in range(first, n, cfg.store_stride):
+                    m, v_x = self.landed(ends[i], tau_end[i])
+                    tau = tau_end[i] if self.has_clock else None
+                    rows.append(self.arc._row(t_end[i], j, ends[i], tau,
+                                              self.monitors(ends[i], tau, m, v_x), False))
+                rows = np.array(rows)
+                m = self.landed(states[n], tau_end[n - 1])[0]
+            else:
+                m_end, v_x = self.ev.rows(ends[:n], tau_end[:n])
+                if not before:
+                    plain = m_end < 0.0
+                    mids = (step.m_half @ block[:n, :, None])[:, :, 0]
+                    plain &= self.ev.rows(mids, tau_start[:n] + ((t_start[:n] + 0.5 * cell)
+                                                                  - t_start[:n]))[0] < 0.0
+                    n = _prefix(plain)
+                    if n == 0:
+                        return 0
+                kept = np.arange(first, n, cfg.store_stride)
+                rows = np.empty((kept.size, self.arc._table.shape[1]))
+                rows[:, 0], rows[:, 1] = t_end[kept], j
+                rows[:, 2:-5] = ends[kept]
+                rows[:, -5:-1] = math.nan  # tau without a clock, V and R without a certificate
+                rows[:, -2], rows[:, -1] = m_end[kept], 0.0
+                if self.has_clock:
+                    rows[:, -5] = tau_end[kept]
+                if cert is not None:
+                    y_kept = rows[:, 2 + n_x:2 + n_x + n_y]
+                    rows[:, -4] = _monitor_v(v_x[kept], _quad_rows(y_kept, cert.data.p2), self.eps)
+                    if self.params is not None and self.has_clock:
+                        rows[:, -3] = [_monitor_r(vx, row[2 + n_x:2 + n_x + n_y],
+                                                  row[2 + n_x + n_y:-5], tau, cert, self.params)
+                                       for vx, row, tau in zip(v_x[kept].tolist(), rows,
+                                                               tau_end[kept].tolist())]
+                m = float(m_end[n - 1])
         except OverflowError:  # a gain past the float range: the loop raises it in turn
             return 0
-        n = _prefix(plain)
-        if n == 0:
-            return 0
-        kept = np.arange(cfg.store_stride - 1 - self.since_store, n, cfg.store_stride)
-        if kept.size:
-            rows_kept = ends[kept]
-            tau_kept = tau_end[kept] if self.has_clock else np.full(kept.size, math.nan)
-            v = r = np.full(kept.size, math.nan)
-            if cert is not None:
-                y_kept = rows_kept[:, n_x:n_x + n_y]
-                v = _monitor_v(v_x[kept], _quad_rows(y_kept, cert.data.p2), self.eps)
-                if self.params is not None and self.has_clock:
-                    r = np.array([_monitor_r(vx, row[n_x:n_x + n_y], row[n_x + n_y:], tau_row,
-                                             cert, self.params)
-                                  for vx, row, tau_row in zip(v_x[kept].tolist(), rows_kept,
-                                                              tau_kept.tolist())])
-            self.arc._append_rows(np.column_stack([
-                t_end[kept], np.full(kept.size, self.arc.jump_count), rows_kept, tau_kept,
-                v, r, m_end[kept], np.zeros(kept.size)]))
-        self.s, self.t, self.tau, self.m = (states[n], float(t_end[n - 1]),
-                                            float(tau_end[n - 1]), float(m_end[n - 1]))
+        if len(rows):
+            self.arc._append_rows(rows)
+        self.s, self.t, self.tau, self.m = states[n], float(t_end[n - 1]), float(tau_end[n - 1]), m
         self.since_store = (self.since_store + n) % cfg.store_stride
         return n
 
@@ -761,12 +803,13 @@ class _ArcLoop:
             termination = self.settle()
         while termination is None:
             # A run needs more than a quarter of its cells to repay its fixed
-            # cost before the horizon or the clock boundary.
-            room = self.cfg.horizon - self.t
+            # cost before the horizon or the clock boundary, and a run before
+            # the boundary more than _PRE_CELLS.
+            room, floor = self.cfg.horizon - self.t, self.run_room
             if self.ceiling is not None and self.tau < self.ceiling:
-                room = min(room, self.ceiling - self.tau)
+                room, floor = min(room, self.ceiling - self.tau), self.pre_room
             # A whole run settles at once: the next cells may make another.
-            if not (room > self.run_room and 0 < self.run(room) == _RUN_CELLS):
+            if not (room > floor and 0 < self.run(room) == _RUN_CELLS):
                 termination = self.take_step()
             termination = termination or self.settle()
         self.arc.check_ordering()

@@ -254,6 +254,19 @@ class TestSampleTable:
             assert f",{cell}," in reference
         assert bool(np.isnan(arc.tau).all()) is not has_clock
 
+    @pytest.mark.parametrize("rows", [0, 1, 42])
+    def test_csv_bytes_equal_savetxt(self, tmp_path, rows):
+        # to_csv formats the table in one string; np.savetxt, which it
+        # replaced, writes the same bytes row by row
+        arc = awkward_arc(True)
+        arc._n = rows
+        arc.to_csv(tmp_path / "arc.csv")
+        fmt = ["%.17g"] * 12
+        fmt[1] = fmt[-1] = "%d"
+        np.savetxt(tmp_path / "savetxt.csv", arc._table[:rows], fmt=fmt, delimiter=",",
+                   header=",".join(arc.csv_header()), comments="")
+        assert (tmp_path / "arc.csv").read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
     def test_views_are_copies(self):
         arc = awkward_arc(True)
         t, states, q_last = arc.t, arc.states, arc.final_state()

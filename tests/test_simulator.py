@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 import etcsim.simulate as simulate
 from etcsim.certificates import LyapunovCertificate, QuadraticLyapunovData
 from etcsim.demo import demo_certification, demo_plant, demo_scenario
-from etcsim.errors import ConfigurationError, DimensionError, OrderingError
+from etcsim.errors import ConfigurationError, DimensionError, DivergenceError, OrderingError
 from etcsim.hybrid import HybridArc, HybridState, Termination
-from etcsim.plant import LinearPlantSpec, apply_jump
+from etcsim.plant import LinearPlantSpec, PlantSpec, apply_jump
 from etcsim.simulate import (
     DIVERGENCE_NORM,
     SolverConfig,
@@ -565,6 +565,42 @@ class TestJumpExactness:
             if generic_jump:
                 assert np.array_equal(ev.post_state.y, expected.y)
 
+    def test_records_are_the_jump_map_of_their_rows(self, certn):
+        # dwell demo (closed form) and a nonlinear plant (generic map) under
+        # both state policies: each record's pre-state is the row before its
+        # jump row, its post-state the jump row and apply_jump(pre) bitwise,
+        # and both are read-only
+        sc = demo_scenario("dwell")
+        nonlinear = PlantSpec(n_x=1, n_z=1, n_u=1,
+                              f=lambda x, z, u: np.array([-x[0] ** 3 - x[0] + z[0]]),
+                              g=lambda x, z, u: u - z, h=lambda x, u: np.array([u[0]]),
+                              dh_dx=lambda x, u: np.zeros((1, 1)),
+                              k=lambda xs: np.array([-0.5 * xs[0]]), epsilon=0.02)
+        cert = _unit_cert(1, 1)
+        legs = [(sc.plant, sc.policy, sc.q0, replace(sc.solver, horizon=20.0), certn.cert)]
+        for policy in (TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.4, rho=0.01),
+                       TriggerPolicy(kind=PolicyKind.TIME_REGULARIZED, sigma=0.4, t_star=0.3)):
+            q0 = HybridState(x=[1.5], y=[0.5], e=[0.0],
+                             tau=0.0 if policy.requires_clock else None)
+            legs.append((nonlinear, policy, q0, SolverConfig(horizon=6.0), cert))
+        for plant, policy, q0, cfg, cert in legs:
+            arc = integrate_arc(plant, policy, q0, cfg, cert=cert)
+            rows = np.flatnonzero(arc.is_jump)
+            assert arc.jump_count == len(rows) >= 2
+            for ev, row in zip(arc.events, rows.tolist()):
+                pre, post, expected = ev.pre_state, ev.post_state, apply_jump(ev.pre_state, plant)
+                assert pre.as_vector().tobytes() == arc.states[row - 1].tobytes()
+                assert post.as_vector().tobytes() == arc.states[row].tobytes()
+                for part in "xye":
+                    assert getattr(post, part).tobytes() == getattr(expected, part).tobytes()
+                    assert not getattr(pre, part).flags.writeable
+                    assert not getattr(post, part).flags.writeable
+                if policy.requires_clock:
+                    assert (pre.tau, post.tau) == (arc.tau[row - 1], 0.0)
+                else:
+                    assert pre.tau is None and post.tau is None
+                assert (ev.t, ev.j_pre, ev.j_post) == (arc.t[row], arc.j[row] - 1, arc.j[row])
+
     def test_z_continuity_through_integrator(self, certn):
         sc = demo_scenario("deadzone")
         cfg = replace(sc.solver, horizon=8.0)
@@ -619,6 +655,18 @@ class TestDivergence:
         else:
             assert arc.termination is Termination.DIVERGENCE
             assert arc.jump_count == 0 and arc.t[-1] == 0.0
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_start_whose_jump_overflows(self, certn, generic):
+        # e = (0, 1e308) puts the start in the jump set (margin inf), and the
+        # jump takes y = -1.5e308 past the float range: the post-jump state
+        # raises the DivergenceError that names y, with no RuntimeWarning
+        sc = demo_scenario("deadzone")
+        plant = sc.plant.as_plant_spec() if generic else sc.plant
+        q0 = replace(sc.q0, y=np.array([-1.5e308]), e=np.array([0.0, 1e308]))
+        with pytest.raises(DivergenceError) as raised:
+            integrate_arc(plant, sc.policy, q0, sc.solver, cert=certn.cert)
+        assert str(raised.value) == "non-finite entries in y: [-inf]"
 
 
 def _random_plants(count, seed):
@@ -792,9 +840,11 @@ class TestRuns:
     rows; with no run (0 cells) the arc is the scalar loop's alone."""
 
     @staticmethod
-    def _arcs(monkeypatch, legs):
+    def _arcs(monkeypatch, legs, pre_cells=None):
         """Each leg's arc bytes under run lengths 0, 1 and the default, and
-        the writes of more than one row that the default runs made."""
+        the writes of more than one row that the default runs made; with
+        pre_cells, each with _PRE_CELLS, the floor of a run before the clock
+        boundary, set to it."""
         bulk = []
         write = HybridArc._append_rows
 
@@ -807,6 +857,8 @@ class TestRuns:
         for cells in (0, 1, simulate._RUN_CELLS):
             with monkeypatch.context() as m:
                 m.setattr(simulate, "_RUN_CELLS", cells)
+                if pre_cells is not None:
+                    m.setattr(simulate, "_PRE_CELLS", pre_cells)
                 m.setattr(HybridArc, "_append_rows", counted)
                 bulk.clear()
                 out[cells] = [_arc_bytes(leg()) for leg in legs]
@@ -828,8 +880,8 @@ class TestRuns:
         integrate_arc(sc.plant.as_plant_spec(), sc.policy, sc.q0, sc.solver, cert=certn.cert)
         assert not calls
 
-    def _assert_runs_are_the_scalar_loop(self, monkeypatch, legs):
-        arcs, bulk = self._arcs(monkeypatch, legs)
+    def _assert_runs_are_the_scalar_loop(self, monkeypatch, legs, pre_cells=None):
+        arcs, bulk = self._arcs(monkeypatch, legs, pre_cells)
         assert bulk  # the default runs crossed cells
         self._assert_same(arcs)
         return bulk
@@ -874,6 +926,54 @@ class TestRuns:
                                 integrate_arc(sc.plant, sc.policy, sc.q0, cfg,
                                               cert=certn.cert, params=params))
         self._assert_runs_are_the_scalar_loop(monkeypatch, legs)
+
+    def test_a_dwell_interval_runs(self, certn, monkeypatch):
+        # the dwell demo jumps every 9.34 cells, on the clock boundary: from
+        # each jump, a run crosses the 9 cells before it (the clamped cell
+        # onto it is the loop's), and the last one the 5 before the horizon
+        calls = []
+        run = simulate._ArcLoop.run
+
+        def counted(loop, room):
+            cells = room / loop.step.cell
+            calls.append((loop.tau, cells, run(loop, room)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(simulate._ArcLoop, "run", counted)
+        sc = demo_scenario("dwell")
+        arc = integrate_arc(sc.plant, sc.policy, sc.q0, replace(sc.solver, horizon=3.0),
+                            cert=certn.cert, params=certn.dwell)
+        assert arc.jump_count == 3
+        assert [(tau, n) for tau, cells, n in calls if cells < 10] == [(0.0, 9)] * 3 + [(0.0, 5)]
+
+    @pytest.mark.parametrize("pre_cells", [None, 0], ids=["default", "no-floor"])
+    def test_runs_before_the_boundary_at_the_demo_settings(self, monkeypatch, certn, pre_cells):
+        # the dwell demo at its own settings (fast_floor 1e-12, stride 8),
+        # from a jump (tau = 0), from mid-interval and from within two cells
+        # and one cell of the boundary, and at stride 3, where a run keeps
+        # several rows; the periodic compare leg at stride 1 (more kept rows
+        # than are landed point by point) and 8. With no floor, a run is
+        # tried wherever time is left before the boundary
+        legs = []
+        sc = demo_scenario("dwell")
+        t_star, cell = sc.policy.t_star, 1 / 11.2
+        assert simulate._Propagator(sc.plant, sc.solver.max_step_factor * sc.plant.epsilon
+                                    ).cell == cell
+        for tau0, stride in ((0.0, 8), (0.4 * t_star, 8), (t_star - 1.5 * cell, 8),
+                             (t_star - 0.5 * cell, 8), (0.0, 3)):
+            legs.append(lambda q0=replace(sc.q0, tau=tau0), stride=stride: integrate_arc(
+                sc.plant, sc.policy, q0, replace(sc.solver, horizon=4.1, store_stride=stride),
+                cert=certn.cert, params=certn.dwell))
+        periodic = demo_scenario("compare_periodic")
+        for stride in (1, 8):
+            legs.append(lambda stride=stride: integrate_arc(
+                periodic.plant, periodic.policy, periodic.q0,
+                replace(periodic.solver, horizon=1.3, store_stride=stride),
+                cert=certn.cert, params=certn.dwell))
+        bulk = self._assert_runs_are_the_scalar_loop(monkeypatch, legs, pre_cells)
+        tau_col = 2 + 5
+        assert any((rows[:, tau_col] < t_star).all() for rows in bulk)  # a dwell run's rows
+        assert any(np.isnan(rows[:, tau_col]).all() for rows in bulk)  # a periodic run's
 
     def test_event_seen_only_at_a_midpoint(self, monkeypatch):
         # a rotating slow state with no feedback: |e| = 2 sin(w t / 2) peaks
