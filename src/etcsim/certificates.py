@@ -355,19 +355,16 @@ class DwellComparison:
             z = -2.0 / s
         return (z - b) / (2.0 * g)
 
-    def __post_init__(self):
-        # F(1/vartheta) and the transit time, once: the integrator's R
-        # monitor evaluates w at every stored sample
-        object.__setattr__(self, "_f_start", self._antiderivative(1.0 / self.vartheta))
-        object.__setattr__(self, "transit_time",
-                           self._f_start - self._antiderivative(self.vartheta))
+    @property
+    def transit_time(self) -> float:
+        return self._antiderivative(1.0 / self.vartheta) - self._antiderivative(self.vartheta)
 
     def evaluate(self, tau: float) -> float:
         if tau <= 0.0:
             return 1.0 / self.vartheta
         if tau >= self.transit_time:
             return self.vartheta
-        return self._antiderivative_inverse(self._f_start - tau)
+        return self._antiderivative_inverse(self._antiderivative(1.0 / self.vartheta) - tau)
 
 
 def _comparison_coeff(mu: float, n_err: float, gamma1_bar: float, alpha1: float) -> float:

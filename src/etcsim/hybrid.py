@@ -347,6 +347,11 @@ class HybridSystemInterface:
     event_function: Callable[[HybridState], float]
 
 
+# HybridArc.to_csv formats this many rows per write, which bounds the
+# formatted text it holds at once.
+_CSV_BLOCK = 64
+
+
 class HybridArc:
     """Sampled solution over a hybrid time domain, with monitors and events.
 
@@ -430,17 +435,23 @@ class HybridArc:
         self._check_state(q_post)
         if not self._n:
             raise OrderingError("cannot jump on an empty arc; append the pre-state first")
+        self._record_jump(q_pre, q_post, q_pre.as_vector(), q_post.as_vector(), reason,
+                          astuple(monitors or MonitorValues()))
+        return self
+
+    def _record_jump(self, q_pre: HybridState, q_post: HybridState, s_pre: np.ndarray,
+                     s_post: np.ndarray, reason: str,
+                     monitors: tuple[float, float, float]) -> None:
+        """append_jump past its state checks, given each state's stacked
+        vector: the last row must hold s_pre; appends the JumpRecord and
+        the row (t, j+1, s_post)."""
         last = self._table[self._n - 1]
-        if not np.array_equal(last[2:2 + self._n_state], q_pre.as_vector()):
+        if last[2:2 + self._n_state].tolist() != s_pre.tolist():
             raise OrderingError("jump pre-state does not equal the last arc sample")
         t, j = float(last[0]), int(last[1])
-        self.events.append(
-            JumpRecord(t=t, j_pre=j, j_post=j + 1, reason=reason,
-                       pre_state=q_pre, post_state=q_post)
-        )
-        self._append_row(t, j + 1, q_post.as_vector(), q_post.tau,
-                         astuple(monitors or MonitorValues()), is_jump=True)
-        return self
+        self.events.append(JumpRecord(t=t, j_pre=j, j_post=j + 1, reason=reason,
+                                      pre_state=q_pre, post_state=q_post))
+        self._append_row(t, j + 1, s_post, q_post.tau, monitors, is_jump=True)
 
     def set_termination(self, termination: Termination) -> None:
         self.termination = Termination(termination)
@@ -549,13 +560,16 @@ class HybridArc:
 
     def to_csv(self, path) -> None:
         """Write the sample table; floats use %.17g so values round-trip.
-        The bytes are np.savetxt's with this format, in one write."""
+        The bytes are np.savetxt's with this format, formatted and written
+        _CSV_BLOCK rows at a time."""
         fmt = ["%.17g"] * self._table.shape[1]
         fmt[1] = fmt[-1] = "%d"
         row = ",".join(fmt) + "\n"
         with open(path, "w") as fh:
-            fh.write(",".join(self.csv_header()) + "\n"
-                     + (row * self._n) % tuple(self._table[: self._n].ravel().tolist()))
+            fh.write(",".join(self.csv_header()) + "\n")
+            for start in range(0, self._n, _CSV_BLOCK):
+                block = self._table[start:min(start + _CSV_BLOCK, self._n)]
+                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
     def events_to_json(self, path) -> None:
         write_json(path, [ev.to_dict() for ev in self.events])

@@ -32,7 +32,6 @@ from .hybrid import (
     HybridArc,
     HybridState,
     HybridSystemInterface,
-    JumpRecord,
     Termination,
     _all_finite,
     _dot_rows,
@@ -332,11 +331,10 @@ class _DenseSegment:
 _STEP_ULPS = 16.0 * np.finfo(float).eps
 # The most plain cells a linear arc crosses in one run (see _ArcLoop.run).
 _RUN_CELLS = 64
-# A run before the clock boundary repays its cost from a few cells: it
-# evaluates no margin mask, and lands at most _POINT_ROWS stored rows point
-# by point (more go on rows).
+# A run before the clock boundary evaluates no margin mask and no midpoints:
+# it costs about as much as three scalar cells, so it runs from _PRE_CELLS
+# cells.
 _PRE_CELLS = 4
-_POINT_ROWS = 4
 
 
 def _step_floor(t: float) -> float:
@@ -526,8 +524,8 @@ class _ArcLoop:
     if it is an event, the stride is reached, it is on the horizon or a
     clock boundary, m >= 0, or the step end diverged. Flow rows go straight
     to the arc's row writer (no HybridState); the arc's (t, j) ordering is
-    checked once, at the end. A jump row goes to the same writer, and its
-    JumpRecord holds views of one read-only copy of each side's vector. A
+    checked once, at the end. A jump is recorded by the arc's own jump
+    writer, which append_jump also calls, from the two stacked vectors. A
     LinearPlantSpec also crosses cells in runs (run below), bitwise as the
     loop would cross them one at a time.
     """
@@ -578,8 +576,9 @@ class _ArcLoop:
 
     def jump(self) -> None:
         """Jump from the held point, the arc's last row, and hold the
-        post-jump state: the jump row goes to the row writer, and the
-        JumpRecord's states are views of one read-only copy of each vector."""
+        post-jump state. The arc records the jump from the two vectors
+        (HybridArc._record_jump), its JumpRecord's states views of one
+        read-only copy of each."""
         n_x, n_y, clock = self.n_x, self.n_y, 0.0 if self.has_clock else None
         pre = self.s.copy()
         pre.flags.writeable = False
@@ -587,13 +586,11 @@ class _ArcLoop:
         s = _jump_vector(self.plant, pre)
         s.flags.writeable = False
         q_post = _state_view(s, n_x, n_y, clock)
-        reason, t, j = self.policy.jump_reason(self.m, self.tau), float(self.t), self.arc.jump_count
+        reason = self.policy.jump_reason(self.m, self.tau)
         self.s, self.tau = s, 0.0
         self.m, self.v_x = self.landed(s, 0.0)
-        self.arc.events.append(JumpRecord(t=t, j_pre=j, j_post=j + 1, reason=reason,
-                                          pre_state=q_pre, post_state=q_post))
-        self.arc._append_row(t, j + 1, s, clock, self.monitors(s, clock, self.m, self.v_x),
-                             is_jump=True)
+        self.arc._record_jump(q_pre, q_post, pre, s, reason,
+                              self.monitors(s, clock, self.m, self.v_x))
 
     def diverged(self) -> bool:
         sq_norm = float(np.dot(self.s, self.s))
@@ -650,12 +647,12 @@ class _ArcLoop:
         midpoints and margins of a bracketed run, are taken on rows, each
         row bitwise as the loop takes it on its point. A run that starts
         before the boundary stays before it, where every margin is
-        negative, so it has no margin mask. While the stride keeps at most
-        _POINT_ROWS of its rows, it evaluates margins, V and R only on those
-        and on its last cell, whose margin it holds, each landed by the
-        loop's own methods; otherwise it takes every cell's margin and Vx on
-        rows, as a bracketed run does. The kept rows go to the arc in one
-        write. The first cell that is not plain is left to the loop."""
+        negative, so it has no margin mask: it evaluates margins, V and R
+        only on the rows the stride keeps and on its last cell, whose margin
+        it holds, each landed by the loop's own methods. A bracketed run has
+        every cell's margin and Vx on rows for its mask, and takes its kept
+        rows' V and R on rows too. The kept rows go to the arc in one write.
+        The first cell that is not plain is left to the loop."""
         cfg, step, ceiling, cert = self.cfg, self.step, self.ceiling, self.cert
         n_x, n_y, cell, m_cell = self.n_x, self.n_y, step.cell, step.m_cell
         n = int(min(room / cell + 1.0, _RUN_CELLS))  # the last cells tried may be clamped
@@ -688,7 +685,7 @@ class _ArcLoop:
             return 0
         j, first = self.arc.jump_count, cfg.store_stride - 1 - self.since_store
         try:
-            if before and len(range(first, n, cfg.store_stride)) <= _POINT_ROWS:
+            if before:
                 # no plain cell reaches the boundary, so every margin is negative: only the
                 # rows the stride keeps and the held point are landed, as the loop lands them
                 t_end, tau_end = t_end.tolist(), tau_end.tolist()
@@ -702,14 +699,13 @@ class _ArcLoop:
                 m = self.landed(states[n], tau_end[n - 1])[0]
             else:
                 m_end, v_x = self.ev.rows(ends[:n], tau_end[:n])
-                if not before:
-                    plain = m_end < 0.0
-                    mids = (step.m_half @ block[:n, :, None])[:, :, 0]
-                    plain &= self.ev.rows(mids, tau_start[:n] + ((t_start[:n] + 0.5 * cell)
-                                                                  - t_start[:n]))[0] < 0.0
-                    n = _prefix(plain)
-                    if n == 0:
-                        return 0
+                plain = m_end < 0.0
+                mids = (step.m_half @ block[:n, :, None])[:, :, 0]
+                plain &= self.ev.rows(mids, tau_start[:n] + ((t_start[:n] + 0.5 * cell)
+                                                              - t_start[:n]))[0] < 0.0
+                n = _prefix(plain)
+                if n == 0:
+                    return 0
                 kept = np.arange(first, n, cfg.store_stride)
                 rows = np.empty((kept.size, self.arc._table.shape[1]))
                 rows[:, 0], rows[:, 1] = t_end[kept], j

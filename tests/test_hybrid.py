@@ -16,6 +16,7 @@ from etcsim.errors import (
     DivergenceError,
     OrderingError,
 )
+from etcsim import hybrid
 from etcsim.hybrid import (
     HybridArc,
     HybridState,
@@ -255,9 +256,12 @@ class TestSampleTable:
         assert bool(np.isnan(arc.tau).all()) is not has_clock
 
     @pytest.mark.parametrize("rows", [0, 1, 42])
-    def test_csv_bytes_equal_savetxt(self, tmp_path, rows):
-        # to_csv formats the table in one string; np.savetxt, which it
+    @pytest.mark.parametrize("block", [64, 5])
+    def test_csv_bytes_equal_savetxt(self, tmp_path, monkeypatch, rows, block):
+        # to_csv formats the table a block of rows at a time (at 5, 42 rows
+        # take eight whole blocks and a partial one); np.savetxt, which it
         # replaced, writes the same bytes row by row
+        monkeypatch.setattr(hybrid, "_CSV_BLOCK", block)
         arc = awkward_arc(True)
         arc._n = rows
         arc.to_csv(tmp_path / "arc.csv")

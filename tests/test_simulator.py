@@ -951,8 +951,8 @@ class TestRuns:
         # the dwell demo at its own settings (fast_floor 1e-12, stride 8),
         # from a jump (tau = 0), from mid-interval and from within two cells
         # and one cell of the boundary, and at stride 3, where a run keeps
-        # several rows; the periodic compare leg at stride 1 (more kept rows
-        # than are landed point by point) and 8. With no floor, a run is
+        # several rows; the periodic compare leg, whose rows hold no clock,
+        # at stride 1 (a run keeps every row) and 8. With no floor, a run is
         # tried wherever time is left before the boundary
         legs = []
         sc = demo_scenario("dwell")
