@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from etcsim.triggers import (
     GammaForm,
     PolicyKind,
     TriggerPolicy,
+    _pow_rows,
     deadzone_event,
     naive_event,
     periodic_event,
@@ -71,6 +73,23 @@ class TestGammaForm:
         g = GammaForm(1.7, power)
         assert g.rows(s).tobytes() == np.array([g(v) for v in s]).tobytes()
         assert g.slope_rows(s).tobytes() == np.array([g.slope(v) for v in s]).tobytes()
+
+    def test_pow_rows_at_exponent_one_is_the_libm_loop(self):
+        # the copy at p == 1 is pow's result byte for byte: signed zeros and
+        # infinities, NaNs with their payloads (a signalling one too), the
+        # extreme subnormals and finite values, and values of both signs
+        # spread over the whole float range
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF0000000000ABC,
+                         0x7FF4000000000000], dtype=np.uint64).view(float)
+        edge = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                1.7976931348623157e308, -1.7976931348623157e308]
+        rng = np.random.default_rng(20261020)
+        wide = rng.choice([-1.0, 1.0], 20000) * 10.0 ** rng.uniform(-323.0, 308.0, 20000)
+        v = np.concatenate([edge, nans, wide])
+        out = _pow_rows(v, 1.0)
+        assert out.tobytes() == np.fromiter(map(pow, v.tolist(), repeat(1.0)), float,
+                                            v.size).tobytes()
+        assert not np.shares_memory(out, v)
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
