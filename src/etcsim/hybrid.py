@@ -9,6 +9,7 @@ each keeps its samples as one float table with the columns of its CSV.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import sys
@@ -75,10 +76,15 @@ def record_dict(record, skip: tuple[str, ...] = ()) -> dict:
             if getattr(record, f.name) is not None and f.name not in skip}
 
 
+# A class's type hints, evaluated once: with string annotations each
+# get_type_hints call compiles and evaluates every annotation again.
+_type_hints = functools.cache(get_type_hints)
+
+
 def field_keys(cls) -> dict:
     """A dataclass's keys for read_section: each field's type hint and
     default, MISSING (so required) where it has none."""
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     return {f.name: (hints[f.name], f.default) for f in fields(cls)}
 
 
@@ -115,7 +121,7 @@ def check_numbers(name: str, record, bounds: dict, error: type = ConfigurationEr
     type and a finite value in its interval, "(low, high)" or "[low, high)",
     every entry of an array field; anything else raises error naming the
     record and the field."""
-    hints = get_type_hints(type(record)) if is_dataclass(record) else {}
+    hints = _type_hints(type(record)) if is_dataclass(record) else {}
     for key, interval in bounds.items():
         value = record[key] if isinstance(record, dict) else getattr(record, key)
         tp = hints.get(key, float)
