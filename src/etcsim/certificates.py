@@ -355,16 +355,22 @@ class DwellComparison:
             z = -2.0 / s
         return (z - b) / (2.0 * g)
 
-    @property
+    # F(1/vartheta) and the transit time are computed once per instance and
+    # kept outside the fields, so equality and record_dict do not see them.
+    @functools.cached_property
+    def _start(self) -> float:
+        return self._antiderivative(1.0 / self.vartheta)
+
+    @functools.cached_property
     def transit_time(self) -> float:
-        return self._antiderivative(1.0 / self.vartheta) - self._antiderivative(self.vartheta)
+        return self._start - self._antiderivative(self.vartheta)
 
     def evaluate(self, tau: float) -> float:
         if tau <= 0.0:
             return 1.0 / self.vartheta
         if tau >= self.transit_time:
             return self.vartheta
-        return self._antiderivative_inverse(self._antiderivative(1.0 / self.vartheta) - tau)
+        return self._antiderivative_inverse(self._start - tau)
 
 
 def _comparison_coeff(mu: float, n_err: float, gamma1_bar: float, alpha1: float) -> float:
