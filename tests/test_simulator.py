@@ -975,6 +975,37 @@ class TestRuns:
         assert any((rows[:, tau_col] < t_star).all() for rows in bulk)  # a dwell run's rows
         assert any(np.isnan(rows[:, tau_col]).all() for rows in bulk)  # a periodic run's
 
+    def test_a_cell_within_the_floor_of_the_boundary_is_clamped(self, monkeypatch):
+        # a periodic leg from tau = t = 0 with period == horizon, so that the
+        # boundary and the horizon are equally far from every cell start; the
+        # period lies a few ulps past the accumulated end of cell k, by more
+        # than the step floor at that end (so the horizon does not stop the
+        # cell) but within the floor at its start, as clamp's test computes
+        # it: the loop clamps that cell onto the boundary, and so must a run
+        cell = 0.005
+        plant = LinearPlantSpec(a11=[[0.0, 1.0], [-1.0, 0.0]], a12=np.zeros((2, 1)),
+                                a21=np.zeros((1, 2)), a22=[[-1.0]], b1=np.zeros((2, 1)),
+                                b2=np.zeros((1, 1)), k_gain=np.zeros((1, 2)),
+                                epsilon=2.0 * cell)
+        assert simulate._Propagator(plant, cell).cell == cell
+        t = np.add.accumulate(np.full(300, cell))  # t[k] ends cell k + 1, as a run adds
+        floor = simulate._STEP_ULPS * np.maximum(1.0, t)
+        period = next(p for k in range(200, 300) for d in range(1, 64)
+                      if (p := t[k] + d * np.spacing(t[k])) - t[k] > floor[k]
+                      and t[k] >= p - floor[k - 1])
+        policy = TriggerPolicy(kind=PolicyKind.PERIODIC, period=float(period))
+        q0 = HybridState(x=[1.0, 0.0], y=[0.0], e=[0.0, 0.0])
+        for stride in (1, 8):
+            def leg(stride=stride):
+                return integrate_arc(plant, policy, q0,
+                                     SolverConfig(horizon=float(period), store_stride=stride),
+                                     cert=_unit_cert(2, 1))
+
+            self._assert_runs_are_the_scalar_loop(monkeypatch, [leg])
+            arc = leg()
+            assert (arc.jump_count, arc.termination) == (1, Termination.HORIZON)
+            assert arc.jump_times() == [period]
+
     def test_event_seen_only_at_a_midpoint(self, monkeypatch):
         # a rotating slow state with no feedback: |e| = 2 sin(w t / 2) peaks
         # mid-cell, and rho puts the margin >= 0 only on the middle half of
