@@ -85,9 +85,12 @@ def _draw_in_balls(rng: np.random.Generator, n_samples: int,
         v = rng.standard_normal((n_samples, dim))
         norm = np.sqrt(_dot_rows(v, v))
         moved = norm != 0.0
-        u = rng.random(np.count_nonzero(moved))
-        scale = np.zeros(n_samples)
-        scale[moved] = radius * _pow_rows(u, 1.0 / dim) / norm[moved]
+        if moved.all():  # the usual case: no mask to gather or scatter by
+            scale = radius * _pow_rows(rng.random(n_samples), 1.0 / dim) / norm
+        else:
+            scale = np.zeros(n_samples)
+            scale[moved] = (radius * _pow_rows(rng.random(np.count_nonzero(moved)), 1.0 / dim)
+                            / norm[moved])
         out.append(np.multiply(v, scale[:, None], out=v))
     return out
 

@@ -127,10 +127,13 @@ def check_numbers(name: str, record, bounds: dict, error: type = ConfigurationEr
         tp = hints.get(key, float)
         tp = next(a for a in get_args(tp) or (tp,) if a is not type(None))  # drop Optional
         low, high = map(float, interval[1:-1].split(","))
-        if not (_fits(tp, value) and np.all((low <= value if interval[0] == "[" else low < value)
-                & (value < high) & (abs(value) <= sys.float_info.max))):  # NaN fails; so does 10**400
-            raise error(f"{name} field {key!r} must be {_type_name(tp)} in {interval}, "
-                        f"got {key} {value!r}")
+        if _fits(tp, value):
+            inside = ((low <= value if interval[0] == "[" else low < value)
+                      & (value < high) & (abs(value) <= sys.float_info.max))  # NaN fails; so does 10**400
+            if np.all(inside) if tp is np.ndarray else inside:  # plain bools otherwise
+                continue
+        raise error(f"{name} field {key!r} must be {_type_name(tp)} in {interval}, "
+                    f"got {key} {value!r}")
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etcsim import triggers
 from etcsim.demo import demo_scenario
 from etcsim.errors import ConfigurationError
 from etcsim.hybrid import HybridState, Termination
@@ -90,6 +91,63 @@ class TestGammaForm:
         assert out.tobytes() == np.fromiter(map(pow, v.tolist(), repeat(1.0)), float,
                                             v.size).tobytes()
         assert not np.shares_memory(out, v)
+
+    def test_pow_rows_at_half_and_two_is_the_libm_loop(self, monkeypatch):
+        # sqrt and s * s on arrays of at least _POW_VECTOR_ROWS entries, pow
+        # near a rounding tie: byte for byte the loop, errors included, on
+        # uniform draws (about 800 per million round otherwise under pow),
+        # wide magnitudes, squared midpoints between neighbouring doubles and
+        # exact ties of the square, values just below powers of two, signed
+        # zeros, infinities, NaNs, the subnormal and finite extremes, and
+        # negative entries
+        n = triggers._POW_VECTOR_ROWS
+        rng = np.random.default_rng(20261021)
+        uniform = rng.random(1_000_000)
+        wide = 10.0 ** rng.uniform(-300.0, 300.0, 100_000)
+        mid_squares = []
+        for r in np.concatenate([rng.random(3000), 10.0 ** rng.uniform(-150, 150, 3000)]).tolist():
+            m, e = math.frexp(r)  # r = m * 2**53 * 2**(e - 53), midpoint 2m + 1
+            mid = 2 * int(m * 2**53) + 1
+            mid_squares.append(math.ldexp(float(mid * mid), 2 * (e - 53) - 2))
+        mid_squares = np.array(mid_squares)
+        odd = 2 * rng.integers(math.isqrt(2**51) + 1, 2**26, 3000) + 1  # odd 27 bits: squares of 54
+        near = np.concatenate([mid_squares, np.ldexp(odd.astype(float), -26),
+                               np.nextafter(2.0 ** np.arange(-1074, 1024), 0.0)])
+        near = np.concatenate([near, np.nextafter(near, 0.0), np.nextafter(near, np.inf)])
+        nans = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF0000000000ABC,
+                         0x7FF4000000000000], dtype=np.uint64).view(float)
+        edge = np.concatenate([[-0.0, 0.0, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308,
+                                2.225073858507201e-308, 1.7976931348623157e308], nans])
+
+        def outcome(v, p):
+            try:
+                return _pow_rows(v, p).tobytes()
+            except (TypeError, OverflowError) as exc:
+                return type(exc), str(exc)
+
+        def loop(v, p):
+            try:
+                return np.fromiter(map(pow, v.tolist(), repeat(p)), float, v.size).tobytes()
+            except (TypeError, OverflowError) as exc:
+                return type(exc), str(exc)
+
+        pad = uniform[:n]
+        for p in (0.5, 2.0):
+            for v in (uniform, wide, near, -near, np.concatenate([edge, pad]),
+                      np.concatenate([edge[edge != 1.7976931348623157e308], pad]),
+                      np.concatenate([pad, -wide[:1]]), uniform[:n - 1], near[:n]):
+                assert outcome(v, p) == loop(v, p)
+        assert loop(np.concatenate([pad, [-0.25]]), 0.5)[0] is TypeError
+        assert loop(np.concatenate([edge, pad]), 2.0)[0] is OverflowError
+        # below the crossover every entry goes through pow, from it only some
+        looped = []
+        real_loop = triggers._pow_loop
+        monkeypatch.setattr(triggers, "_pow_loop", lambda v, p: looped.append(v.size)
+                            or real_loop(v, p))
+        for p in (0.5, 2.0):
+            for size in (n - 1, n):
+                assert _pow_rows(uniform[:size], p).tobytes() == loop(uniform[:size], p)
+        assert looped[0] == looped[2] == n - 1 and 0 < looped[1] < n and 0 < looped[3] < n
 
     def test_invalid(self):
         with pytest.raises(ConfigurationError):
