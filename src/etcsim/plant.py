@@ -185,24 +185,64 @@ def shift_coordinates(z, x, u, spec: PlantSpec) -> np.ndarray:
     return (z - _batch_map(spec, "h", x, u))[0]
 
 
+def _views(row: np.ndarray, n_x: int, n_y: int) -> tuple:
+    """(row, x part, y part, e part) of a stacked (x, y, e) row: the out of _Flow.into."""
+    return row, row[:n_x], row[n_x:n_x + n_y], row[n_x + n_y:]
+
+
+class _Flow:
+    """The closed-loop flow of one PlantSpec, its maps, sizes and epsilon
+    bound once: closed_loop_flow_vector and the generic Runge-Kutta stages
+    both evaluate it. A map value passes on one type/shape/dtype test, a
+    1-D float64 array of its size (the Jacobian a C-ordered float64
+    (n_z, n_x) matrix); any other form is read by _vec, flattened to the
+    declared size, else a DimensionError that names the map."""
+
+    def __init__(self, spec: PlantSpec):
+        self.f, self.g, self.h, self.k, self.dh_dx = spec.f, spec.g, spec.h, spec.k, spec.dh_dx
+        self.epsilon = spec.epsilon
+        self.n_x, self.n_z, self.n_u = spec.n_x, spec.n_z, spec.n_u
+        self.x_shape, self.z_shape, self.u_shape = (spec.n_x,), (spec.n_z,), (spec.n_u,)
+        self.jac_shape = (spec.n_z, spec.n_x)
+
+    def into(self, x: np.ndarray, y: np.ndarray, e: np.ndarray, out: tuple) -> None:
+        """Write the derivative at (x, y, e), 1-D float64 arrays of the
+        plant's sizes, into out = _views(row): x' = f, y' = g/eps - dh_dx @ f
+        and e' = -f. A DivergenceError if the row is not finite."""
+        u = self.k(x + e)
+        if not (type(u) is np.ndarray and u.shape == self.u_shape and u.dtype is _FLOAT):
+            u = _vec(u, self.n_u, "map k")
+        h_val = self.h(x, u)
+        if not (type(h_val) is np.ndarray and h_val.shape == self.z_shape
+                and h_val.dtype is _FLOAT):
+            h_val = _vec(h_val, self.n_z, "map h")
+        z = y + h_val
+        fx = self.f(x, z, u)
+        if not (type(fx) is np.ndarray and fx.shape == self.x_shape and fx.dtype is _FLOAT):
+            fx = _vec(fx, self.n_x, "map f")
+        g_val = self.g(x, z, u)
+        if not (type(g_val) is np.ndarray and g_val.shape == self.z_shape
+                and g_val.dtype is _FLOAT):
+            g_val = _vec(g_val, self.n_z, "map g")
+        jac = self.dh_dx(x, u)
+        if not (type(jac) is np.ndarray and jac.shape == self.jac_shape and jac.dtype is _FLOAT
+                and jac.flags.c_contiguous):
+            jac = _vec(jac, self.n_z * self.n_x, "map dh_dx").reshape(self.jac_shape)
+        row, x_dot, y_dot, e_dot = out
+        x_dot[...] = fx
+        np.subtract(g_val / self.epsilon, jac @ fx, out=y_dot)
+        np.negative(fx, out=e_dot)
+        if not _all_finite(row):
+            raise DivergenceError("closed-loop flow produced non-finite derivative")
+
+
 def closed_loop_flow_vector(x, y, e, spec: PlantSpec) -> np.ndarray:
     """Closed-loop derivative of the stacked (x, y, e) vector."""
     x = _vec(x, spec.n_x, "x")
     y = _vec(y, spec.n_y, "y")
     e = _vec(e, spec.n_x, "e")
-    u = _vec(spec.k(x + e), spec.n_u, "map k")
-    z = y + _vec(spec.h(x, u), spec.n_z, "map h")
-    fx = _vec(spec.f(x, z, u), spec.n_x, "map f")
-    g_val = _vec(spec.g(x, z, u), spec.n_z, "map g")
-    jac = spec.dh_dx(x, u)
-    shape = (spec.n_z, spec.n_x)
-    if not (type(jac) is np.ndarray and jac.shape == shape and jac.dtype is _FLOAT
-            and jac.flags.c_contiguous):
-        jac = _vec(jac, spec.n_z * spec.n_x, "map dh_dx").reshape(shape)
-    y_dot = g_val / spec.epsilon - jac @ fx
-    out = np.concatenate([fx, y_dot, -fx])
-    if not _all_finite(out):
-        raise DivergenceError("closed-loop flow produced non-finite derivative")
+    out = np.empty(2 * spec.n_x + spec.n_z)
+    _Flow(spec).into(x, y, e, _views(out, spec.n_x, spec.n_z))
     return out
 
 

@@ -41,10 +41,12 @@ from .hybrid import (
     field_keys,
     read_section,
 )
-from .plant import (
+from .plant import (  # closed_loop_flow_vector: perfbench's plant.flow span wraps this name
     LinearPlantSpec,
     PlantSpec,
+    _Flow,
     _jump_vector,
+    _views,
     apply_jump,
     closed_loop_flow,
     closed_loop_flow_vector,
@@ -343,57 +345,72 @@ def _step_floor(t: float) -> float:
 
 
 class _StagedStep:
-    """Flow of a PlantSpec: Dormand-Prince trial steps under error control,
-    with every stage through closed_loop_flow_vector. The last accepted
-    step's end and its FSAL stage are kept, so a step from that same array
-    takes its first stage for free."""
+    """Flow of a PlantSpec: Dormand-Prince trial steps under error control.
+    Every stage goes through the plant's one flow (plant._Flow), bound once
+    per arc, which closed_loop_flow_vector also evaluates: it checks each
+    map value by one test and writes the stage into its row of one (7, n)
+    stage table, kept for the whole arc. Each stage point is summed in
+    place, v = a_row @ stages[:i]; v *= h; v += s, bitwise s + h * (a_row @
+    stages[:i]) since IEEE multiply and add commute, and is a fresh array,
+    as is the step end: the maps may keep their inputs. The last accepted
+    step's end is kept, and its FSAL stage stays in row 6, so a step from
+    that same array copies it to row 0, where no trial writes, and takes
+    its first stage for free."""
 
     def __init__(self, plant: PlantSpec, cfg: SolverConfig):
-        self.plant = plant
-        self.n_x = plant.n_x
-        self.n_y = plant.n_z
+        n_x, n_y = plant.n_x, plant.n_z
+        self.flow = _Flow(plant).into
+        self.parts = slice(0, n_x), slice(n_x, n_x + n_y), slice(n_x + n_y, None)
         self.cfg = cfg
-        self.fsal = (None, None)
+        self.stages = np.empty((7, 2 * n_x + n_y))
+        self.rows = tuple(_views(row, n_x, n_y) for row in self.stages)
+        self.heads = tuple((a_row, self.stages[:i], self.rows[i]) for i, a_row in _RK_A_ROWS)
+        self.end = None
 
-    def first_stage(self, s: np.ndarray) -> np.ndarray:
-        n_x, n_y = self.n_x, self.n_y
-        return closed_loop_flow_vector(s[:n_x], s[n_x:n_x + n_y], s[n_x + n_y:],
-                                       self.plant)
+    def stage(self, s: np.ndarray, out: tuple) -> None:
+        """The flow at s into out, a row's _views."""
+        x, y, e = self.parts
+        self.flow(s[x], s[y], s[e], out)
 
-    def _stages(self, s: np.ndarray, k1: np.ndarray, h: float) -> Optional[tuple]:
-        """(s1, seven stages, the last FSAL) of a trial step; None if not finite."""
-        stages = np.empty((7, s.size))
-        stages[0] = k1
-        for i, a_row in _RK_A_ROWS:
-            si = s + h * (a_row @ stages[:i])
+    def _trial(self, s: np.ndarray, h: float) -> Optional[np.ndarray]:
+        """The end s1 of a trial step from s whose first stage is in row 0,
+        its seven stages in the table (the last FSAL); None if not finite."""
+        for a_row, head, out in self.heads:
+            si = a_row @ head
+            si *= h
+            si += s
             if not _all_finite(si):
                 return None
-            stages[i] = self.first_stage(si)
-        s1 = s + h * (RK_B @ stages[:6])
+            self.stage(si, out)
+        s1 = RK_B @ self.stages[:6]
+        s1 *= h
+        s1 += s
         if not _all_finite(s1):
             return None
-        stages[6] = self.first_stage(s1)
-        return s1, stages
+        self.stage(s1, self.rows[6])
+        return s1
 
     def advance(self, s: np.ndarray, h: float, t: float, clamp: Callable) -> tuple:
         """One accepted step from (t, s), trying h first: (h, clamped, s1,
         dense output, next h). clamp(h) caps each trial h and tells whether
         it was clamped onto a clock boundary. The first stage is the kept
         FSAL stage if s is the last step's s1 itself, else evaluated."""
-        end, k_end = self.fsal
-        k1 = k_end if s is end else self.first_stage(s)
+        stages = self.stages
+        if s is self.end:
+            stages[0] = stages[6]
+        else:
+            self.stage(s, self.rows[0])
         while True:
             h, clamped = clamp(h)
-            staged = self._stages(s, k1, h)
-            if staged is None:
+            s1 = self._trial(s, h)
+            if s1 is None:
                 h *= _MIN_FACTOR
                 continue
-            s1, stages = staged
             norm = _error_norm(h * (RK_E @ stages), s, s1, self.cfg.rel_tol, self.cfg.abs_tol)
             if norm <= 1.0:
                 factor = _MAX_FACTOR if norm == 0.0 else min(
                     _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
-                self.fsal = (s1, stages[6])
+                self.end = s1
                 return h, clamped, s1, _DenseSegment(t, h, s, stages.T @ RK_P), h * factor
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 
@@ -499,7 +516,8 @@ class _ArcLoop:
     """The integrator loop of one arc, for both flow backends. A
     LinearPlantSpec advances on the fixed cells of its exact propagator
     (_Propagator); a PlantSpec takes Dormand-Prince steps under error
-    control through closed_loop_flow_vector (_StagedStep). Every jump is
+    control (_StagedStep), whose stages go through one flow bound per arc,
+    which closed_loop_flow_vector also uses. Every jump is
     apply_jump's map, taken on the stacked vector (jump below).
 
     The loop holds one landed point: s at t with clock tau, its margin m
@@ -828,12 +846,13 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
     by its exact propagator expm(F h) on cells, built from its decoupling (a
     ConfigurationError naming epsilon where that does not converge), and
     jumps with its closed-form map y+ = y + (Hu K) e through apply_jump; a
-    PlantSpec takes RK45 steps through closed_loop_flow_vector and jumps
-    with the generic map, so plant.as_plant_spec() runs a linear plant with
-    the generic flow and jump. Each path is bitwise reproducible. If q0 lies
-    in the jump set, the first action is a jump. A q0 too large to square
-    in floats raises no numpy warning: the arc ends in divergence at t = 0
-    unless a jump there brings it back.
+    PlantSpec takes RK45 steps, whose stages go through one flow bound per
+    arc, which closed_loop_flow_vector also uses, each map value checked by
+    one test, and jumps with the generic map, so plant.as_plant_spec() runs
+    a linear plant with the generic flow and jump. Each path is bitwise
+    reproducible. If q0 lies in the jump set, the first action is a jump. A
+    q0 too large to square in floats raises no numpy warning: the arc ends
+    in divergence at t = 0 unless a jump there brings it back.
     """
     if policy.requires_clock != q0.has_clock:
         raise ConfigurationError(

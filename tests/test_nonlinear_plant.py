@@ -16,7 +16,7 @@ from etcsim.certificates import (
 )
 import etcsim.simulate as simulate
 from etcsim.errors import DimensionError, DivergenceError
-from etcsim.hybrid import HybridState, Termination
+from etcsim.hybrid import HybridState, Termination, _all_finite
 from etcsim.plant import (
     PlantSpec,
     apply_jump,
@@ -146,6 +146,95 @@ def _two_slow_plant(out=lambda a: a, jac=lambda a: a):
     )
 
 
+class _ReferenceStep:
+    """The generic trial step as first written, the oracle of
+    simulate._StagedStep: a fresh stage table per trial, each stage point
+    s + h * (a_row @ stages[:i]) and each stage closed_loop_flow_vector. It
+    counts its trials."""
+
+    def __init__(self, plant, cfg):
+        self.plant, self.cfg, self.fsal, self.trials = plant, cfg, (None, None), 0
+
+    def first_stage(self, s):
+        n_x, n_y = self.plant.n_x, self.plant.n_z
+        return closed_loop_flow_vector(s[:n_x], s[n_x:n_x + n_y], s[n_x + n_y:], self.plant)
+
+    def _stages(self, s, k1, h):
+        stages = np.empty((7, s.size))
+        stages[0] = k1
+        for i, a_row in simulate._RK_A_ROWS:
+            si = s + h * (a_row @ stages[:i])
+            if not _all_finite(si):
+                return None
+            stages[i] = self.first_stage(si)
+        s1 = s + h * (simulate.RK_B @ stages[:6])
+        if not _all_finite(s1):
+            return None
+        stages[6] = self.first_stage(s1)
+        return s1, stages
+
+    def advance(self, s, h, t, clamp):
+        end, k_end = self.fsal
+        k1 = k_end if s is end else self.first_stage(s)
+        while True:
+            self.trials += 1
+            h, clamped = clamp(h)
+            staged = self._stages(s, k1, h)
+            if staged is None:
+                h *= simulate._MIN_FACTOR
+                continue
+            s1, stages = staged
+            norm = simulate._error_norm(h * (simulate.RK_E @ stages), s, s1,
+                                        self.cfg.rel_tol, self.cfg.abs_tol)
+            if norm <= 1.0:
+                factor = simulate._MAX_FACTOR if norm == 0.0 else min(
+                    simulate._MAX_FACTOR,
+                    max(simulate._MIN_FACTOR, simulate._SAFETY * norm ** -0.2))
+                self.fsal = (s1, stages[6])
+                return (h, clamped, s1, simulate._DenseSegment(t, h, s, stages.T @ simulate.RK_P),
+                        h * factor)
+            h *= max(simulate._MIN_FACTOR, simulate._SAFETY * norm ** -0.2)
+
+
+def _unclamped(h):
+    return h, False
+
+
+def _step_bytes(step):
+    """An advance result as bytes: h, clamped, s1, the dense output's start,
+    length, start state and coefficients, and the next h."""
+    h, clamped, s1, dense, h_next = step
+    return (h, clamped, s1.tobytes(), dense.t0, dense.h, dense.y0.tobytes(),
+            dense.q.tobytes(), h_next)
+
+
+@pytest.mark.parametrize("which", ["nonlinear_mc", "two slow states"])
+def test_step_equals_the_reference_step_bitwise(which, nonlinear_plant):
+    # the stage table kept for the arc, the stage points summed in place and
+    # the FSAL stage handed on through row 0 give the reference's bytes
+    plant, s0, h_rejected = {
+        "nonlinear_mc": (nonlinear_plant, np.array([1.2, -0.7, 0.0]), 0.5),
+        "two slow states": (_two_slow_plant(), np.array([1.0, 2.0, 3.0, 0.0, 1.0]), 4.0),
+    }[which]
+    cfg = SolverConfig()
+    step, ref = simulate._StagedStep(plant, cfg), _ReferenceStep(plant, cfg)
+
+    def both(s, s_ref, h, t):
+        got, want = step.advance(s, h, t, _unclamped), ref.advance(s_ref, h, t, _unclamped)
+        assert _step_bytes(got) == _step_bytes(want)
+        return got, want
+
+    # from a fresh point, then on from its end, which takes the FSAL stage
+    got, want = both(s0, s0.copy(), 0.01, 0.0)
+    got, want = both(got[2], want[2], got[4], 0.01)
+    # on from the FSAL stage again, with a first trial too long to accept
+    trials = ref.trials
+    got, want = both(got[2], want[2], h_rejected, 0.02)
+    assert ref.trials - trials >= 2
+    # from a copy of the last end: a fresh point, whose first stage is evaluated
+    both(got[2].copy(), want[2].copy(), got[4], 0.02 + got[0])
+
+
 @pytest.mark.parametrize("out, jac", [
     (lambda a: [int(v) for v in a], lambda a: [[int(v) for v in row] for row in a]),
     (lambda a: a.reshape(-1, 1), lambda a: a.reshape(-1, 1)),
@@ -163,6 +252,15 @@ def test_flow_reads_every_map_form_as_before(out, jac):
     got = closed_loop_flow_vector(*point, _two_slow_plant(out, jac))
     assert got.tobytes() == want.tobytes()
     assert np.all(want == np.round(want)) and np.any(want != 0.0)
+    # through the step: the first stage is the same flow, and the step is the
+    # reference step's on the same maps
+    s = np.concatenate([np.array(part) for part in point])
+    step = simulate._StagedStep(_two_slow_plant(out, jac), SolverConfig())
+    got = step.advance(s, 0.25, 0.0, _unclamped)
+    assert step.stages[0].tobytes() == want.tobytes()
+    want = _ReferenceStep(_two_slow_plant(out, jac), SolverConfig()).advance(
+        s, 0.25, 0.0, _unclamped)
+    assert _step_bytes(got) == _step_bytes(want)
 
 
 @pytest.mark.parametrize("maps, named", [
@@ -174,8 +272,12 @@ def test_flow_reads_every_map_form_as_before(out, jac):
 ])
 def test_flow_of_maps_of_wrong_size_names_the_map(maps, named):
     plant = replace(_two_slow_plant(), **maps)
-    with pytest.raises(DimensionError, match=named):
+    with pytest.raises(DimensionError, match=named) as flowed:
         closed_loop_flow_vector([1.0, 2.0], [3.0], [0.0, 1.0], plant)
+    step = simulate._StagedStep(plant, SolverConfig())
+    with pytest.raises(DimensionError) as stepped:
+        step.advance(np.array([1.0, 2.0, 3.0, 0.0, 1.0]), 0.25, 0.0, _unclamped)
+    assert str(stepped.value) == str(flowed.value) == named
     with pytest.raises(DimensionError, match="x has size 3, expected 2"):
         closed_loop_flow_vector([1.0, 2.0, 0.0], [3.0], [0.0, 1.0], _two_slow_plant())
 
@@ -208,3 +310,6 @@ def test_non_finite_flow_is_a_divergence_error(bad):
     with pytest.raises(DivergenceError, match="non-finite derivative"):
         closed_loop_flow_vector([0.0, 0.0], [0.0], [0.0, 0.0],
                                 _constant_flow_plant([1.5e308, bad]))
+    step = simulate._StagedStep(_constant_flow_plant([1.5e308, bad]), SolverConfig())
+    with pytest.raises(DivergenceError, match="non-finite derivative"):
+        step.advance(np.zeros(5), 0.25, 0.0, _unclamped)

@@ -1142,13 +1142,14 @@ class TestFirstStage:
     def test_no_flow_evaluation_at_a_located_event_point(self, certn, monkeypatch):
         # the eager jump leaves a located event point at once, so no first
         # stage is evaluated there; a step from an unsnapped step end takes
-        # the last step's FSAL stage, so a step costs fewer than seven
+        # the last step's FSAL stage, so a step costs fewer than seven; every
+        # stage goes through the plant's bound flow, _Flow.into
         points, steps, located = [], [], []
-        flow, advance = simulate.closed_loop_flow_vector, simulate._StagedStep.advance
+        flow, advance = simulate._Flow.into, simulate._StagedStep.advance
 
-        def counted_flow(x, y, e, plant):
+        def counted_flow(bound, x, y, e, out):
             points.append(np.concatenate((x, y, e)).tobytes())
-            return flow(x, y, e, plant)
+            return flow(bound, x, y, e, out)
 
         def counted_advance(step, *args):
             steps.append(args)
@@ -1158,13 +1159,14 @@ class TestFirstStage:
             located.append(locate_event(*args, **kwargs))
             return located[-1]
 
-        monkeypatch.setattr(simulate, "closed_loop_flow_vector", counted_flow)
+        monkeypatch.setattr(simulate._Flow, "into", counted_flow)
         monkeypatch.setattr(simulate._StagedStep, "advance", counted_advance)
         monkeypatch.setattr(simulate, "locate_event", counted_locate)
         sc = demo_scenario("deadzone")
         arc = integrate_arc(sc.plant.as_plant_spec(), sc.policy, sc.q0,
                             replace(sc.solver, horizon=8.0), cert=certn.cert)
         assert arc.jump_count == sum(t is not None for t in located) >= 1
+        assert points
         evaluated = set(points)
         for ev in arc.events:
             assert ev.pre_state.as_vector().tobytes() not in evaluated
