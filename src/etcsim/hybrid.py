@@ -366,7 +366,8 @@ class HybridArc:
 
     Samples are appended per accepted integrator step plus both sides of
     every jump; (t, j) ordering is asserted on every public append, and once
-    per arc on the integrator's direct flow rows. The samples are one float
+    per arc on the integrator's direct flow rows, whose V and R columns the
+    integrator fills on rows when its loop ends. The samples are one float
     table whose columns are csv_header(): the table doubles when full, and
     the first len(arc) rows are in use. Views return copies of their columns.
     Clockless arcs store tau as NaN, so a periodic arc's margin can be
@@ -409,16 +410,11 @@ class HybridArc:
             self._table[self._n:end] = rows
         self._n = end
 
-    @staticmethod
-    def _row(t: float, j: int, s: np.ndarray, tau: Optional[float],
-             monitors: tuple[float, float, float], is_jump: bool) -> list:
-        """One row as a list, in csv_header() order; tau None is stored as NaN."""
-        return [t, j, *s.tolist(), math.nan if tau is None else tau, *monitors, is_jump]
-
     def _append_row(self, t: float, j: int, s: np.ndarray, tau: Optional[float],
                     monitors: tuple[float, float, float], is_jump: bool) -> None:
-        """_append_rows of one _row."""
-        self._append_rows([self._row(t, j, s, tau, monitors, is_jump)])
+        """_append_rows of one row in csv_header() order; tau None is stored as NaN."""
+        self._append_rows([[t, j, *s.tolist(), math.nan if tau is None else tau, *monitors,
+                            is_jump]])
 
     def append_flow_sample(self, t: float, q: HybridState,
                            monitors: Optional[MonitorValues] = None) -> "HybridArc":

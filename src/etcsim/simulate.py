@@ -163,16 +163,19 @@ def monitor_r(q: HybridState, cert: LyapunovCertificate,
     comparison value w(tau) is the closed-form solution params.dwell_ode,
     held at its floor vartheta from its transit time on.
     """
-    return _monitor_r(cert.v_x(q.x), q.y, q.e, q.tau, cert, params)
-
-
-def _monitor_r(v_x: float, y, e, tau, cert: LyapunovCertificate, params) -> float:
-    if tau is None or params.dwell_ode is None or params.d_weight is None:
+    v_x = cert.v_x(q.x)
+    if q.tau is None or params.dwell_ode is None or params.d_weight is None:
         return math.nan
-    w = params.dwell_ode.evaluate(tau)
-    e_sq = float(np.dot(e, e))
-    return (v_x + params.d_weight * cert.v_y(y)
-            + max(0.0, cert.gamma1.coeff * w * e_sq))
+    w, e_sq, v_y = params.dwell_ode.evaluate(q.tau), float(np.dot(q.e, q.e)), cert.v_y(q.y)
+    with np.errstate(over="ignore", invalid="ignore"):  # as python floats' sums, silent
+        return float(_monitor_r(v_x, v_y, e_sq, w, cert, params))
+
+
+def _monitor_r(v_x, v_y, e_sq, w, cert: LyapunovCertificate, params):
+    """monitor_r of Vx, Vy, |e|^2 and w(tau), on one point or on rows. The
+    where is max(0.0, gain), NaN and -0.0 included (np.fmax's loop is not)."""
+    gain = (cert.gamma1.coeff * w) * e_sq
+    return (v_x + params.d_weight * v_y) + np.where(gain > 0.0, gain, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +197,17 @@ class _PolicyEval:
         self.n_y = n_y
         self._v_x = None if cert is None else cert.data.v_x
 
-    def v_x(self, s: np.ndarray) -> Optional[float]:
-        """cert.v_x of s's x, or None without a certificate."""
-        return None if self._v_x is None else self._v_x(s[: self.n_x])
+    def margin(self, s: np.ndarray, tau: float) -> float:
+        """Signed event function; >= 0 on the jump set."""
+        v_x = None if self._v_x is None else self._v_x(s[: self.n_x])
+        return self.policy._margin(self.cert, v_x, s[self.n_x + self.n_y:], tau)
 
-    def margin(self, s: np.ndarray, tau: float, v_x: Optional[float] = None) -> float:
-        """Signed event function; >= 0 on the jump set. v_x, if given, is
-        self.v_x(s), which the integrator shares with its V monitor."""
-        return self.policy._margin(self.cert, self.v_x(s) if v_x is None else v_x,
-                                   s[self.n_x + self.n_y:], tau)
-
-    def rows(self, states: np.ndarray, tau: np.ndarray) -> tuple:
-        """(margins, Vx) of (N, n) state rows at clocks tau, each entry
-        bitwise margin's and v_x's on that row (Vx None without a certificate)."""
+    def rows(self, states: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """Margins of (N, n) state rows at clocks tau, each entry bitwise
+        margin's on that row."""
         v_x = None if self.cert is None else _quad_rows(states[:, : self.n_x], self.cert.data.p1)
         e = states[:, self.n_x + self.n_y:]
-        return self.policy._margin(self.cert, v_x, e, tau, rows=True), v_x
+        return self.policy._margin(self.cert, v_x, e, tau, rows=True)
 
 
 # ITP (Oliveira & Takahashi 2020): the truncation kappa1 (b - a)^2 with
@@ -337,6 +335,11 @@ _RUN_CELLS = 64
 # it costs about as much as three scalar cells, so it runs from _PRE_CELLS
 # cells.
 _PRE_CELLS = 4
+# The numpy error states the loop writes rows in: the caller's, the start's (a start
+# too large to square diverges silently) and a run's (cells past its end may overflow).
+# _ArcLoop.quiet holds (first row, end, index) of the rows not written in the caller's.
+_ERRSTATES = ({}, {"over": "ignore"}, {"over": "ignore", "invalid": "ignore"})
+_START, _RUN = 1, 2
 
 
 def _step_floor(t: float) -> float:
@@ -520,12 +523,11 @@ class _ArcLoop:
     which closed_loop_flow_vector also uses. Every jump is
     apply_jump's map, taken on the stacked vector (jump below).
 
-    The loop holds one landed point: s at t with clock tau, its margin m
-    and Vx v_x (v_x as of the last step or jump, the landings that store
-    it), the next step size h, the steps since the last stored row,
-    the ring of recent jump times, reached (the horizon is closer than the
-    step floor) and tested (the point is a step end already tested for
-    divergence). Its methods move that point in place.
+    The loop holds one landed point: s at t with clock tau, its margin m,
+    the next step size h, the steps since the last stored row, the ring of
+    recent jump times, reached (the horizon is closer than the step floor)
+    and tested (the point is a step end already tested for divergence). Its
+    methods move that point in place.
 
     Each step lands on one point: the localized event, or else the step
     end. A step is bracketed (start, midpoint and end) unless a clocked
@@ -535,17 +537,17 @@ class _ArcLoop:
     lands on the state the locator evaluated there. Both landings go
     through the same block: fast_floor snaps a copy of the point (the loop
     never writes into an array a backend returned, so only the unsnapped
-    step end keeps its FSAL stage), and the margin m is evaluated once,
-    with Vx = cert.v_x(x) shared with the V and R monitors: at an unsnapped
-    step end it is the bracket's end probe. m decides the eager jump,
-    starts the next event bracket and is stored. A landed point is stored
-    if it is an event, the stride is reached, it is on the horizon or a
-    clock boundary, m >= 0, or the step end diverged. Flow rows go straight
-    to the arc's row writer (no HybridState); the arc's (t, j) ordering is
-    checked once, at the end. A jump is recorded by the arc's own jump
-    writer, which append_jump also calls, from the two stacked vectors. A
-    LinearPlantSpec also crosses cells in runs (run below), bitwise as the
-    loop would cross them one at a time.
+    step end keeps its FSAL stage), and the margin m is evaluated once: at
+    an unsnapped step end it is the bracket's end probe. m decides the
+    eager jump, starts the next event bracket and is stored. A landed point
+    is stored if it is an event, the stride is reached, it is on the
+    horizon or a clock boundary, m >= 0, or the step end diverged. Flow
+    rows go straight to the arc's row writer (no HybridState). When the
+    loop ends, fill takes V and R on the rows of the whole table and the
+    arc's (t, j) ordering is checked. A jump is recorded by the arc's own
+    jump writer, which append_jump also calls, from the two stacked
+    vectors. A LinearPlantSpec also crosses cells in runs (run below),
+    bitwise as the loop would cross them one at a time.
     """
 
     def __init__(self, plant, policy: TriggerPolicy, q0: HybridState, cfg: SolverConfig,
@@ -574,23 +576,11 @@ class _ArcLoop:
         self.jumps: deque[float] = deque(maxlen=min(cfg.zeno_max_jumps + 1, sys.maxsize))
         self.reached, self.tested = cfg.horizon - self.t <= _step_floor(self.t), False
 
-    def landed(self, s: np.ndarray, tau: float) -> tuple:
-        """(margin, Vx) of a point the arc may store."""
-        v_x = self.ev.v_x(s)
-        return self.ev.margin(s, tau, v_x), v_x
-
-    def monitors(self, s: np.ndarray, tau: Optional[float], m: float, v_x) -> tuple:
-        if self.cert is None:
-            return math.nan, math.nan, m
-        y, e = s[self.n_x:self.n_x + self.n_y], s[self.n_x + self.n_y:]
-        r = math.nan if self.params is None else _monitor_r(v_x, y, e, tau, self.cert, self.params)
-        return _monitor_v(v_x, self.cert.v_y(y), self.eps), r, m
-
     def store(self) -> None:
         """Append the held point as a flow row."""
-        tau = self.tau if self.has_clock else None
-        self.arc._append_row(self.t, self.arc.jump_count, self.s, tau,
-                             self.monitors(self.s, tau, self.m, self.v_x), is_jump=False)
+        self.arc._append_row(self.t, self.arc.jump_count, self.s,
+                             self.tau if self.has_clock else None,
+                             (math.nan, math.nan, self.m), is_jump=False)
 
     def jump(self) -> None:
         """Jump from the held point, the arc's last row, and hold the
@@ -606,9 +596,8 @@ class _ArcLoop:
         q_post = _state_view(s, n_x, n_y, clock)
         reason = self.policy.jump_reason(self.m, self.tau)
         self.s, self.tau = s, 0.0
-        self.m, self.v_x = self.landed(s, 0.0)
-        self.arc._record_jump(q_pre, q_post, pre, s, reason,
-                              self.monitors(s, clock, self.m, self.v_x))
+        self.m = self.ev.margin(s, 0.0)
+        self.arc._record_jump(q_pre, q_post, pre, s, reason, (math.nan, math.nan, self.m))
 
     def diverged(self) -> bool:
         sq_norm = float(np.dot(self.s, self.s))
@@ -648,7 +637,7 @@ class _ArcLoop:
             return Termination.DIVERGENCE
         return None
 
-    @np.errstate(over="ignore", invalid="ignore")  # rows past where the loop stops may overflow
+    @np.errstate(**_ERRSTATES[_RUN])
     def run(self, room: float) -> int:
         """Cross the plain cells ahead of the held point, whose margin is
         negative, at most _RUN_CELLS of them and not past room, the time
@@ -665,13 +654,13 @@ class _ArcLoop:
         midpoints and margins of a bracketed run, are taken on rows, each
         row bitwise as the loop takes it on its point. A run that starts
         before the boundary stays before it, where every margin is
-        negative, so it has no margin mask: it evaluates margins, V and R
-        only on the rows the stride keeps and on its last cell, whose margin
-        it holds, each landed by the loop's own methods. A bracketed run has
-        every cell's margin and Vx on rows for its mask, and takes its kept
-        rows' V and R on rows too. The kept rows go to the arc in one write.
+        negative, so it has no margin mask: it evaluates margins only on the
+        rows the stride keeps and on its last cell, whose margin it holds,
+        each by the loop's own margin. A bracketed run has every cell's
+        margin on rows for its mask. The kept rows go to the arc in one
+        write, and fill takes their V and R under the run's error state.
         The first cell that is not plain is left to the loop."""
-        cfg, step, ceiling, cert = self.cfg, self.step, self.ceiling, self.cert
+        cfg, step, ceiling = self.cfg, self.step, self.ceiling
         n_x, n_y, cell, m_cell = self.n_x, self.n_y, step.cell, step.m_cell
         n = int(min(room / cell + 1.0, _RUN_CELLS))  # the last cells tried may be clamped
         grid = np.full(n + 1, cell)
@@ -701,49 +690,33 @@ class _ArcLoop:
         n = _prefix(plain)
         if n == 0:
             return 0
-        j, first = self.arc.jump_count, cfg.store_stride - 1 - self.since_store
+        first, stride = cfg.store_stride - 1 - self.since_store, cfg.store_stride
         try:
             if before:
                 # no plain cell reaches the boundary, so every margin is negative: only the
                 # rows the stride keeps and the held point are landed, as the loop lands them
-                t_end, tau_end = t_end.tolist(), tau_end.tolist()
-                rows = []
-                for i in range(first, n, cfg.store_stride):
-                    m, v_x = self.landed(ends[i], tau_end[i])
-                    tau = tau_end[i] if self.has_clock else None
-                    rows.append(self.arc._row(t_end[i], j, ends[i], tau,
-                                              self.monitors(ends[i], tau, m, v_x), False))
-                rows = np.array(rows)
-                m = self.landed(states[n], tau_end[n - 1])[0]
+                taus = tau_end.tolist()
+                m_kept = [self.ev.margin(ends[i], taus[i]) for i in range(first, n, stride)]
+                m = self.ev.margin(states[n], taus[n - 1])
             else:
-                m_end, v_x = self.ev.rows(ends[:n], tau_end[:n])
+                m_end = self.ev.rows(ends[:n], tau_end[:n])
                 plain = m_end < 0.0
                 mids = (step.m_half @ block[:n, :, None])[:, :, 0]
                 plain &= self.ev.rows(mids, tau_start[:n] + ((t_start[:n] + 0.5 * cell)
-                                                              - t_start[:n]))[0] < 0.0
+                                                              - t_start[:n])) < 0.0
                 n = _prefix(plain)
                 if n == 0:
                     return 0
-                kept = np.arange(first, n, cfg.store_stride)
-                rows = np.empty((kept.size, self.arc._table.shape[1]))
-                rows[:, 0], rows[:, 1] = t_end[kept], j
-                rows[:, 2:-5] = ends[kept]
-                rows[:, -5:-1] = math.nan  # tau without a clock, V and R without a certificate
-                rows[:, -2], rows[:, -1] = m_end[kept], 0.0
-                if self.has_clock:
-                    rows[:, -5] = tau_end[kept]
-                if cert is not None:
-                    y_kept = rows[:, 2 + n_x:2 + n_x + n_y]
-                    rows[:, -4] = _monitor_v(v_x[kept], _quad_rows(y_kept, cert.data.p2), self.eps)
-                    if self.params is not None and self.has_clock:
-                        rows[:, -3] = [_monitor_r(vx, row[2 + n_x:2 + n_x + n_y],
-                                                  row[2 + n_x + n_y:-5], tau, cert, self.params)
-                                       for vx, row, tau in zip(v_x[kept].tolist(), rows,
-                                                               tau_end[kept].tolist())]
-                m = float(m_end[n - 1])
+                m_kept, m = m_end[first:n:stride], float(m_end[n - 1])
         except OverflowError:  # a gain past the float range: the loop raises it in turn
             return 0
-        if len(rows):
+        if first < n:  # the stride keeps a row
+            kept = slice(first, n, stride)
+            rows = np.empty((len(m_kept), self.arc._table.shape[1]))
+            rows[:, 0], rows[:, 1], rows[:, 2:-5] = t_end[kept], self.arc.jump_count, ends[kept]
+            rows[:, -5] = tau_end[kept] if self.has_clock else math.nan
+            rows[:, -4:-2], rows[:, -2], rows[:, -1] = math.nan, m_kept, 0.0  # V, R: see fill
+            self.quiet.append((len(self.arc), len(self.arc) + len(rows), _RUN))
             self.arc._append_rows(rows)
         self.s, self.t, self.tau, self.m = states[n], float(t_end[n - 1]), float(tau_end[n - 1]), m
         self.since_store = (self.since_store + n) % cfg.store_stride
@@ -772,8 +745,8 @@ class _ArcLoop:
             t_hi = t + 0.5 * h
             m_hi = ev.margin(dense.mid(), tau + (t_hi - t))
             if m_hi < 0.0:
-                end = self.landed(s1, tau1)
-                t_hi, m_hi = t1, end[0]
+                t_hi, m_hi = t1, ev.margin(s1, tau1)
+                end = m_hi
             if m_hi >= 0.0:
                 probed = {}  # the locator's states by time: the event lands on one
                 t_event = locate_event(partial(self.probe, dense, probed), t, t_hi, cfg.event_tol,
@@ -795,7 +768,7 @@ class _ArcLoop:
                 s[self.n_x:self.n_x + self.n_y][small] = 0.0
                 end = None
         self.s, self.t, self.tau = s, t, tau
-        self.m, self.v_x = self.landed(s, tau) if end is None else end
+        self.m = ev.margin(s, tau) if end is None else end
         self.tested = t_event is None
         blown_up = self.tested and self.diverged()
         self.reached = cfg.horizon - t <= _step_floor(t)
@@ -806,15 +779,44 @@ class _ArcLoop:
             self.since_store = 0
         return Termination.DIVERGENCE if blown_up else None
 
+    def fill(self) -> None:
+        """Fill V and R on the rows of the whole table, bitwise monitor_v's
+        and monitor_r's (NaN without a certificate; R also without a clock
+        or dwell parameters). |e|^2 and Vy warn as at the row's writer, in
+        its numpy error state; Vx (its margin's) and the sums are silent."""
+        cert, params, n_x, n_y = self.cert, self.params, self.n_x, self.n_y
+        if cert is None:
+            return
+        table = self.arc._table[: len(self.arc)]
+        with_r = (self.has_clock and params is not None and params.dwell_ode is not None
+                  and params.d_weight is not None)
+        state = np.zeros(len(table), np.int8)
+        for first, end, k in self.quiet:
+            state[first:end] = k
+        e_sq, v_y = np.empty(len(table)), np.empty(len(table))
+        for k in set(state.tolist()):
+            rows = state == k
+            with np.errstate(**_ERRSTATES[k]):
+                if with_r:
+                    e = table[rows, 2 + n_x + n_y:-5]
+                    e_sq[rows] = _dot_rows(e, e)
+                v_y[rows] = _quad_rows(table[rows, 2 + n_x:2 + n_x + n_y], cert.data.p2)
+        with np.errstate(**_ERRSTATES[_RUN]):
+            v_x = _quad_rows(table[:, 2:2 + n_x], cert.data.p1)
+            table[:, -4] = _monitor_v(v_x, v_y, self.eps)
+            if with_r:
+                w = np.array([params.dwell_ode.evaluate(tau) for tau in table[:, -5].tolist()])
+                table[:, -3] = _monitor_r(v_x, v_y, e_sq, w, cert, params)
+
     def integrate(self) -> HybridArc:
-        """Store the start, then settle, run and step until a stopping test
-        holds. Overflow is silenced on the start alone, once per arc: a
-        start too large to square diverges at t = 0 unless a jump there
-        brings it back."""
-        with np.errstate(over="ignore"):
-            self.m, self.v_x = self.landed(self.s, self.tau)
+        """Store the start, settle, run and step until a stopping test holds,
+        then fill V and R. Overflow is silenced on the start alone: a start
+        too large to square diverges at t = 0 unless a jump there brings it back."""
+        with np.errstate(**_ERRSTATES[_START]):
+            self.m = self.ev.margin(self.s, self.tau)
             self.store()
             termination = self.settle()
+        self.quiet = [(0, len(self.arc), _START)]
         while termination is None:
             # A run needs more than a quarter of its cells to repay its fixed
             # cost before the horizon or the clock boundary, and a run before
@@ -826,6 +828,7 @@ class _ArcLoop:
             if not (room > floor and 0 < self.run(room) == _RUN_CELLS):
                 termination = self.take_step()
             termination = termination or self.settle()
+        self.fill()
         self.arc.check_ordering()
         self.arc.set_termination(termination)
         return self.arc
@@ -852,7 +855,8 @@ def integrate_arc(plant, policy: TriggerPolicy, q0: HybridState,
     a linear plant with the generic flow and jump. Each path is bitwise
     reproducible. If q0 lies in the jump set, the first action is a jump. A
     q0 too large to square in floats raises no numpy warning: the arc ends
-    in divergence at t = 0 unless a jump there brings it back.
+    in divergence at t = 0 unless a jump there brings it back. The V and R
+    monitors are filled on rows of the arc's table when the loop ends.
     """
     if policy.requires_clock != q0.has_clock:
         raise ConfigurationError(

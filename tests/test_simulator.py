@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -495,7 +497,8 @@ class TestMonitors:
         assert math.isnan(monitor_r(q, certn.cert, certn.dwell))
 
     def test_vx_evaluated_once_per_margin(self, certn, monkeypatch):
-        # a landed point's margin and its stored V and R share one Vx
+        # each margin evaluates Vx once; the stored V and R take theirs on
+        # rows when the loop ends, not per point
         counts = {"v_x": 0, "margin": 0}
 
         def counted(name, fn):
@@ -515,37 +518,95 @@ class TestMonitors:
             assert arc.jump_count >= 1 and len(arc) > 10
         assert counts["v_x"] == counts["margin"] > 0
 
-    def test_stored_monitors_equal_public_functions(self, certn):
-        # The integrator writes flow rows from raw slices of its state
-        # vector; the stored V and R must still equal the public monitors on
-        # the row's state bitwise (NaN where R is undefined).
-        def same(a, b):
-            return a == b or (math.isnan(a) and math.isnan(b))
-
-        legs = [
-            ("deadzone", 5.0, None),
-            ("dwell", 4.0, None),
-            ("dwell", 4.0, certn.dwell),
-            ("compare_periodic", None, certn.dwell),
-        ]
-        for name, horizon, params in legs:
+    def test_stored_monitors_equal_public_functions(self, certn, nonlinear_plant):
+        # The integrator stores rows with V and R NaN and fills both on rows
+        # of the whole table when the loop ends; each must still equal the
+        # public monitors on the row's state bitwise (NaN where R is
+        # undefined): on the start, step, event, jump and run rows, on both
+        # flow backends, and on arcs that the horizon, the Zeno guard or
+        # divergence ends.
+        legs = []
+        for name, horizon, params, generic in [
+            ("deadzone", 5.0, None, False),
+            ("dwell", 4.0, None, False),
+            ("dwell", 4.0, certn.dwell, False),
+            ("compare_periodic", None, certn.dwell, False),
+            ("deadzone", 5.0, None, True),
+            ("dwell", 4.0, certn.dwell, True),
+            ("zeno", 1.0, None, False),
+        ]:
             sc = demo_scenario(name)
-            if horizon is None:
-                horizon = 5.0 * sc.policy.period
-            cfg = replace(sc.solver, horizon=horizon)
-            arc = integrate_arc(sc.plant, sc.policy, sc.q0, cfg,
-                                cert=certn.cert, params=params)
-            assert arc.jump_count >= 1 and len(arc) > 10
-            eps = sc.plant.epsilon
-            v, r = arc.v.tolist(), arc.r.tolist()
-            for i in range(len(arc)):
-                q = arc.state_at(i)
-                assert v[i] == monitor_v(q, certn.cert, eps), (name, i)
-                expected_r = (monitor_r(q, certn.cert, params)
-                              if params is not None else math.nan)
-                assert same(r[i], expected_r), (name, i)
-            if params is not None and sc.policy.requires_clock:
-                assert np.all(np.isfinite(arc.r)), name
+            plant = sc.plant.as_plant_spec() if generic else sc.plant
+            cfg = replace(sc.solver, horizon=horizon or 5.0 * sc.policy.period)
+            legs.append((plant, sc.policy, sc.q0, cfg, certn.cert, params))
+        dwell = demo_scenario("dwell")
+        unstable = replace(demo_plant(0.05), a11=2.0 * np.eye(2))
+        legs.append((unstable, dwell.policy, dwell.q0, SolverConfig(horizon=100.0),
+                     certn.cert, certn.dwell))
+        # the nonlinear benchmark plant with its certificate, under both state policies
+        cert = LyapunovCertificate.derive(QuadraticLyapunovData(
+            p1=np.eye(1), p2=np.eye(1), alpha1_bar=1.0, alpha2=1.9, l_bar=1.5))
+        for policy in (TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.4, rho=0.01),
+                       TriggerPolicy(kind=PolicyKind.TIME_REGULARIZED, sigma=0.4, t_star=0.3)):
+            q0 = HybridState(x=[1.5], y=[0.5], e=[0.0], tau=0.0 if policy.requires_clock else None)
+            legs.append((nonlinear_plant, policy, q0, SolverConfig(horizon=6.0), cert, None))
+        ends = set()
+        for k, (plant, policy, q0, cfg, cert, params) in enumerate(legs):
+            arc = integrate_arc(plant, policy, q0, cfg, cert=cert, params=params)
+            assert arc.jump_count >= 1 and len(arc) > 10, k
+            ends.add(arc.termination)
+            states = [arc.state_at(i) for i in range(len(arc))]
+            v = np.array([monitor_v(q, cert, plant.epsilon) for q in states])
+            r = np.array([math.nan if params is None else monitor_r(q, cert, params)
+                          for q in states])
+            assert arc.v.tobytes() == v.tobytes(), k
+            assert arc.r.tobytes() == r.tobytes(), k
+            if params is not None and policy.requires_clock:
+                assert np.all(np.isfinite(arc.r)), k
+                # and R as python floats take it on the point, sums in order
+                d, g1, ode = params.d_weight, cert.gamma1.coeff, params.dwell_ode
+                floats = [cert.v_x(q.x) + d * cert.v_y(q.y)
+                          + max(0.0, g1 * ode.evaluate(q.tau) * float(np.dot(q.e, q.e)))
+                          for q in states]
+                assert arc.r.tobytes() == np.array(floats).tobytes(), k
+        assert ends == set(Termination)
+
+    def test_row_monitor_r_equals_point_form(self, certn):
+        # _monitor_r on rows, as the fill takes it, against its point form
+        # and against the point's python float arithmetic with max(0.0, v),
+        # bit for bit, on e with signed zeros, infinities, NaN, subnormal and
+        # huge entries, and w(tau) of both signs and zero: the gain term
+        # (g1 w) |e|^2 meets NaN, both infinities and both zeros
+        cert, params = certn.cert, certn.dwell
+        edge = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                2.2250738585072014e-308, 1e154, 1e155, 1.7976931348623157e308, -3.5]
+        e = np.array(list(itertools.product(edge, repeat=2)))
+        # row 0: Vx + d Vy = -0.0 meets the gain -0.0 (e = 0, w < 0)
+        w = np.resize([-0.75, 1.0 / params.dwell_ode.vartheta, 0.3, 0.0], len(e))
+        v_x = np.resize([-0.0, 2.5, 1e308], len(e))
+        v_y = np.resize([-0.0, 0.5, 1e308, 7.0, 0.0], len(e))
+        # and ordinary rows, where a sum taken in another order rounds otherwise
+        gen = np.random.default_rng(5)
+        e = np.concatenate([e, gen.standard_normal((200, 2))])
+        w, v_x, v_y = (np.concatenate([a, gen.uniform(0.0, 3.0, 200)]) for a in (w, v_x, v_y))
+        with np.errstate(over="ignore", invalid="ignore"):
+            e_sq, e_sq_point = simulate._dot_rows(e, e), [float(np.dot(a, a)) for a in e]
+            rows = simulate._monitor_r(v_x, v_y, e_sq, w, cert, params)
+            point, floats = [], []
+            for a, b, c, d in zip(v_x.tolist(), v_y.tolist(), e_sq_point, w.tolist()):
+                point.append(simulate._monitor_r(a, b, c, d, cert, params))
+                floats.append(a + params.d_weight * b + max(0.0, cert.gamma1.coeff * d * c))
+            gains = (cert.gamma1.coeff * w) * e_sq
+        assert e_sq.tobytes() == np.array(e_sq_point).tobytes()
+        assert rows.tobytes() == np.array(point).tobytes() == np.array(floats).tobytes()
+        # the row form's max: np.fmax(0.0, -0.0) is -0.0 at some positions of its vector loop
+        gains = np.array(gains.tolist() + [5e-324, -5e-324, 1.7976931348623157e308])
+        assert (np.where(gains > 0.0, gains, 0.0).tobytes()
+                == np.array([max(0.0, g) for g in gains.tolist()]).tobytes())
+        gains = gains.tolist()
+        signs = {(g, math.copysign(1.0, g)) for g in gains if g == 0.0 or math.isinf(g)}
+        assert signs == {(0.0, 1.0), (0.0, -1.0), (math.inf, 1.0), (-math.inf, -1.0)}
+        assert any(math.isnan(g) for g in gains)
 
 
 class TestJumpExactness:
@@ -655,6 +716,30 @@ class TestDivergence:
         else:
             assert arc.termination is Termination.DIVERGENCE
             assert arc.jump_count == 0 and arc.t[-1] == 0.0
+
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_monitor_overflow_warns_where_its_row_was_written(self, certn, generic):
+        # Vy = 25 P2 1e308 overflows at y = 5. V and R are filled when the
+        # loop ends, each row under the numpy error state of its writer: the
+        # linear plant's overflowing rows are the start's and its runs',
+        # written silently, so the arc reaches the horizon with 5 V = inf;
+        # the generic plant stores its first step end under the caller's
+        # state, where the overflow warns
+        sc = demo_scenario("deadzone")
+        data = certn.cert.data
+        cert = replace(certn.cert, data=replace(data, p2=data.p2 * 1e308))
+        plant = sc.plant.as_plant_spec() if generic else sc.plant
+        args = (plant, sc.policy, replace(sc.q0, y=np.array([5.0])),
+                replace(sc.solver, horizon=1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if generic:
+                with pytest.raises(RuntimeWarning, match="overflow encountered in matmul"):
+                    integrate_arc(*args, cert=cert)
+                return
+            arc = integrate_arc(*args, cert=cert)
+        assert arc.termination is Termination.HORIZON and len(arc) == 72
+        assert np.count_nonzero(np.isinf(arc.v)) == 5
 
     @pytest.mark.parametrize("generic", [False, True])
     def test_start_whose_jump_overflows(self, certn, generic):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from etcsim import triggers
 from etcsim.demo import demo_scenario
 from etcsim.errors import ConfigurationError
-from etcsim.hybrid import HybridState, Termination
+from etcsim.hybrid import HybridState, Termination, _quad_rows
 from etcsim.simulate import _PolicyEval, integrate_arc
 from etcsim.triggers import (
     GammaForm,
@@ -483,9 +483,10 @@ def test_integrator_margins_equal_public_functions(certification):
     TriggerPolicy(kind=PolicyKind.PERIODIC, period=0.2),
 ], ids=lambda p: p.kind.value)
 def test_row_margins_equal_point_margins(certification, policy):
-    # the integrator's runs take margins and Vx on rows of stacked (x, y, e)
-    # states: each entry equals the point margin and v_x bitwise, across
-    # both sides of the dead-zone floor, zero errors and tau at t_star
+    # the integrator's runs take margins on rows of stacked (x, y, e)
+    # states, and its monitor fill Vx: each entry equals the point margin
+    # and v_x bitwise, across both sides of the dead-zone floor, zero
+    # errors and tau at t_star
     cert = certification.cert
     gen = np.random.default_rng(11)
     states = gen.uniform(-1.0, 1.0, (300, 5)) * gen.choice([1e-3, 0.1, 1.0], (300, 1))
@@ -493,9 +494,10 @@ def test_row_margins_equal_point_margins(certification, policy):
     tau = gen.uniform(0.0, 0.4, 300)
     tau[::5] = 0.2
     ev = _PolicyEval(policy, cert, 2, 1)
-    rows, v_x = ev.rows(states, tau)
+    rows = ev.rows(states, tau)
     point = [ev.margin(s, t) for s, t in zip(states, tau.tolist())]
     assert rows.tobytes() == np.array(point).tobytes()
-    assert v_x.tobytes() == np.array([ev.v_x(s) for s in states]).tobytes()
+    v_x = _quad_rows(states[:, :2], cert.data.p1)
+    assert v_x.tobytes() == np.array([cert.v_x(s[:2]) for s in states]).tobytes()
     if policy.kind is not PolicyKind.PERIODIC:
         assert 0 < np.count_nonzero(rows >= 0.0) < rows.size
