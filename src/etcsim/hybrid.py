@@ -173,9 +173,8 @@ def _type_name(tp) -> str:
 
 def write_json(path, obj) -> None:
     """Write obj as every JSON file of the package: indent 2, final newline."""
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+    with open(path, "w") as fh:  # one write: json.dump writes each token on its own
+        fh.write(json.dumps(obj, indent=2) + "\n")
 
 
 def _json_value(value):
@@ -328,8 +327,10 @@ class JumpRecord:
 
     @property
     def error_norm(self) -> float:
-        """|e| immediately before the transmission."""
-        return float(np.linalg.norm(self.pre_state.e))
+        """|e| immediately before the transmission: np.linalg.norm's sqrt of
+        np.dot, bitwise."""
+        e = self.pre_state.e
+        return math.sqrt(np.dot(e, e))
 
     def to_dict(self) -> dict:
         return {
@@ -547,11 +548,14 @@ class HybridArc:
         return float(self._t[-1] - self._t[0])
 
     def check_ordering(self) -> None:
-        """Assert lexicographic (t, j) ordering over the whole arc."""
-        pairs = list(zip(self._t.tolist(), self.j.tolist()))
-        for a, b in zip(pairs, pairs[1:]):
-            if not (a[0] < b[0] or (a[0] == b[0] and a[1] < b[1])):
-                raise OrderingError(f"samples out of order: {a} then {b}")
+        """Assert lexicographic (t, j) ordering over the whole arc, on whole
+        columns; the error names the first pair out of order (NaN t included)."""
+        t, j = self._t, self.j
+        ordered = (t[:-1] < t[1:]) | ((t[:-1] == t[1:]) & (j[:-1] < j[1:]))
+        if not ordered.all():
+            k = int(np.argmin(ordered))
+            a, b = (float(t[k]), int(j[k])), (float(t[k + 1]), int(j[k + 1]))
+            raise OrderingError(f"samples out of order: {a} then {b}")
 
     # -- serialization -----------------------------------------------------
 

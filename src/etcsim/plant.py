@@ -284,19 +284,19 @@ def _jump_vector(spec: PlantSpec | LinearPlantSpec, s: np.ndarray) -> np.ndarray
     """apply_jump's map on a stacked (x, y, e) vector of the plant's sizes:
     a new vector (x, y+, 0)."""
     n_x, n_y = spec.n_x, spec.n_z
-    out = np.zeros(s.size)
-    out[:n_x] = s[:n_x]
     if isinstance(spec, LinearPlantSpec):
-        e = s[n_x + n_y:].tolist()
-        for i, (y_i, row) in enumerate(zip(s[n_x:n_x + n_y].tolist(),
-                                           spec.jump_gain().tolist()), n_x):
+        v = s.tolist()
+        post, e = v[:n_x], v[n_x + n_y:]
+        for y_i, row in zip(v[n_x:n_x + n_y], spec._jump_gain_rows):
             acc = 0.0
             for g_im, e_m in zip(row, e, strict=True):
                 acc += g_im * e_m
-            out[i] = y_i + acc
-    else:
-        x, y, e = s[None, :n_x], s[None, n_x:n_x + n_y], s[None, n_x + n_y:]
-        out[n_x:n_x + n_y] = _jump_rows(spec, x, y, _held_rows(spec, x, e)[1])[0]
+            post.append(y_i + acc)
+        return np.array(post + [0.0] * len(e))
+    out = np.zeros(s.size)
+    out[:n_x] = s[:n_x]
+    x, y, e = s[None, :n_x], s[None, n_x:n_x + n_y], s[None, n_x + n_y:]
+    out[n_x:n_x + n_y] = _jump_rows(spec, x, y, _held_rows(spec, x, e)[1])[0]
     return out
 
 
@@ -501,6 +501,12 @@ class LinearPlantSpec:
     def jump_gain(self) -> np.ndarray:
         """Jump increment matrix: y+ = y + (Hu K) e."""
         return self.h_u @ self.k_gain
+
+    @cached_property
+    def _jump_gain_rows(self) -> tuple:
+        """jump_gain()'s rows as tuples of floats, formed once per instance
+        for the jump map (_jump_vector)."""
+        return tuple(map(tuple, self.jump_gain().tolist()))
 
     def with_epsilon(self, epsilon: float) -> "LinearPlantSpec":
         return replace(self, epsilon=float(epsilon))

@@ -22,6 +22,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
+from itertools import accumulate, repeat
 from typing import Callable, Optional
 
 import numpy as np
@@ -328,12 +329,13 @@ class _DenseSegment:
         return self(self.t0 + 0.5 * self.h)
 
 
-_STEP_ULPS = 16.0 * np.finfo(float).eps
+_STEP_ULPS = 16.0 * sys.float_info.epsilon
 # The most plain cells a linear arc crosses in one run (see _ArcLoop.run).
 _RUN_CELLS = 64
 # A run before the clock boundary evaluates no margin mask and no midpoints:
-# it costs about as much as three scalar cells, so it runs from _PRE_CELLS
-# cells.
+# on the dwell demo it costs about as much as two scalar cells (2.0 at 3
+# cells, 2.5 at 6), and about four where the stride keeps a row (a margin and
+# the row write), so it runs from more than _PRE_CELLS cells.
 _PRE_CELLS = 4
 # The numpy error states the loop writes rows in: the caller's, the start's (a start
 # too large to square diverges silently) and a run's (cells past its end may overflow).
@@ -515,6 +517,34 @@ def _prefix(mask: np.ndarray) -> int:
     return flags.index(False) if False in flags else len(flags)
 
 
+def _first_snapped(values: list, fast_floor: float) -> int:
+    """Index of the first float that the fast_floor snap moves (nonzero,
+    magnitude below the floor), or len(values): the array test
+    (|y| < fast_floor) & (y != 0) on each value, NaN included."""
+    return next((i for i, v in enumerate(values) if 0.0 < abs(v) < fast_floor), len(values))
+
+
+def _clock_prefix(t_all: list, tau_all: list, cell: float, horizon: float,
+                  ceiling: Optional[float]) -> int:
+    """How many leading cells of a run pass clamp's tests: cell k runs from
+    t_all[k] to t_all[k + 1] (clock tau_all[k] to tau_all[k + 1]), is whole
+    before the horizon, above the step floor, does not end on the horizon
+    and, with a ceiling (the clock starts before it), is not clamped onto
+    the clock boundary. Each test is the loop's comparison on the same
+    floats; the walk goes back from the last cell to the first that passes,
+    since the cells that pass are a prefix (see _ArcLoop.run)."""
+    for k in range(len(t_all) - 1, 0, -1):
+        t0, t1 = t_all[k - 1], t_all[k]
+        floor0, left0 = _step_floor(t0), horizon - t0
+        if not (left0 >= cell and floor0 < cell and horizon - t1 > _step_floor(t1)):
+            continue
+        tau1 = tau_all[k]
+        if ceiling is None or (tau1 < ceiling and (tau1 < ceiling - floor0
+                                                   or ceiling - tau_all[k - 1] > left0)):
+            return k
+    return 0
+
+
 class _ArcLoop:
     """The integrator loop of one arc, for both flow backends. A
     LinearPlantSpec advances on the fixed cells of its exact propagator
@@ -659,51 +689,57 @@ class _ArcLoop:
         each by the loop's own margin. A bracketed run has every cell's
         margin on rows for its mask. The kept rows go to the arc in one
         write, and fill takes their V and R under the run's error state.
-        The first cell that is not plain is left to the loop."""
+        The first cell that is not plain is left to the loop.
+
+        The clock and horizon tests are the loop's comparisons on the
+        accumulated t and tau as floats (_clock_prefix), taken from the last
+        cell tried back to the first that passes: the cells that pass them
+        are a prefix. Sums, products and differences round monotonically,
+        so t and tau grow with the cell and the step floor with t, and each
+        of horizon - t_start >= cell, floor_start < cell, horizon - t_end >
+        floor_end, tau_end < ceiling and tau_end < ceiling - floor_start
+        holds on a prefix of the cells. The clause ceiling - tau_start >
+        horizon - t_start is not monotone, but it only decides a cell whose
+        end lies within its start's floor of the boundary: as cell > floor,
+        the next cell's tau_end rounds to ceiling or past it, so every later
+        cell fails tau_end < ceiling. The squared-norm and snap tests are
+        scanned up to their first failure on the cells that pass."""
         cfg, step, ceiling = self.cfg, self.step, self.ceiling
         n_x, n_y, cell, m_cell = self.n_x, self.n_y, step.cell, step.m_cell
         n = int(min(room / cell + 1.0, _RUN_CELLS))  # the last cells tried may be clamped
-        grid = np.full(n + 1, cell)
-        grid[0] = self.t
-        t_all = np.add.accumulate(grid)
-        grid[0] = self.tau
-        tau_all = np.add.accumulate(grid)
-        t_start, t_end, tau_start, tau_end = t_all[:-1], t_all[1:], tau_all[:-1], tau_all[1:]
+        t_all = list(accumulate(repeat(cell, n), initial=self.t))
+        tau_all = list(accumulate(repeat(cell, n), initial=self.tau))
+        # clamp's test applies while the clock is before the boundary: a run
+        # from on or past it has no clamped cell
+        before = ceiling is not None and self.tau < ceiling
+        n = _clock_prefix(t_all, tau_all, cell, cfg.horizon, ceiling if before else None)
+        if n == 0:
+            return 0
         states = [self.s]
         for _ in range(n):
             states.append(m_cell @ states[-1])
         block = np.array(states)
         ends = block[1:]
-        floor_all = _STEP_ULPS * np.maximum(1.0, t_all)  # _step_floor; t >= 0
-        left_all = cfg.horizon - t_all
-        floor_start, left_start = floor_all[:-1], left_all[:-1]
-        plain = ((left_start >= cell) & (floor_start < cell) & (left_all[1:] > floor_all[1:])
-                 & (_dot_rows(ends, ends) <= DIVERGENCE_NORM**2))
-        before = ceiling is not None and self.tau < ceiling
-        if before:  # clamp's test, on rows: up to the first clamped cell, each starts before
-            # the boundary (a run from on or past it has no clamped cell)
-            plain &= (tau_end < ceiling) & ((tau_end < ceiling - floor_start)
-                                            | (ceiling - tau_start > left_start))
+        n = _prefix(_dot_rows(ends, ends) <= DIVERGENCE_NORM**2)
         if cfg.fast_floor > 0.0:
-            y_ends = ends[:, n_x:n_x + n_y]
-            plain &= ~((np.abs(y_ends) < cfg.fast_floor) & (y_ends != 0.0)).any(axis=1)
-        n = _prefix(plain)
+            n = _first_snapped(ends[:n, n_x:n_x + n_y].ravel().tolist(), cfg.fast_floor) // n_y
         if n == 0:
             return 0
         first, stride = cfg.store_stride - 1 - self.since_store, cfg.store_stride
         try:
             if before:
                 # no plain cell reaches the boundary, so every margin is negative: only the
-                # rows the stride keeps and the held point are landed, as the loop lands them
-                taus = tau_end.tolist()
-                m_kept = [self.ev.margin(ends[i], taus[i]) for i in range(first, n, stride)]
-                m = self.ev.margin(states[n], taus[n - 1])
+                # rows the stride keeps and the held point are landed, as the loop lands them,
+                # the held point's margin once, also where the stride keeps its row
+                m_kept = [self.ev.margin(ends[i], tau_all[i + 1]) for i in range(first, n, stride)]
+                m = (m_kept[-1] if first < n and (n - 1 - first) % stride == 0
+                     else self.ev.margin(states[n], tau_all[n]))
             else:
-                m_end = self.ev.rows(ends[:n], tau_end[:n])
+                t_start, taus = np.array(t_all[:n]), np.array(tau_all[:n + 1])
+                m_end = self.ev.rows(ends[:n], taus[1:])
                 plain = m_end < 0.0
                 mids = (step.m_half @ block[:n, :, None])[:, :, 0]
-                plain &= self.ev.rows(mids, tau_start[:n] + ((t_start[:n] + 0.5 * cell)
-                                                              - t_start[:n])) < 0.0
+                plain &= self.ev.rows(mids, taus[:-1] + ((t_start + 0.5 * cell) - t_start)) < 0.0
                 n = _prefix(plain)
                 if n == 0:
                     return 0
@@ -711,14 +747,14 @@ class _ArcLoop:
         except OverflowError:  # a gain past the float range: the loop raises it in turn
             return 0
         if first < n:  # the stride keeps a row
-            kept = slice(first, n, stride)
             rows = np.empty((len(m_kept), self.arc._table.shape[1]))
-            rows[:, 0], rows[:, 1], rows[:, 2:-5] = t_end[kept], self.arc.jump_count, ends[kept]
-            rows[:, -5] = tau_end[kept] if self.has_clock else math.nan
+            kept, clocks = slice(first, n, stride), slice(first + 1, n + 1, stride)
+            rows[:, 0], rows[:, 1], rows[:, 2:-5] = t_all[clocks], self.arc.jump_count, ends[kept]
+            rows[:, -5] = tau_all[clocks] if self.has_clock else math.nan
             rows[:, -4:-2], rows[:, -2], rows[:, -1] = math.nan, m_kept, 0.0  # V, R: see fill
             self.quiet.append((len(self.arc), len(self.arc) + len(rows), _RUN))
             self.arc._append_rows(rows)
-        self.s, self.t, self.tau, self.m = states[n], float(t_end[n - 1]), float(tau_end[n - 1]), m
+        self.s, self.t, self.tau, self.m = states[n], t_all[n], tau_all[n], m
         self.since_store = (self.since_store + n) % cfg.store_stride
         return n
 
@@ -760,13 +796,11 @@ class _ArcLoop:
         else:
             s = probed[t_event] if t_event in probed else dense(t_event)
             t, tau, end = t_event, tau + (t_event - t), None
-        if cfg.fast_floor > 0.0:  # snap a copy: the backend may hold s
-            y_part = s[self.n_x:self.n_x + self.n_y]
-            small = np.abs(y_part) < cfg.fast_floor
-            if (small & (y_part != 0.0)).any():
-                s = s.copy()
-                s[self.n_x:self.n_x + self.n_y][small] = 0.0
-                end = None
+        fast = slice(self.n_x, self.n_x + self.n_y)
+        if cfg.fast_floor > 0.0 and _first_snapped(s[fast].tolist(), cfg.fast_floor) < self.n_y:
+            s = s.copy()  # snap a copy: the backend may hold s
+            s[fast][np.abs(s[fast]) < cfg.fast_floor] = 0.0
+            end = None
         self.s, self.t, self.tau = s, t, tau
         self.m = ev.margin(s, tau) if end is None else end
         self.tested = t_event is None

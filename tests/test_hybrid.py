@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -283,6 +284,79 @@ class TestSampleTable:
         assert np.array_equal(arc.final_state().as_vector(), q_last.as_vector())
         assert arc.final_state().tau == q_last.tau
         arc.check_ordering()
+
+
+def _pair_loop_ordering(arc):
+    """check_ordering as a loop over (t, j) pairs: the error text of the
+    first pair out of order, or None."""
+    pairs = list(zip(arc._t.tolist(), arc.j.tolist()))
+    for a, b in zip(pairs, pairs[1:]):
+        if not (a[0] < b[0] or (a[0] == b[0] and a[1] < b[1])):
+            return f"samples out of order: {a} then {b}"
+    return None
+
+
+class TestColumnChecks:
+    @pytest.mark.parametrize("corrupt", [
+        lambda t, j: None,
+        lambda t, j: t.__setitem__(3, t[2] - 0.25),  # decreasing t
+        lambda t, j: t.__setitem__(5, t[4]),  # equal t, equal j
+        lambda t, j: t.__setitem__(0, math.nan),  # NaN first
+        lambda t, j: t.__setitem__(20, math.nan),  # NaN in the middle
+        lambda t, j: t.__setitem__(-1, math.nan),  # NaN last
+        lambda t, j: (t.__setitem__(7, math.nan), t.__setitem__(3, t[2])),  # two bad pairs
+        lambda t, j: j.__setitem__(slice(10, 30), 0.0),  # j falls back at a jump's time
+    ], ids=["ordered", "decreasing", "equal-pair", "nan-first", "nan-middle", "nan-last",
+            "two-bad", "j-back"])
+    def test_ordering_on_columns_is_the_pair_loop(self, corrupt):
+        arc = awkward_arc(True)
+        corrupt(arc._t, arc._table[: len(arc), 1])
+        expected = _pair_loop_ordering(arc)
+        if expected is None:
+            arc.check_ordering()
+        else:
+            with pytest.raises(OrderingError) as info:
+                arc.check_ordering()
+            assert str(info.value) == expected
+
+    def test_ordering_of_short_arcs(self):
+        for rows in (0, 1):
+            arc = HybridArc(2, 1)
+            for k in range(rows):
+                arc.append_flow_sample(float(k), state())
+            arc.check_ordering()
+
+    def test_write_json_is_json_dump(self, tmp_path):
+        import json
+
+        records = [{"time": 0.1, "j": 1, "reason": "threshold", "error_norm": None},
+                   {"nested": [[1.0, -0.0, 5e-324], {"a": None, "b": [True, False]}],
+                    "empty": [], "text": "café \"quoted\"", "big": 1e300}, None, []]
+        for obj in (records, records[1], [], {}):
+            hybrid.write_json(tmp_path / "one.json", obj)
+            with open(tmp_path / "dump.json", "w") as fh:
+                json.dump(obj, fh, indent=2)
+                fh.write("\n")
+            assert (tmp_path / "one.json").read_bytes() == (tmp_path / "dump.json").read_bytes()
+
+    @pytest.mark.parametrize("e", [(0.0, 0.0), (-0.0, 0.0), (5e-324, -5e-324),
+                                   (2.2250738585072014e-308, 1e-160), (3.0, 4.0),
+                                   (1e200, 1e200), (-1.7976931348623157e308, 1.0)])
+    def test_error_norm_is_linalg_norm(self, e):
+        arc = HybridArc(2, 1)
+        q = state(e=e)
+        arc.append_flow_sample(1.0, q)
+        arc.append_jump(q, state(), reason="threshold")
+
+        def outcome(norm):
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                value = norm()
+            return type(value), np.array([value]).tobytes(), [str(w.message) for w in seen]
+
+        # a float, and a square that overflows warns as np.linalg.norm's dot does
+        assert outcome(lambda: arc.events[0].error_norm) == outcome(
+            lambda: float(np.linalg.norm(np.array(e))))
 
 
 # Every bounded numeric input field: (builder, field, type, low, closed, high,

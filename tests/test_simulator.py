@@ -1207,6 +1207,224 @@ class TestRuns:
                                                    Termination.HORIZON]
         assert len(legs[2]()) == 101
 
+    def test_held_point_margin_evaluated_once_at_stride_one(self, monkeypatch, certn):
+        # at stride 1 a run before the boundary keeps its last cell's row,
+        # whose margin is the held point's: it is evaluated once, as the
+        # loop evaluates it cell by cell
+        sc = demo_scenario("dwell")
+        margin, counts = simulate._PolicyEval.margin, {}
+        for cells in (0, simulate._RUN_CELLS):
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(simulate, "_RUN_CELLS", cells)
+                m.setattr(simulate._PolicyEval, "margin",
+                          lambda ev, s, tau: calls.append(tau) or margin(ev, s, tau))
+                arc = integrate_arc(sc.plant, sc.policy, sc.q0,
+                                    replace(sc.solver, horizon=3.0, store_stride=1),
+                                    cert=certn.cert, params=certn.dwell)
+            counts[cells] = len(calls)
+        assert arc.jump_count == 3
+        assert counts[simulate._RUN_CELLS] == counts[0]
+
+    @staticmethod
+    def _decaying_fast_plant(cell):
+        """A unit slow state rotating with no feedback and a fast state that
+        decays by exp(-1/2) per cell of the given length."""
+        plant = LinearPlantSpec(a11=[[0.0, 1.0], [-1.0, 0.0]], a12=np.zeros((2, 1)),
+                                a21=np.zeros((1, 2)), a22=[[-1.0]], b1=np.zeros((2, 1)),
+                                b2=np.zeros((1, 1)), k_gain=np.zeros((1, 2)),
+                                epsilon=2.0 * cell)
+        assert simulate._Propagator(plant, cell).cell == cell
+        return plant
+
+    @pytest.mark.parametrize("kind", [PolicyKind.TIME_REGULARIZED, PolicyKind.PERIODIC],
+                             ids=lambda k: k.value)
+    def test_a_run_before_the_boundary_stops_at_a_snapped_cell(self, monkeypatch, kind):
+        # the fast state falls below fast_floor = 1e-3 in the 14th cell, well
+        # before the boundary at 40 cells: the run from t = 0 scans its
+        # cells' fast parts and hands the snapped cell to the loop
+        cell = 0.005
+        plant = self._decaying_fast_plant(cell)
+        clocked = kind is PolicyKind.TIME_REGULARIZED
+        policy = (TriggerPolicy(kind=kind, sigma=0.3, t_star=40 * cell) if clocked
+                  else TriggerPolicy(kind=kind, period=40 * cell))
+        q0 = HybridState(x=[1.0, 0.0], y=[1.0], e=[0.0, 0.0], tau=0.0 if clocked else None)
+        legs = [lambda stride=stride: integrate_arc(
+            plant, policy, q0, SolverConfig(horizon=0.9, fast_floor=1e-3, store_stride=stride),
+            cert=_unit_cert(2, 1)) for stride in (1, 3, 8)]
+        self._assert_runs_are_the_scalar_loop(monkeypatch, legs)
+        scans, first_snapped = [], simulate._first_snapped
+
+        def counted(values, fast_floor):
+            scans.append((len(values), first_snapped(values, fast_floor)))
+            return scans[-1][1]
+
+        monkeypatch.setattr(simulate, "_first_snapped", counted)
+        arc = legs[0]()
+        # the run's scan: of 41 cells tried, the 40th reaches the boundary up to
+        # rounding and is clamped; the 14th is the first that snaps
+        assert scans[0] == (39, 13)
+        assert arc.y[14, 0] == 0.0 and arc.y[13, 0] > 1e-3
+        assert arc.t[14] == pytest.approx(14 * cell) and arc.jump_count > 0
+
+    @pytest.mark.parametrize("kind", [PolicyKind.TIME_REGULARIZED, PolicyKind.PERIODIC],
+                             ids=lambda k: k.value)
+    def test_a_boundary_that_ties_the_horizon_within_the_floor(self, monkeypatch, kind):
+        # the boundary lies a few ulps past the accumulated end of cell k,
+        # within the step floor at its start (clamp's within-floor clause),
+        # with the horizon on it, an ulp before it or an ulp past it: the
+        # clause ceiling - tau > horizon - t decides that cell, on both sides
+        cell = 0.005
+        plant = self._decaying_fast_plant(cell)
+        t = np.add.accumulate(np.full(300, cell))  # t[k] ends cell k + 1, as a run adds
+        floor = simulate._STEP_ULPS * np.maximum(1.0, t)
+        boundary = float(next(p for k in range(200, 300) for d in range(1, 64)
+                              if (p := t[k] + d * np.spacing(t[k])) - t[k] > floor[k]
+                              and t[k] >= p - floor[k - 1]))
+        clocked = kind is PolicyKind.TIME_REGULARIZED
+        policy = (TriggerPolicy(kind=kind, sigma=0.3, t_star=boundary) if clocked
+                  else TriggerPolicy(kind=kind, period=boundary))
+        q0 = HybridState(x=[1.0, 0.0], y=[0.0], e=[0.0, 0.0], tau=0.0 if clocked else None)
+        legs = [lambda horizon=horizon, stride=stride: integrate_arc(
+            plant, policy, q0, SolverConfig(horizon=horizon, store_stride=stride),
+            cert=_unit_cert(2, 1))
+            for horizon in (boundary, math.nextafter(boundary, 0.0),
+                            math.nextafter(boundary, math.inf))
+            for stride in (1, 8)]
+        self._assert_runs_are_the_scalar_loop(monkeypatch, legs)
+        ends = [(leg().jump_count, leg().termination) for leg in legs[::2]]
+        assert ends == [(1, Termination.HORIZON), (0, Termination.HORIZON),
+                        (1, Termination.HORIZON)]
+
+
+def _mask_prefix(t0, tau0, cell, cells, horizon, ceiling):
+    """How many leading cells pass the clock and horizon tests taken as
+    masks on whole rows of accumulated times, as a run took them before
+    they were taken on floats; the ceiling applies while the clock starts
+    before it."""
+    grid = np.full(cells + 1, cell)
+    grid[0] = t0
+    t_all = np.add.accumulate(grid)
+    grid[0] = tau0
+    tau_all = np.add.accumulate(grid)
+    floor = simulate._STEP_ULPS * np.maximum(1.0, t_all)
+    left = horizon - t_all
+    plain = (left[:-1] >= cell) & (floor[:-1] < cell) & (left[1:] > floor[1:])
+    if ceiling is not None and tau0 < ceiling:
+        plain &= (tau_all[1:] < ceiling) & ((tau_all[1:] < ceiling - floor[:-1])
+                                            | (ceiling - tau_all[:-1] > left[:-1]))
+    return simulate._prefix(plain)
+
+
+def _scalar_prefix(t0, tau0, cell, cells, horizon, ceiling):
+    """_clock_prefix on the grid that a run accumulates from (t0, tau0)."""
+    t_all = list(itertools.accumulate(itertools.repeat(cell, cells), initial=t0))
+    tau_all = list(itertools.accumulate(itertools.repeat(cell, cells), initial=tau0))
+    before = ceiling is not None and tau0 < ceiling
+    return simulate._clock_prefix(t_all, tau_all, cell, horizon, ceiling if before else None)
+
+
+class TestClockPrefix:
+    """A run's clock and horizon tests on floats, walked back from its last
+    cell, against the same tests as masks on rows."""
+
+    CELL = 0.005
+
+    def _prefix(self, t0, tau0, horizon, ceiling, cells=8):
+        scalar = _scalar_prefix(t0, tau0, self.CELL, cells, horizon, ceiling)
+        assert scalar == _mask_prefix(t0, tau0, self.CELL, cells, horizon, ceiling)
+        return scalar
+
+    def test_accumulated_clocks_equal_the_row_sums(self):
+        for t0 in (0.0, 0.1, 1234.5678, 2.0**47):
+            rows = np.add.accumulate(np.r_[t0, np.full(64, self.CELL)])
+            floats = list(itertools.accumulate(itertools.repeat(self.CELL, 64), initial=t0))
+            assert np.array(floats).tobytes() == rows.tobytes()
+
+    def test_boundary_within_a_floor_of_a_cell_end(self):
+        # from t = tau = 0, the boundary a few ulps past the end of cell 4,
+        # within the floor (the cell is clamped onto it) or just beyond it
+        cell, k = self.CELL, 4
+        end = _grid_end(0.0, cell, k + 1)
+        floor = simulate._step_floor(_grid_end(0.0, cell, k))
+        within = math.nextafter(end, math.inf)
+        beyond = end + 2.0 * floor
+        assert within - end < floor < beyond - end
+        assert self._prefix(0.0, 0.0, 10.0, within) == k
+        assert self._prefix(0.0, 0.0, 10.0, beyond) == k + 1
+        assert self._prefix(0.0, 0.0, 10.0, end) == k  # the cell reaches it
+
+    def test_boundary_within_a_floor_on_both_sides_of_the_horizon_clause(self):
+        # at t ~ 1e8 (16 ulps of t are 2.4 ulps there) a cell's accumulated
+        # length falls short of the cell by more than the floor's growth, so that the clause ceiling - tau >
+        # horizon - t can pass a cell that ends within its start's floor of
+        # the boundary and more than a floor before the horizon: the
+        # horizon just short of the boundary's distance passes it, one on it
+        # or past it does not
+        cell, k = self.CELL, 3
+        for t0 in (1e8 + 0.0123 * i for i in range(400)):
+            t_s, t_e = _grid_end(t0, cell, k), _grid_end(t0, cell, k + 1)
+            tau_s, tau_e = _grid_end(0.0, cell, k), _grid_end(0.0, cell, k + 1)
+            floor_s, floor_e = simulate._step_floor(t_s), simulate._step_floor(t_e)
+            ceiling = _nearest_below(lambda c: tau_e >= c - floor_s, tau_e + floor_s)
+            horizon = _nearest_below(lambda h: ceiling - tau_s > h - t_s, t_e + 2 * floor_e)
+            if ceiling > tau_e and horizon - t_e > floor_e:
+                break
+        else:
+            raise AssertionError("no grid where the horizon clause passes a cell")
+        assert tau_e < ceiling and not tau_e < ceiling - floor_s  # within the floor
+        assert self._prefix(t0, 0.0, horizon, ceiling) == k + 1
+        assert not ceiling - tau_s > math.nextafter(horizon, math.inf) - t_s
+        assert self._prefix(t0, 0.0, math.nextafter(horizon, math.inf), ceiling) == k
+        # the cell after it reaches the boundary, whatever the horizon
+        assert _grid_end(0.0, cell, k + 2) >= ceiling
+
+    def test_horizon_within_a_floor_of_a_cell_end(self):
+        cell, k = self.CELL, 5
+        end = _grid_end(0.0, cell, k)
+        floor = simulate._step_floor(end)
+        for ceiling in (None, 10.0):
+            # on the end or within its floor: the cell before it lands on the horizon
+            assert self._prefix(0.0, 0.0, end, ceiling) == k - 1
+            assert self._prefix(0.0, 0.0, end + 0.5 * floor, ceiling) == k - 1
+            # beyond the floor: that cell is plain, the next one ends past the horizon
+            assert self._prefix(0.0, 0.0, end + 2.0 * floor, ceiling) == k
+
+    def test_start_on_the_boundary(self):
+        # a clock on the boundary has no clamped cell; an ulp before it, the
+        # first cell is clamped
+        assert self._prefix(0.0, 0.3, 10.0, 0.3) == 8
+        assert self._prefix(0.0, math.nextafter(0.3, 0.0), 10.0, 0.3) == 0
+        # at 2^47 a cell is below half an ulp of the clock: an ulp before
+        # the boundary, no cell moves the clock onto it
+        assert self._prefix(0.0, 2.0**47, 10.0, 2.0**47) == 8
+        assert self._prefix(0.0, math.nextafter(2.0**47, 0.0), 10.0, 2.0**47) == 8
+
+    def test_floor_that_reaches_the_cell(self):
+        # the floor, 16 ulps of t, reaches the cell at t = cell * 2^48
+        cell = self.CELL
+        t0 = cell * 2.0**48 - 3.5 * cell
+        k = next(k for k in range(8) if simulate._step_floor(_grid_end(t0, cell, k)) >= cell)
+        assert 0 < k < 8
+        assert self._prefix(t0, 0.0, 2 * t0, None) == k
+        assert self._prefix(t0, 0.0, 2 * t0, 10.0) == k
+
+
+def _grid_end(t0, cell, k):
+    """t0 with k cells accumulated, as a run adds them."""
+    return list(itertools.accumulate(itertools.repeat(cell, k), initial=t0))[-1]
+
+
+def _nearest_below(holds, start):
+    """The largest float at or below start at which holds(v) holds, walking
+    down by ulps from a start a few ulps above the crossing."""
+    v = start
+    for _ in range(64):
+        v = math.nextafter(v, math.inf)
+    while not holds(v):
+        v = math.nextafter(v, -math.inf)
+    return v
+
 
 class TestStepHelpers:
     def test_error_norm_and_step_floor_equal_the_old_expressions_bitwise(self):
@@ -1283,6 +1501,23 @@ class TestFastFloor:
         y = self._landed_fast_components(arc)
         assert np.any(y == 0.0)
         assert np.all((y == 0.0) | (y >= cfg.fast_floor))
+
+    def test_snap_test_on_floats_is_the_array_test(self):
+        # the loop's snap test on floats, 0 < |v| < fast_floor, against the
+        # array test (|y| < fast_floor) & (y != 0) it replaced
+        for fast_floor in (1e-12, 1e-3, 5e-324, 1.0):
+            below, above = (math.nextafter(fast_floor, 0.0),
+                            math.nextafter(fast_floor, math.inf))
+            values = [0.0, -0.0, 5e-324, -5e-324, fast_floor, -fast_floor, below, -below,
+                      above, -above, math.nan, -math.nan, math.inf, -math.inf, 1e300]
+            y = np.array(values)
+            snapped = ((np.abs(y) < fast_floor) & (y != 0.0)).tolist()
+            for v, moved in zip(values, snapped):
+                assert (simulate._first_snapped([v], fast_floor) == 0) is moved, v
+            first = snapped.index(True) if True in snapped else len(values)
+            assert simulate._first_snapped(values, fast_floor) == first
+            unmoved = [v for v, moved in zip(values, snapped) if not moved]
+            assert simulate._first_snapped(unmoved, fast_floor) == len(unmoved)
 
 
 class TestHybridSystemInterface:
