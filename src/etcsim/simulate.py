@@ -796,11 +796,12 @@ class _ArcLoop:
         else:
             s = probed[t_event] if t_event in probed else dense(t_event)
             t, tau, end = t_event, tau + (t_event - t), None
-        fast = slice(self.n_x, self.n_x + self.n_y)
-        if cfg.fast_floor > 0.0 and _first_snapped(s[fast].tolist(), cfg.fast_floor) < self.n_y:
-            s = s.copy()  # snap a copy: the backend may hold s
-            s[fast][np.abs(s[fast]) < cfg.fast_floor] = 0.0
-            end = None
+        if cfg.fast_floor > 0.0:  # snap a copy: the backend may hold s
+            y_part = s[self.n_x:self.n_x + self.n_y]
+            if _first_snapped(y_part.tolist(), cfg.fast_floor) < self.n_y:
+                s = s.copy()
+                s[self.n_x:self.n_x + self.n_y][np.abs(y_part) < cfg.fast_floor] = 0.0
+                end = None
         self.s, self.t, self.tau = s, t, tau
         self.m = ev.margin(s, tau) if end is None else end
         self.tested = t_event is None
