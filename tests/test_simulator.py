@@ -1355,9 +1355,10 @@ class TestClockPrefix:
         assert self._prefix(0.0, 0.0, 10.0, end) == k  # the cell reaches it
 
     def test_boundary_within_a_floor_on_both_sides_of_the_horizon_clause(self):
-        # at t ~ 1e8 (16 ulps of t are 2.4 ulps there) a cell's accumulated
-        # length falls short of the cell by more than the floor's growth, so that the clause ceiling - tau >
-        # horizon - t can pass a cell that ends within its start's floor of
+        # at t ~ 1e8 (an ulp of t is 1.5e-8 there) a cell's accumulated
+        # length can fall short of the cell by more than the floor's growth,
+        # so that the clause ceiling - tau > horizon - t can pass a cell that
+        # ends within its start's floor of
         # the boundary and more than a floor before the horizon: the
         # horizon just short of the boundary's distance passes it, one on it
         # or past it does not
