@@ -143,11 +143,11 @@ class QuadraticLyapunovData:
 
     def v_x(self, x: np.ndarray) -> float:
         x = x if _is_flat(x) else np.asarray(x, dtype=float).reshape(-1)
-        return float(x @ self.p1 @ x)
+        return float(x.dot(self.p1).dot(x))
 
     def v_y(self, y: np.ndarray) -> float:
         y = y if _is_flat(y) else np.asarray(y, dtype=float).reshape(-1)
-        return float(y @ self.p2 @ y)
+        return float(y.dot(self.p2).dot(y))
 
     @classmethod
     def from_dict(cls, cfg: dict) -> "QuadraticLyapunovData":

@@ -190,7 +190,8 @@ def _json_value(value):
 
 
 # Per-row products of (N, dim) rows. Each row goes through a stacked matmul
-# of the 1-D expression's shapes, so it is rounded as x @ p @ x or a @ b is;
+# of the 1-D expression's shapes, so it is rounded as the point forms
+# x.dot(p).dot(x) and a.dot(b) are (dot and @ call one BLAS routine);
 # (a * b).sum(1) and np.linalg.norm(a, axis=1) differ in the last bit.
 def _quad_rows(a: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ p @ a[:, :, None])[:, 0, 0]

@@ -230,7 +230,7 @@ class _Flow:
             jac = _vec(jac, self.n_z * self.n_x, "map dh_dx").reshape(self.jac_shape)
         row, x_dot, y_dot, e_dot = out
         x_dot[...] = fx
-        np.subtract(g_val / self.epsilon, jac @ fx, out=y_dot)
+        np.subtract(g_val / self.epsilon, jac.dot(fx), out=y_dot)
         np.negative(fx, out=e_dot)
         if not _all_finite(row):
             raise DivergenceError("closed-loop flow produced non-finite derivative")
@@ -357,9 +357,10 @@ class LinearPlantSpec:
     """LTI two-time-scale plant with a static gain.
 
     dx/dt = A11 x + A12 z + B1 u,  eps dz/dt = A21 x + A22 z + B2 u,
-    u = K x at transmissions. A22 must be invertible so the root
-    h(x, u) = -A22^{-1} (A21 x + B2 u) is unique; a Hurwitz check on A22
-    is available as `a22_hurwitz`.
+    u = K x at transmissions. A11, A22 and K set n_x, n_z and n_u, each at
+    least 1, else a DimensionError that names the block. A22 must be
+    invertible so the root h(x, u) = -A22^{-1} (A21 x + B2 u) is unique; a
+    Hurwitz check on A22 is available as `a22_hurwitz`.
     """
 
     a11: np.ndarray
@@ -381,6 +382,10 @@ class LinearPlantSpec:
         n_z = a22.shape[0]
         k = np.atleast_2d(np.asarray(self.k_gain, dtype=float))
         n_u = k.shape[0]
+        for name, block, dim in (("a11", a11, "n_x"), ("a22", a22, "n_z"), ("k_gain", k, "n_u")):
+            if block.shape[0] == 0:  # as in PlantSpec, every size is at least 1
+                raise DimensionError(f"LinearPlantSpec block {name} has shape {block.shape}, "
+                                     f"so {dim} is 0; it must be at least 1")
         object.__setattr__(self, "a11", _matrix(a11, (n_x, n_x), "a11"))
         object.__setattr__(self, "a12", _matrix(self.a12, (n_x, n_z), "a12"))
         object.__setattr__(self, "a21", _matrix(self.a21, (n_z, n_x), "a21"))

@@ -3,9 +3,11 @@
 A generic plant flows by an embedded Runge-Kutta 5(4) pair with dense
 output, a linear plant by its exact propagator on fixed cells. Flow goes on
 while the policy's flow condition holds; the signed event margin is
-bracketed on each step (ends plus midpoint) and a sign change is refined to
-the configured time tolerance by the ITP method, a bracketing secant that
-never takes more than one margin evaluation beyond bisection's count. Jumps
+bracketed on each step (ends plus midpoint, a midpoint that a dead-zone
+floor provably keeps negative left unprobed) and a sign change is refined
+to the configured time tolerance by the ITP method, a bracketing secant
+that never takes more than one margin evaluation beyond bisection's count.
+Point products are taken by ndarray.dot, products on stacked rows by @. Jumps
 are eager: whenever the state sits in the jump set, the transmission fires
 immediately (post-jump states are strictly interior for the implementable
 policies, so this never masks a real event; for the naive policy it turns
@@ -312,7 +314,8 @@ def _error_norm(err: np.ndarray, y0: np.ndarray, y1: np.ndarray,
 
 
 class _DenseSegment:
-    """Quartic dense output of one accepted step: y0 + h * (q @ theta powers)."""
+    """Quartic dense output of one accepted step: y0 + h * q.dot(theta
+    powers). _mid_below_floor bounds it over the whole step from y0, h and q."""
 
     def __init__(self, t0: float, h: float, y0: np.ndarray, q: np.ndarray):
         self.t0 = t0
@@ -323,7 +326,7 @@ class _DenseSegment:
     def __call__(self, t: float) -> np.ndarray:
         theta = (t - self.t0) / self.h
         p = np.array([theta, theta**2, theta**3, theta**4])
-        return self.y0 + self.h * (self.q @ p)
+        return self.y0 + self.h * self.q.dot(p)
 
     def mid(self) -> np.ndarray:
         return self(self.t0 + 0.5 * self.h)
@@ -355,9 +358,11 @@ class _StagedStep:
     per arc, which closed_loop_flow_vector also evaluates: it checks each
     map value by one test and writes the stage into its row of one (7, n)
     stage table, kept for the whole arc. Each stage point is summed in
-    place, v = a_row @ stages[:i]; v *= h; v += s, bitwise s + h * (a_row @
-    stages[:i]) since IEEE multiply and add commute, and is a fresh array,
-    as is the step end: the maps may keep their inputs. The last accepted
+    place, v = a_row.dot(stages[:i]); v *= h; v += s, bitwise s + h *
+    (a_row @ stages[:i]) since IEEE multiply and add commute and dot calls
+    the BLAS routine that @ calls, and is a fresh array, as is the step
+    end: the maps may keep their inputs. The step end, the error estimate
+    and the dense output's coefficients are dot products too. The last accepted
     step's end is kept, and its FSAL stage stays in row 6, so a step from
     that same array copies it to row 0, where no trial writes, and takes
     its first stage for free."""
@@ -381,13 +386,13 @@ class _StagedStep:
         """The end s1 of a trial step from s whose first stage is in row 0,
         its seven stages in the table (the last FSAL); None if not finite."""
         for a_row, head, out in self.heads:
-            si = a_row @ head
+            si = a_row.dot(head)
             si *= h
             si += s
             if not _all_finite(si):
                 return None
             self.stage(si, out)
-        s1 = RK_B @ self.stages[:6]
+        s1 = RK_B.dot(self.stages[:6])
         s1 *= h
         s1 += s
         if not _all_finite(s1):
@@ -411,12 +416,12 @@ class _StagedStep:
             if s1 is None:
                 h *= _MIN_FACTOR
                 continue
-            norm = _error_norm(h * (RK_E @ stages), s, s1, self.cfg.rel_tol, self.cfg.abs_tol)
+            norm = _error_norm(h * RK_E.dot(stages), s, s1, self.cfg.rel_tol, self.cfg.abs_tol)
             if norm <= 1.0:
                 factor = _MAX_FACTOR if norm == 0.0 else min(
                     _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * norm ** -0.2))
                 self.end = s1
-                return h, clamped, s1, _DenseSegment(t, h, s, stages.T @ RK_P), h * factor
+                return h, clamped, s1, _DenseSegment(t, h, s, stages.T.dot(RK_P)), h * factor
             h *= max(_MIN_FACTOR, _SAFETY * norm ** -0.2)
 
 
@@ -434,16 +439,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
     squarings = max(0, math.frexp(norm / _THETA13)[1]) if norm > _THETA13 else 0
     a = np.ldexp(a, -squarings)
     b, ident = _PADE13, np.eye(a.shape[0])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+    a2 = a.dot(a)
+    a4 = a2.dot(a2)
+    a6 = a4.dot(a2)
+    u = a.dot(a6.dot(b[13] * a6 + b[11] * a4 + b[9] * a2)
+              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6.dot(b[12] * a6 + b[10] * a4 + b[8] * a2)
          + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
     r = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
-        r = r @ r
+        r = r.dot(r)
     return r
 
 
@@ -479,8 +484,8 @@ class _Propagator:
         """expm(F h); a DivergenceError if it overflows."""
         n_s = self.n_s
         with np.errstate(over="ignore", invalid="ignore"):
-            m = (self.left[:, :n_s] @ _expm(h * self.a_s) @ self.right[:n_s]
-                 + self.left[:, n_s:] @ _expm(h * self.a_f) @ self.right[n_s:])
+            m = (self.left[:, :n_s].dot(_expm(h * self.a_s)).dot(self.right[:n_s])
+                 + self.left[:, n_s:].dot(_expm(h * self.a_f)).dot(self.right[n_s:]))
         if not np.isfinite(m).all():
             raise DivergenceError(f"the linear flow over a step of {h!r} overflows")
         return m
@@ -498,17 +503,39 @@ class _Propagator:
     def advance(self, s: np.ndarray, h: float, t: float, clamp: Callable) -> tuple:
         """As _StagedStep.advance, over one cell; h is not read."""
         h, clamped = clamp(self.cell)
-        return h, clamped, self.at(h) @ s, _PropagatedSegment(t, h, s, self), self.cell
+        return h, clamped, self.at(h).dot(s), _PropagatedSegment(t, h, s, self), self.cell
 
 
 class _PropagatedSegment(_DenseSegment):
     """One cell's flow from (t0, y0) by the _Propagator q: expm(F (t - t0)) y0."""
 
     def __call__(self, t: float) -> np.ndarray:
-        return self.q.matrix(t - self.t0) @ self.y0
+        return self.q.matrix(t - self.t0).dot(self.y0)
 
     def mid(self) -> np.ndarray:
-        return self.q.at(0.5 * self.h) @ self.y0
+        return self.q.at(0.5 * self.h).dot(self.y0)
+
+
+# The relative slack of the midpoint certificate: far above the rounding of
+# the interpolant, its norm and gamma1 (a few ulps each).
+_MID_SLACK = 1e-9
+
+
+def _mid_below_floor(dense: _DenseSegment, e: slice, gamma1, level: float) -> bool:
+    """Whether a dead-zone margin is provably negative all along a generic
+    step's interpolant, so its midpoint probe is skipped: gamma1(B (1 +
+    _MID_SLACK)) < level = rho (1 - _MID_SLACK), where B = sum |e0_i| + h
+    sum |q_e,ik| bounds |e(theta)|_1 >= |e(theta)|_2 for every theta in
+    [0, 1], since theta^k <= 1. The margin gamma1(|e|) - max(threshold, rho)
+    is then below gamma1(|e|) - rho < 0 wherever the interpolant is
+    evaluated, rounding included. A NaN or inf in B, or a B too large for
+    gamma1 to raise to its power (OverflowError), fails the test."""
+    bound = (sum(map(abs, dense.y0[e].tolist()))
+             + dense.h * sum(map(abs, dense.q[e].ravel().tolist())))
+    try:
+        return gamma1(bound * (1.0 + _MID_SLACK)) < level
+    except OverflowError:
+        return False
 
 
 def _prefix(mask: np.ndarray) -> int:
@@ -562,9 +589,13 @@ class _ArcLoop:
     Each step lands on one point: the localized event, or else the step
     end. A step is bracketed (start, midpoint and end) unless a clocked
     margin is negative all along it: when it is clamped onto the clock
-    boundary, or starts and ends before it. The bracket's sign change is
-    located (locate_event) on the backend's dense output, and the event
-    lands on the state the locator evaluated there. Both landings go
+    boundary, or starts and ends before it. A generic step under a
+    dead-zone policy (floor: the e slice, gamma1 and the level rho (1 -
+    _MID_SLACK)) skips its midpoint where _mid_below_floor proves the
+    margin negative on the whole interpolant, and brackets on its start
+    and end alone. The bracket's sign change is located (locate_event) on
+    the backend's dense output, and the event lands on the state the
+    locator evaluated there. Both landings go
     through the same block: fast_floor snaps a copy of the point (the loop
     never writes into an array a backend returned, so only the unsnapped
     step end keeps its FSAL stage), and the margin m is evaluated once: at
@@ -596,6 +627,10 @@ class _ArcLoop:
         linear = isinstance(self.step, _Propagator)
         self.run_room = (_RUN_CELLS // 4 + 1) * self.step.cell if linear else math.inf
         self.pre_room = _PRE_CELLS * self.step.cell if linear else math.inf
+        # a generic step under a dead-zone policy skips a midpoint that its
+        # interpolant's e provably keeps below the floor (_mid_below_floor)
+        self.floor = (None if linear or policy.kind is not PolicyKind.DEADZONE
+                      else (self.step.parts[2], cert.gamma1, policy.rho * (1.0 - _MID_SLACK)))
         self.ceiling = policy.clock_ceiling
         self.s, self.t = q0.as_vector(), 0.0
         self.tau = q0.tau if q0.tau is not None else 0.0
@@ -680,8 +715,8 @@ class _ArcLoop:
         crosses the clock boundary (the cell that reaches it is clamped), so
         the loop's rule, a cell's start clock on or past the boundary or its
         end clock past it, comes down to where the run starts. The cells'
-        ends are the loop's own products M @ s; their squared norms, and the
-        midpoints and margins of a bracketed run, are taken on rows, each
+        ends are the loop's own products M.dot(s); their squared norms, and
+        the midpoints and margins of a bracketed run, are taken on rows, each
         row bitwise as the loop takes it on its point. A run that starts
         before the boundary stays before it, where every margin is
         negative, so it has no margin mask: it evaluates margins only on the
@@ -717,7 +752,7 @@ class _ArcLoop:
             return 0
         states = [self.s]
         for _ in range(n):
-            states.append(m_cell @ states[-1])
+            states.append(m_cell.dot(states[-1]))
         block = np.array(states)
         ends = block[1:]
         n = _prefix(_dot_rows(ends, ends) <= DIVERGENCE_NORM**2)
@@ -765,7 +800,10 @@ class _ArcLoop:
 
     def take_step(self) -> Optional[Termination]:
         """One step, clamped to the horizon and clock boundaries, landed and
-        stored by the rules above: DIVERGENCE if its end diverged."""
+        stored by the rules above: DIVERGENCE if its end diverged. A
+        midpoint that _mid_below_floor certifies is not probed, so its
+        margin counts as negative and the end is probed next, as when the
+        probe reads a negative margin."""
         cfg, ev, ceiling = self.cfg, self.ev, self.ceiling
         t, tau, m = self.t, self.tau, self.m
         h, clamped_clock, s1, dense, h_next = self.step.advance(self.s, self.h, t, self.clamp)
@@ -778,8 +816,9 @@ class _ArcLoop:
         # below half an ulp of tau leaves tau1 == tau) or ends past it.
         t_event = end = None
         if m < 0.0 and (ceiling is None or tau >= ceiling or tau1 > ceiling):
-            t_hi = t + 0.5 * h
-            m_hi = ev.margin(dense.mid(), tau + (t_hi - t))
+            t_hi, m_hi = t + 0.5 * h, -math.inf
+            if self.floor is None or not _mid_below_floor(dense, *self.floor):
+                m_hi = ev.margin(dense.mid(), tau + (t_hi - t))
             if m_hi < 0.0:
                 t_hi, m_hi = t1, ev.margin(s1, tau1)
                 end = m_hi

@@ -15,6 +15,7 @@ from etcsim.certificates import (
     validate_assumptions,
 )
 import etcsim.simulate as simulate
+from etcsim.demo import demo_scenario
 from etcsim.errors import DimensionError, DivergenceError
 from etcsim.hybrid import HybridState, Termination, _all_finite
 from etcsim.plant import (
@@ -27,6 +28,7 @@ from etcsim.plant import (
     reduced_slow_flow,
     shift_coordinates,
 )
+from etcsim.scenario import sample_in_ball
 from etcsim.simulate import SolverConfig, integrate_arc
 from etcsim.triggers import PolicyKind, TriggerPolicy
 
@@ -313,3 +315,125 @@ def test_non_finite_flow_is_a_divergence_error(bad):
     step = simulate._StagedStep(_constant_flow_plant([1.5e308, bad]), SolverConfig())
     with pytest.raises(DivergenceError, match="non-finite derivative"):
         step.advance(np.zeros(5), 0.25, 0.0, _unclamped)
+
+
+# ---------------------------------------------------------------------------
+# The generic step's midpoint certificate under a dead-zone policy
+# ---------------------------------------------------------------------------
+
+_MC_DEADZONE = TriggerPolicy(kind=PolicyKind.DEADZONE, sigma=0.4, rho=0.01)
+
+
+def _mc_start(seed):
+    """The start of job 0 of the nonlinear_mc benchmark at a seed."""
+    gen = np.random.default_rng(np.random.SeedSequence([seed, 0, 0]))
+    xy = sample_in_ball(gen, 2, 1.6)
+    return HybridState(x=xy[:1], y=xy[1:], e=np.zeros(1))
+
+
+def _arc_bytes(arc):
+    events = [(ev.t, ev.reason, ev.pre_state.as_vector().tobytes(),
+               ev.post_state.as_vector().tobytes()) for ev in arc.events]
+    return arc._table[: len(arc)].tobytes(), events, arc.termination
+
+
+def _recording(monkeypatch):
+    """Record (dense, e slice, skipped) of every _mid_below_floor call."""
+    seen, below = [], simulate._mid_below_floor
+
+    def recording(dense, e, gamma1, level):
+        skipped = below(dense, e, gamma1, level)
+        seen.append((dense, e, skipped))
+        return skipped
+
+    monkeypatch.setattr(simulate, "_mid_below_floor", recording)
+    return seen
+
+
+def _two_slow_cert():
+    return LyapunovCertificate.derive(QuadraticLyapunovData(
+        p1=np.eye(2), p2=np.eye(1), alpha1_bar=1.0, alpha2=1.9, l_bar=1.5))
+
+
+class TestMidpointCertificate:
+    def test_bound_covers_the_interpolant_and_a_skipped_margin_is_negative(
+            self, plant, cert, monkeypatch):
+        seen = _recording(monkeypatch)
+        policy = replace(_MC_DEADZONE, rho=0.5)
+        legs = [(plant, cert, _MC_DEADZONE, _mc_start(1)),
+                (_two_slow_plant(), _two_slow_cert(), policy,
+                 HybridState(x=np.array([1.0, 2.0]), y=np.array([3.0]), e=np.zeros(2)))]
+        for p, c, pol, q0 in legs:
+            seen.clear()
+            integrate_arc(p, pol, q0, SolverConfig(horizon=10.0), cert=c)
+            assert 0 < sum(skipped for *_, skipped in seen) < len(seen)
+            for dense, e, skipped in seen:
+                bound = np.abs(dense.y0[e]).sum() + dense.h * np.abs(dense.q[e]).sum()
+                points = [dense(dense.t0 + theta * dense.h) for theta in np.linspace(0, 1, 33)]
+                norms = [float(np.linalg.norm(s[e])) for s in points]
+                assert max(norms) <= bound
+                if skipped:
+                    assert max(c.gamma1(v) for v in norms) < pol.rho
+                    s = dense.mid()
+                    assert pol.margin(c, s[:p.n_x], s[e], 0.0) < 0.0
+
+    @pytest.mark.parametrize("seed", [1, 4242])
+    def test_arc_equals_the_arc_that_probes_every_midpoint(self, plant, cert, monkeypatch, seed):
+        q0, cfg = _mc_start(seed), SolverConfig(horizon=20.0)
+        certified = integrate_arc(plant, _MC_DEADZONE, q0, cfg, cert=cert)
+        monkeypatch.setattr(simulate, "_mid_below_floor", lambda *args: False)
+        assert _arc_bytes(certified) == _arc_bytes(integrate_arc(plant, _MC_DEADZONE, q0, cfg,
+                                                                 cert=cert))
+
+    def test_demo_through_the_generic_path_equals_the_arc_that_probes_every_midpoint(
+            self, certification, monkeypatch):
+        sc = demo_scenario("deadzone")
+        generic = sc.plant.as_plant_spec()
+        certified = integrate_arc(generic, sc.policy, sc.q0, sc.solver, cert=certification.cert)
+        monkeypatch.setattr(simulate, "_mid_below_floor", lambda *args: False)
+        probed = integrate_arc(generic, sc.policy, sc.q0, sc.solver, cert=certification.cert)
+        assert _arc_bytes(certified) == _arc_bytes(probed)
+
+    def test_midpoint_probes_fall_by_nine_tenths(self, plant, cert, monkeypatch):
+        calls, mid = [0], simulate._DenseSegment.mid
+
+        def counted(dense):
+            calls[0] += 1
+            return mid(dense)
+
+        monkeypatch.setattr(simulate._DenseSegment, "mid", counted)
+        q0, cfg = _mc_start(1), SolverConfig(horizon=20.0)
+        integrate_arc(plant, _MC_DEADZONE, q0, cfg, cert=cert)
+        certified, calls[0] = calls[0], 0
+        monkeypatch.setattr(simulate, "_mid_below_floor", lambda *args: False)
+        integrate_arc(plant, _MC_DEADZONE, q0, cfg, cert=cert)
+        assert calls[0] > 1000 and certified <= 0.1 * calls[0]
+
+    def test_only_a_generic_step_under_a_dead_zone_policy_is_certified(
+            self, plant, cert, certification, monkeypatch):
+        seen = _recording(monkeypatch)
+        q0, clocked = _mc_start(1), replace(_mc_start(1), tau=0.0)
+        for policy, start in ((TriggerPolicy(kind=PolicyKind.NAIVE, sigma=0.4), q0),
+                              (TriggerPolicy(kind=PolicyKind.TIME_REGULARIZED, sigma=0.4,
+                                             t_star=0.3), clocked)):
+            integrate_arc(plant, policy, start, SolverConfig(horizon=6.0), cert=cert)
+        sc = demo_scenario("deadzone")  # a linear plant: the exact propagator
+        integrate_arc(sc.plant, sc.policy, sc.q0, replace(sc.solver, horizon=8.0),
+                      cert=certification.cert)
+        assert seen == []
+        integrate_arc(plant, _MC_DEADZONE, q0, SolverConfig(horizon=1.0), cert=cert)
+        assert seen
+
+    @pytest.mark.parametrize("y0, q", [
+        ([0.0, 0.0, math.nan], np.zeros((3, 4))),
+        ([0.0, 0.0, 0.0], np.full((3, 4), math.nan)),
+        ([0.0, 0.0, 0.0], np.full((3, 4), math.inf)),
+        ([0.0, 0.0, -math.inf], np.zeros((3, 4))),
+        ([0.0, 0.0, 1e200], np.zeros((3, 4))),  # gamma1 overflows
+    ], ids=["nan e0", "nan q", "inf q", "inf e0", "overflow"])
+    def test_bound_that_is_not_finite_is_probed(self, cert, y0, q):
+        dense = simulate._DenseSegment(0.0, 0.01, np.array(y0), q)
+        e = slice(2, None)
+        assert simulate._mid_below_floor(dense, e, cert.gamma1, 0.01) is False
+        small = simulate._DenseSegment(0.0, 0.01, np.zeros(3), np.zeros((3, 4)))
+        assert simulate._mid_below_floor(small, e, cert.gamma1, 0.01) is True

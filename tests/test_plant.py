@@ -438,6 +438,22 @@ class TestMatrixShapes:
         with pytest.raises(DimensionError, match="b1"):
             self.plant(np.zeros((2, 3)), b1=np.zeros(3))
 
+    @pytest.mark.parametrize("block, named", [
+        ("a11", r"a11 has shape \(0, 0\), so n_x is 0"),
+        ("a22", r"a22 has shape \(0, 0\), so n_z is 0"),
+        ("k_gain", r"k_gain has shape \(0, 2\), so n_u is 0"),
+    ])
+    def test_zero_size_block_named(self, block, named):
+        # as PlantSpec, every size is at least 1: a zero-size block is named
+        # where it is built, not found by the decoupling or as_plant_spec()
+        n_x, n_z, n_u = {"a11": (0, 3, 1), "a22": (2, 0, 1), "k_gain": (2, 3, 0)}[block]
+        with pytest.raises(DimensionError, match=named):
+            LinearPlantSpec(
+                a11=-np.eye(n_x), a12=np.zeros((n_x, n_z)), a21=np.zeros((n_z, n_x)),
+                a22=-np.eye(n_z), b1=np.zeros((n_x, n_u)), b2=np.zeros((n_z, n_u)),
+                k_gain=np.zeros((n_u, n_x)), epsilon=0.1,
+            )
+
 
 class TestFiniteDifferenceJacobian:
     def test_matches_analytic_on_nonlinear_root(self):

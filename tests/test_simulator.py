@@ -1442,6 +1442,32 @@ class TestStepHelpers:
             assert simulate._step_floor(t) == 16.0 * np.finfo(float).eps * max(1.0, abs(t))
 
 
+def _point_product_pairs(gen, n, k):
+    """One (a, b) pair of each point-product shape the hot paths take, of
+    sizes n and k, each entry of random sign and magnitude 1e-8 to 1e8:
+    a vector by C-ordered rows (a stage row, v_x's x p1), the transposed
+    stage table by a matrix, a matrix by a vector, a vector by a vector,
+    a matrix by a matrix and a column slice by a matrix (_Propagator.matrix)."""
+    def draw(*shape):
+        return gen.choice([-1.0, 1.0], shape) * 10.0 ** gen.uniform(-8, 8, shape)
+
+    stages = draw(k + 1, n)
+    left = draw(n, 2 * n)
+    return [(draw(k), stages[:k]), (draw(k, n).T, draw(k, 4)), (draw(n, k), draw(k)),
+            (draw(n), draw(n)), (draw(n, k), draw(k, n)), (left[:, :n], draw(n, n))]
+
+
+class TestPointProducts:
+    def test_dot_equals_matmul_bitwise_on_the_hot_path_shapes(self):
+        # the integrator takes its point products by ndarray.dot, which calls
+        # the BLAS routine that @ calls, without the matmul ufunc's dispatch
+        gen = np.random.default_rng(11)
+        for n, k in itertools.product(range(1, 21), repeat=2):
+            for _ in range(3):
+                for a, b in _point_product_pairs(gen, n, k):
+                    assert a.dot(b).tobytes() == (a @ b).tobytes()
+
+
 class TestFirstStage:
     def test_no_flow_evaluation_at_a_located_event_point(self, certn, monkeypatch):
         # the eager jump leaves a located event point at once, so no first
